@@ -10,7 +10,7 @@ from .corpus import (
     save_ground_truth_maps,
     split_corpus,
 )
-from .data import Frame, FrameSet, LabelInventory, SenoneToPhoneTable
+from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .harness import (
     ExperimentConfig,
     ResultRow,

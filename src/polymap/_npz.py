@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ArtifactError
+
 _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
 
 
@@ -29,5 +31,13 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_npz(path: str | Path) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as data:
-        return {name: data[name] for name in data.files}
+    """All members of an ``.npz`` archive; :class:`ArtifactError` naming
+    the path if the file is missing, truncated or not an archive."""
+    if not zipfile.is_zipfile(path):
+        problem = "truncated or not an .npz archive" if Path(path).exists() else "no such file"
+        raise ArtifactError(f"cannot read {path}: {problem}")
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,23 +59,12 @@ class SenoneToPhoneTable:
         return int(self.table[senone])
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One labeled observation."""
-
-    features: np.ndarray
-    language: str
-    senone_label: int
-    utterance_id: int
-
-
 @dataclass
 class FrameSet:
     """Column-oriented batch of frames from a single language.
 
     Feature rows, labels and utterance ids are parallel arrays, so
-    training and mapping code stays vectorized while callers can still
-    think in terms of individual :class:`Frame` records.
+    training and mapping code stays vectorized.
     """
 
     language: str
@@ -100,17 +89,6 @@ class FrameSet:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def frame(self, i: int) -> Frame:
-        return Frame(
-            features=self.features[i],
-            language=self.language,
-            senone_label=int(self.labels[i]),
-            utterance_id=int(self.utterance_ids[i]),
-        )
-
-    def __iter__(self) -> Iterator[Frame]:
-        return (self.frame(i) for i in range(len(self)))
-
     def take(self, index: np.ndarray) -> "FrameSet":
         return FrameSet(
             self.language, self.features[index], self.labels[index], self.utterance_ids[index]
@@ -119,20 +97,6 @@ class FrameSet:
     def for_utterances(self, utterances: Iterable[int]) -> "FrameSet":
         wanted = np.asarray(sorted(set(int(u) for u in utterances)), dtype=np.int64)
         return self.take(np.flatnonzero(np.isin(self.utterance_ids, wanted)))
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[Frame]) -> "FrameSet":
-        if not frames:
-            raise ShapeError("cannot build a FrameSet from zero frames without a feature dim")
-        languages = {f.language for f in frames}
-        if len(languages) != 1:
-            raise InventoryError(f"frames span multiple languages: {sorted(languages)}")
-        return cls(
-            language=frames[0].language,
-            features=np.stack([f.features for f in frames]),
-            labels=np.asarray([f.senone_label for f in frames], dtype=np.int64),
-            utterance_ids=np.asarray([f.utterance_id for f in frames], dtype=np.int64),
-        )
 
     @classmethod
     def concat(cls, sets: Sequence["FrameSet"], language: str | None = None) -> "FrameSet":

@@ -67,3 +67,11 @@ class MissingBaselineError(PolymapError):
 
 class ConfigError(PolymapError):
     """An experiment configuration failed validation."""
+
+
+class ArtifactError(PolymapError):
+    """A file the pipeline reads back is missing, truncated or not of its format."""
+
+
+class NonFiniteLossError(PolymapError):
+    """Training diverged: an epoch's loss is not a finite number."""

@@ -228,11 +228,6 @@ def _train_config_from(raw: dict, defaults: TrainConfig, context: str) -> TrainC
     return dataclasses.replace(defaults, **raw)
 
 
-def _mt_config_from(raw: dict, context: str) -> MTTrainConfig:
-    _check_keys(raw, {"initial_lr", "epochs", "batch_size", "halve_every_epoch"}, context)
-    return dataclasses.replace(MTTrainConfig(), **raw)
-
-
 def _synth_from(raw: dict, context: str) -> SynthSpec:
     allowed = {f.name for f in dataclasses.fields(SynthSpec)}
     _check_keys(raw, allowed, context)
@@ -282,7 +277,7 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
         split_fractions=dict(raw.get("split", _DEFAULT_SPLIT)),
         hidden_dims=[int(d) for d in raw.get("hidden_dims", _DEFAULT_HIDDEN)],
         train=_train_config_from(raw.get("train", {}), TrainConfig(), "train"),
-        mt_train=_mt_config_from(raw.get("mt_train", {}), "mt_train"),
+        mt_train=_train_config_from(raw.get("mt_train", {}), MTTrainConfig(), "mt_train"),
         finetune_epochs=int(finetune_raw.get("epochs", 5)),
         finetune_lr=float(finetune_raw.get("lr", 0.0008)),
         manual_maps={
@@ -558,7 +553,7 @@ def stage_finetune(
     if corpus is None:
         corpus = prepare_corpus(cfg, paths.corpus)
     if model_path is None:
-        model_path = paths.pruned_model if paths.pruned_model.exists() else paths.pooled_model
+        model_path = paths.pruned_model if cfg.method in MT_METHODS else paths.pooled_model
     net = load_network(model_path)
     tuned, history = finetune(
         net,

@@ -13,6 +13,10 @@ regimes are supported:
   map set (the owner head keeps the frame's own label), and the
   per-head cross-entropies are summed.
 
+The regimes differ only in their targets, one ``(n_frames, n_heads)``
+label array with -1 where a head takes no loss.  The stacked heads train
+in the same kernel and SGD loop as a plain network (:mod:`polymap.nnet`).
+
 Pruning keeps the shared stack plus one head and yields a plain
 :class:`~polymap.nnet.Network` whose outputs match the kept head bit
 for bit.
@@ -26,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._npz import read_npz, write_npz
+from ._npz import write_npz
 from .data import FrameSet
 from .errors import (
     ConfigError,
@@ -39,7 +43,17 @@ from .errors import (
     UnknownLanguageError,
 )
 from .mapping import MapSet
-from .nnet import Network, TrainConfig, hidden_forward, lr_at_epoch, relu, softmax
+from .nnet import (
+    EpochStats,
+    Network,
+    TrainConfig,
+    _backprop,
+    _draw_layers,
+    _read_model,
+    _sgd,
+    hidden_forward,
+    softmax,
+)
 
 LOSS_MODES = ("masked", "mapped")
 _MODEL_FORMAT = "polymap-multihead"
@@ -94,34 +108,23 @@ class MultiHeadNetwork:
 
 
 @dataclass(frozen=True)
-class MTTrainConfig:
-    """SGD schedule for multi-head training."""
+class MTTrainConfig(TrainConfig):
+    """SGD schedule for multi-head training, plus its loss mode."""
 
-    epochs: int = 16
     initial_lr: float = 0.008
     batch_size: int = 4
-    shuffle_seed: int = 0
-    halve_every_epoch: bool = True
     loss_mode: str = "masked"
 
     def __post_init__(self) -> None:
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        super().__post_init__()
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
 
 
 @dataclass(frozen=True)
-class MTEpochStats:
+class MTEpochStats(EpochStats):
     """One training-log line: epoch, lr, overall and per-language mean loss."""
 
-    epoch: int
-    lr: float
-    mean_loss: float
     per_language: dict[str, float]
 
 
@@ -155,19 +158,11 @@ def init_multihead(
     if len(set(languages)) != len(languages):
         raise InvalidArchitectureError(f"duplicate language ids in {languages}")
 
-    rng = np.random.default_rng(seed)
-    shared_weights, shared_biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        shared_weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
-        shared_biases.append(np.zeros(fan_out))
-    head_weights, head_biases = [], []
-    scale = 1.0 / np.sqrt(dims[-1])
-    for size in head_sizes:
-        head_weights.append(rng.uniform(-scale, scale, size=(int(size), dims[-1])))
-        head_biases.append(np.zeros(int(size)))
+    shapes = list(zip(dims[:-1], dims[1:])) + [(dims[-1], int(size)) for size in head_sizes]
+    weights, biases = _draw_layers(shapes, seed)
+    k = len(dims) - 1
     return MultiHeadNetwork(
-        dims, list(languages), shared_weights, shared_biases, head_weights, head_biases,
+        dims, list(languages), weights[:k], biases[:k], weights[k:], biases[k:],
         activation="relu", seed=int(seed),
     )
 
@@ -264,88 +259,38 @@ def mt_loss(head_outputs: list[np.ndarray], targets: TargetAssignment) -> float:
     return total
 
 
-def _mapped_lookup(
-    net: MultiHeadNetwork, present: list[int], map_set: MapSet | None
-) -> dict[tuple[int, int], np.ndarray]:
-    """Label-translation arrays for (owner head, output head) pairs."""
+def _target_array(
+    net: MultiHeadNetwork, labels: np.ndarray, owners: np.ndarray, mode: str, map_set: MapSet | None
+) -> np.ndarray:
+    """Every frame's label on every head, -1 where the head takes no loss:
+    masked mode fills the owner's column only, mapped mode every column."""
+    targets = np.full((labels.size, net.num_heads), -1, dtype=np.int64)
+    if mode == "masked":
+        targets[np.arange(labels.size), owners] = labels
+        return targets
     if map_set is None:
         raise IncompleteMapSetError("mapped-target training requires a map set")
-    lookup: dict[tuple[int, int], np.ndarray] = {}
-    for m in present:
+    for m in np.unique(owners):
+        rows = np.flatnonzero(owners == m)
         for l in range(net.num_heads):
             if l == m:
-                table = np.arange(net.head_sizes[m], dtype=np.int64)
+                table = np.arange(net.head_sizes[m])
             else:
                 table = map_set.get(net.languages[m], net.languages[l]).table
-                if len(table) != net.head_sizes[m] or table.max() >= net.head_sizes[l]:
-                    raise ShapeError(
-                        f"map {net.languages[m]!r}->{net.languages[l]!r} does not fit "
-                        "the head sizes"
-                    )
-            lookup[(m, l)] = table
-    return lookup
+            if len(table) != net.head_sizes[m] or table.max() >= net.head_sizes[l]:
+                raise ShapeError(
+                    f"map {net.languages[m]!r}->{net.languages[l]!r} does not fit "
+                    "the head sizes"
+                )
+            targets[rows, l] = table[labels[rows]]
+    return targets
 
 
-def _forward_backward_multi(
-    shared_weights: list[np.ndarray],
-    shared_biases: list[np.ndarray],
-    head_weights: list[np.ndarray],
-    head_biases: list[np.ndarray],
-    x: np.ndarray,
-    labels: np.ndarray,
-    owners: np.ndarray,
-    mode: str,
-    lookup: dict[tuple[int, int], np.ndarray] | None,
-) -> tuple[np.ndarray, list, list, list, list]:
-    """Per-frame losses plus summed-loss gradients for one batch."""
-    acts = [x]
-    for w, b in zip(shared_weights, shared_biases):
-        acts.append(relu(acts[-1] @ w.T + b))
-    h = acts[-1]
-    n = x.shape[0]
-
-    frame_losses = np.zeros(n)
-    d_h = np.zeros_like(h)
-    grads_hw = [np.zeros_like(w) for w in head_weights]
-    grads_hb = [np.zeros_like(b) for b in head_biases]
-
-    for l, (w, b) in enumerate(zip(head_weights, head_biases)):
-        if mode == "masked":
-            rows = np.flatnonzero(owners == l)
-            if rows.size == 0:
-                continue
-            targets = labels[rows]
-        else:
-            rows = np.arange(n)
-            assert lookup is not None
-            targets = np.empty(n, dtype=np.int64)
-            for m in np.unique(owners):
-                mask = owners == m
-                targets[mask] = lookup[(int(m), l)][labels[mask]]
-        hl = h[rows]
-        logits = hl @ w.T + b
-        zmax = logits.max(axis=1, keepdims=True)
-        shifted = logits - zmax
-        exp = np.exp(shifted)
-        norm = exp.sum(axis=1, keepdims=True)
-        rr = np.arange(rows.size)
-        frame_losses[rows] += np.log(norm[:, 0]) - shifted[rr, targets]
-        delta = exp / norm
-        delta[rr, targets] -= 1.0
-        grads_hw[l] = delta.T @ hl
-        grads_hb[l] = delta.sum(axis=0)
-        d_h[rows] += delta @ w
-
-    grads_sw = [np.zeros_like(w) for w in shared_weights]
-    grads_sb = [np.zeros_like(b) for b in shared_biases]
-    delta = d_h
-    for k in range(len(shared_weights) - 1, -1, -1):
-        delta = delta * (acts[k + 1] > 0.0)
-        grads_sw[k] = delta.T @ acts[k]
-        grads_sb[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = delta @ shared_weights[k]
-    return frame_losses, grads_sw, grads_sb, grads_hw, grads_hb
+def _stacked(net: MultiHeadNetwork) -> tuple[list, list, list[int]]:
+    """Copied layers with the heads stacked into one, and the heads' row bounds."""
+    weights = [w.copy() for w in net.shared_weights] + [np.concatenate(net.head_weights)]
+    biases = [b.copy() for b in net.shared_biases] + [np.concatenate(net.head_biases)]
+    return weights, biases, [0, *np.cumsum(net.head_sizes).tolist()]
 
 
 def multihead_loss_and_gradients(
@@ -376,20 +321,17 @@ def multihead_loss_and_gradients(
     sizes = np.asarray(net.head_sizes)
     if (labels < 0).any() or (labels >= sizes[owners]).any():
         raise LabelRangeError("some frame labels exceed their owner head's size")
-    lookup = None
-    if mode == "mapped":
-        lookup = _mapped_lookup(net, [int(m) for m in np.unique(owners)], map_set)
-    frame_losses, gsw, gsb, ghw, ghb = _forward_backward_multi(
-        net.shared_weights, net.shared_biases, net.head_weights, net.head_biases,
-        x, labels, owners, mode, lookup,
-    )
+    targets = _target_array(net, labels, owners, mode, map_set)
+    weights, biases, bounds = _stacked(net)
+    losses, grads_w, grads_b = _backprop(weights, biases, bounds, x, targets)
     n = x.shape[0]
+    k = len(net.shared_weights)
     return (
-        float(frame_losses.sum()) / n,
-        [g / n for g in gsw],
-        [g / n for g in gsb],
-        [g / n for g in ghw],
-        [g / n for g in ghb],
+        float(losses.sum()) / n,
+        [g / n for g in grads_w[:k]],
+        [g / n for g in grads_b[:k]],
+        [g / n for g in np.split(grads_w[k], bounds[1:-1])],
+        [g / n for g in np.split(grads_b[k], bounds[1:-1])],
     )
 
 
@@ -426,65 +368,26 @@ def train_multihead(
     owners = np.concatenate(
         [np.full(len(fs), net.head_index(lang), np.int64) for lang, fs in zip(present, parts)]
     )
-    lookup = None
-    if cfg.loss_mode == "mapped":
-        lookup = _mapped_lookup(net, sorted({int(o) for o in owners}), map_set)
+    targets = _target_array(net, labels, owners, cfg.loss_mode, map_set)
 
-    shared_w = [w.copy() for w in net.shared_weights]
-    shared_b = [b.copy() for b in net.shared_biases]
-    head_w = [w.copy() for w in net.head_weights]
-    head_b = [b.copy() for b in net.head_biases]
-
-    rng = np.random.default_rng(cfg.shuffle_seed)
-    n = x.shape[0]
-    lr_cfg = _as_schedule(cfg)
+    weights, biases, bounds = _stacked(net)
+    counts = np.bincount(owners, minlength=net.num_heads)
     history: list[MTEpochStats] = []
-    lang_counts = np.bincount(owners, minlength=net.num_heads).astype(np.float64)
-    for epoch in range(cfg.epochs):
-        lr = lr_at_epoch(lr_cfg, epoch)
-        order = rng.permutation(n)
-        loss_total = 0.0
-        lang_loss = np.zeros(net.num_heads)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            frame_losses, gsw, gsb, ghw, ghb = _forward_backward_multi(
-                shared_w, shared_b, head_w, head_b,
-                x[idx], labels[idx], owners[idx], cfg.loss_mode, lookup,
-            )
-            scale = lr / idx.size
-            for k in range(len(shared_w)):
-                shared_w[k] -= scale * gsw[k]
-                shared_b[k] -= scale * gsb[k]
-            for l in range(len(head_w)):
-                if cfg.loss_mode == "masked" and not (owners[idx] == l).any():
-                    continue
-                head_w[l] -= scale * ghw[l]
-                head_b[l] -= scale * ghb[l]
-            loss_total += float(frame_losses.sum())
-            np.add.at(lang_loss, owners[idx], frame_losses)
+    for epoch, lr, mean_loss, frame_losses in _sgd(weights, biases, bounds, x, targets, cfg):
+        sums = np.bincount(owners, weights=frame_losses.sum(axis=1), minlength=net.num_heads)
         per_language = {
-            net.languages[l]: float(lang_loss[l] / lang_counts[l])
-            for l in range(net.num_heads)
-            if lang_counts[l] > 0
+            lang: float(sums[l] / counts[l]) for l, lang in enumerate(net.languages) if counts[l]
         }
         history.append(
-            MTEpochStats(epoch=epoch, lr=lr, mean_loss=loss_total / n, per_language=per_language)
+            MTEpochStats(epoch=epoch, lr=lr, mean_loss=mean_loss, per_language=per_language)
         )
+    k = len(net.shared_weights)
     trained = MultiHeadNetwork(
-        list(net.shared_dims), list(net.languages), shared_w, shared_b, head_w, head_b,
+        list(net.shared_dims), list(net.languages), weights[:k], biases[:k],
+        np.split(weights[k], bounds[1:-1]), np.split(biases[k], bounds[1:-1]),
         net.activation, net.seed,
     )
     return trained, history
-
-
-def _as_schedule(cfg: MTTrainConfig) -> TrainConfig:
-    return TrainConfig(
-        initial_lr=cfg.initial_lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        shuffle_seed=cfg.shuffle_seed,
-        halve_every_epoch=cfg.halve_every_epoch,
-    )
 
 
 def prune(net: MultiHeadNetwork, language: str) -> Network:
@@ -522,10 +425,7 @@ def save_multihead(net: MultiHeadNetwork, path: str | Path) -> None:
 
 
 def load_multihead(path: str | Path) -> MultiHeadNetwork:
-    arrays = read_npz(path)
-    meta = json.loads(str(arrays["meta"][()]))
-    if meta.get("format") != _MODEL_FORMAT:
-        raise ShapeError(f"{path} is not a {_MODEL_FORMAT} file")
+    arrays, meta = _read_model(path, _MODEL_FORMAT)
     dims = [int(d) for d in arrays["shared_dims"]]
     languages = list(meta["languages"])
     shared_w = [arrays[f"shared_weight_{k}"] for k in range(len(dims) - 1)]

@@ -1,18 +1,22 @@
-"""Dense feed-forward softmax classifiers and their SGD training loop.
+"""Dense feed-forward softmax classifiers and the package's one SGD loop.
 
 Hidden layers use ReLU; the output layer is a softmax over the label
 inventory.  Weights are initialized from a seeded uniform distribution
 scaled by 1/sqrt(fan-in) with zero biases, so a (layer_dims, seed) pair
 fully determines the starting point and training is reproducible end to
 end.  Cross-entropy is evaluated in log-sum-exp form so it stays finite
-for extreme logits.
+for extreme logits.  The private kernel and loop also train multi-head
+networks (:mod:`polymap.multitask`), whose stacked heads are segments of
+one output layer; a plain network is the one-head case.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .errors import (
     EmptyDataError,
     InvalidArchitectureError,
     LabelRangeError,
+    NonFiniteLossError,
     RangeError,
     ShapeError,
 )
@@ -102,14 +107,19 @@ def init_network(layer_dims: list[int], seed: int = 0) -> Network:
         raise InvalidArchitectureError(f"need at least input and output layers, got {dims}")
     if any(d < 1 for d in dims):
         raise InvalidArchitectureError(f"all layer dims must be >= 1, got {dims}")
+    weights, biases = _draw_layers(list(zip(dims[:-1], dims[1:])), seed)
+    return Network(dims, weights, biases, activation="relu", seed=int(seed))
+
+
+def _draw_layers(shapes: list[tuple[int, int]], seed: int) -> tuple[list, list]:
+    """Weights and zero biases for each ``(fan_in, fan_out)``, drawn in order."""
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    weights, biases = [], []
+    for fan_in, fan_out in shapes:
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases, activation="relu", seed=int(seed))
+    return weights, biases
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -170,27 +180,39 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.initial_lr
 
 
-def _forward_backward(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Summed cross-entropy over the batch and its gradients."""
+def _backprop(
+    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, list, list]:
+    """Per-(frame, head) cross-entropies and the gradients of their sum.
+
+    Head ``l`` owns output rows ``bounds[l]:bounds[l + 1]``.  ``targets[i, l]``
+    is frame ``i``'s label on head ``l``, or -1 for no loss (and no error) there.
+    """
     acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
         acts.append(relu(acts[-1] @ w.T + b))
-    logits = acts[-1] @ weights[-1].T + biases[-1]
 
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    exp = np.exp(shifted)
-    norm = exp.sum(axis=1, keepdims=True)
+    # Each head's segment of ``delta`` goes from logits to the softmax
+    # error in place.
+    delta = acts[-1] @ weights[-1].T + biases[-1]
     rows = np.arange(x.shape[0])
-    losses = np.log(norm[:, 0]) - shifted[rows, y]
+    losses = np.empty(targets.shape)
+    for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        seg = delta[:, lo:hi]
+        seg -= seg.max(axis=1, keepdims=True)
+        hot = targets[:, l]
+        picked = seg[rows, hot]
+        np.exp(seg, out=seg)
+        # Not np.add.reduceat: its sums differ from sum(axis=1) in the last bit.
+        norm = seg.sum(axis=1, keepdims=True)
+        losses[:, l] = np.log(norm[:, 0]) - picked
+        seg /= norm
+        seg[rows, hot] -= 1.0
+        if hot.min() < 0:  # a -1 target indexed the last column above; zero those rows
+            off = hot < 0
+            losses[off, l] = 0.0
+            seg[off] = 0.0
 
-    delta = exp / norm
-    delta[rows, y] -= 1.0
     grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(weights)
     for k in range(len(weights) - 1, -1, -1):
@@ -198,7 +220,7 @@ def _forward_backward(
         grads_b[k] = delta.sum(axis=0)
         if k > 0:
             delta = (delta @ weights[k]) * (acts[k] > 0.0)
-    return float(losses.sum()), grads_w, grads_b
+    return losses, grads_w, grads_b
 
 
 def loss_and_gradients(
@@ -208,9 +230,11 @@ def loss_and_gradients(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_labeled_batch(net, x, y)
-    loss_sum, grads_w, grads_b = _forward_backward(net.weights, net.biases, x, y)
+    losses, grads_w, grads_b = _backprop(
+        net.weights, net.biases, [0, net.output_dim], x, y[:, None]
+    )
     n = x.shape[0]
-    return loss_sum / n, [g / n for g in grads_w], [g / n for g in grads_b]
+    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
 
 
 def _check_labeled_batch(net: Network, x: np.ndarray, y: np.ndarray) -> None:
@@ -225,11 +249,51 @@ def _check_labeled_batch(net: Network, x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def _sgd(
+    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray,
+    cfg: TrainConfig,
+) -> Iterator[tuple[int, float, float, np.ndarray]]:
+    """Mini-batch SGD on the summed loss of :func:`_backprop`, in place.
+
+    Yields ``(epoch, lr, mean_loss, frame_losses)`` after each epoch, where
+    ``frame_losses`` (reused) holds the epoch's per-(frame, head) losses.
+    """
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    n = x.shape[0]
+    frame_losses = np.empty(targets.shape)
+    shuffled_losses = np.empty(targets.shape)
+    for epoch in range(cfg.epochs):
+        lr = lr_at_epoch(cfg, epoch)
+        order = rng.permutation(n)
+        loss_total = 0.0
+        # Overflow or NaN leaves a non-finite loss or weight, raised below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                losses, grads_w, grads_b = _backprop(
+                    weights, biases, bounds, x.take(idx, axis=0), targets.take(idx, axis=0)
+                )
+                scale = lr / idx.size
+                for k in range(len(weights)):
+                    weights[k] -= scale * grads_w[k]
+                    biases[k] -= scale * grads_b[k]
+                shuffled_losses[start : start + cfg.batch_size] = losses
+                loss_total += float(losses.sum())
+        frame_losses[order] = shuffled_losses
+        mean_loss = loss_total / n
+        if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in weights + biases)):
+            raise NonFiniteLossError(
+                f"training diverged in epoch {epoch} (lr {lr:g}): mean loss {mean_loss}"
+            )
+        yield epoch, lr, mean_loss, frame_losses
+
+
 def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, list[EpochStats]]:
     """Shuffled mini-batch SGD on cross-entropy; returns a new network.
 
     Deterministic for a fixed (net, frames, cfg): the shuffle order is
-    drawn from ``cfg.shuffle_seed`` alone.
+    drawn from ``cfg.shuffle_seed`` alone.  Raises
+    :class:`~polymap.errors.NonFiniteLossError` if training diverges.
     """
     x = frames.features
     y = frames.labels
@@ -237,22 +301,10 @@ def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, li
 
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
-    rng = np.random.default_rng(cfg.shuffle_seed)
-    n = len(frames)
-    history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        lr = lr_at_epoch(cfg, epoch)
-        order = rng.permutation(n)
-        loss_total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss_sum, grads_w, grads_b = _forward_backward(weights, biases, x[idx], y[idx])
-            scale = lr / idx.size
-            for k in range(len(weights)):
-                weights[k] -= scale * grads_w[k]
-                biases[k] -= scale * grads_b[k]
-            loss_total += loss_sum
-        history.append(EpochStats(epoch=epoch, lr=lr, mean_loss=loss_total / n))
+    history = [
+        EpochStats(epoch=epoch, lr=lr, mean_loss=loss)
+        for epoch, lr, loss, _ in _sgd(weights, biases, [0, net.output_dim], x, y[:, None], cfg)
+    ]
     trained = Network(list(net.layer_dims), weights, biases, net.activation, net.seed)
     return trained, history
 
@@ -302,14 +354,20 @@ def save_network(net: Network, path: str | Path) -> None:
     write_npz(path, arrays)
 
 
-def load_network(path: str | Path) -> Network:
+def _read_model(path: str | Path, model_format: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and metadata of a model file, checked to be of ``model_format``."""
     arrays = read_npz(path)
     try:
         meta = json.loads(str(arrays["meta"][()]))
     except KeyError as exc:
         raise ShapeError(f"{path} is not a model file (missing metadata)") from exc
-    if meta.get("format") != _MODEL_FORMAT:
-        raise ShapeError(f"{path} is not a {_MODEL_FORMAT} file")
+    if meta.get("format") != model_format:
+        raise ShapeError(f"{path} is not a {model_format} file")
+    return arrays, meta
+
+
+def load_network(path: str | Path) -> Network:
+    arrays, meta = _read_model(path, _MODEL_FORMAT)
     dims = [int(d) for d in arrays["layer_dims"]]
     weights = [arrays[f"weight_{k}"] for k in range(len(dims) - 1)]
     biases = [arrays[f"bias_{k}"] for k in range(len(dims) - 1)]

@@ -328,3 +328,34 @@ class TestCli:
         path = write_config(tmp_path, raw)
         assert cli.main(["build-map", "--config", str(path)]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,command,missing",
+        [("senone-map", "pool-train", "baseline.npz"), ("mtdnn-masked", "prune", "mtdnn.npz")],
+    )
+    def test_stage_before_its_input_fails_cleanly(self, tmp_path, capsys, method, command, missing):
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method, sources=["lang1"]))
+        assert cli.main(["synth", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ArtifactError: ") and missing in err[0]
+
+    def test_diverging_training_fails_cleanly(self, tmp_path, capsys):
+        raw = tiny_config(tmp_path, train={**TINY_TRAIN, "initial_lr": 1e12})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["train-baseline", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NonFiniteLossError: ")
+
+    def test_finetune_ignores_stale_pruned_model(self, tmp_path, capsys):
+        raw = tiny_config(tmp_path, method="phone-map", sources=["lang1"])
+        path = write_config(tmp_path, raw)
+        for command in ("synth", "train-baseline", "build-map", "pool-train", "finetune"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        paths = harness.RunPaths(tmp_path / "run")
+        expected = paths.final_model.read_bytes()
+        # left behind by an earlier multitask run in the same directory
+        pm.save_network(pm.init_network([6, 16, 16, 8], seed=99), paths.pruned_model)
+        assert cli.main(["finetune", "--config", str(path)]) == 0
+        assert paths.final_model.read_bytes() == expected

@@ -9,6 +9,7 @@ from polymap.errors import (
     IncompleteMapSetError,
     InvalidArchitectureError,
     LabelRangeError,
+    NonFiniteLossError,
     RangeError,
     ShapeError,
     UnknownLanguageError,
@@ -312,6 +313,30 @@ class TestTrainMultihead:
         with pytest.raises(EmptyDataError):
             pm.train_multihead(net, {}, pm.MTTrainConfig(epochs=1))
 
+    def test_divergence_raises(self):
+        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=0)
+        frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
+        with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
+            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=3, initial_lr=1e12))
+
+    def test_one_head_is_plain_training(self):
+        # plain training is the one-head case of masked multi-head training
+        frames = lang_frames("a", 2, n=150)
+        net = pm.init_network([4, 8, 6, 3], seed=3)
+        mt = pm.MultiHeadNetwork(
+            [4, 8, 6], ["a"], net.weights[:-1], net.biases[:-1], net.weights[-1:], net.biases[-1:]
+        )
+        schedule = dict(initial_lr=0.05, epochs=3, batch_size=5, shuffle_seed=4)
+        plain, plain_hist = pm.train(net, frames, pm.TrainConfig(**schedule))
+        multi, multi_hist = pm.train_multihead(
+            mt, {"a": frames}, pm.MTTrainConfig(**schedule, loss_mode="masked")
+        )
+        pruned = pm.prune(multi, "a")
+        assert pruned.layer_dims == plain.layer_dims
+        for a, b in zip(plain.weights + plain.biases, pruned.weights + pruned.biases):
+            assert a.tobytes() == b.tobytes()
+        assert [h.mean_loss for h in plain_hist] == [h.mean_loss for h in multi_hist]
+
     def test_owner_heads_learn_their_language(self):
         # each head must beat the same architecture trained on shuffled labels
         frames = {lang: lang_frames(lang, seed, n=150) for seed, lang in enumerate(("a", "b", "c"))}
@@ -366,6 +391,12 @@ class TestPrune:
         trained = self.make_trained()
         with pytest.raises(RangeError):
             pm.prune(trained, "zz")
+
+    def test_load_rejects_file_without_metadata(self, tmp_path):
+        path = tmp_path / "bogus.npz"
+        np.savez(path, stuff=np.zeros(3))
+        with pytest.raises(ShapeError):
+            pm.load_multihead(path)
 
     def test_multihead_persistence_round_trip(self, tmp_path):
         trained = self.make_trained()

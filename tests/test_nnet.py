@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import polymap as pm
 from polymap.errors import (
+    ArtifactError,
     EmptyDataError,
     InvalidArchitectureError,
     LabelRangeError,
+    NonFiniteLossError,
     RangeError,
     ShapeError,
 )
@@ -190,6 +192,11 @@ class TestTrain:
         with pytest.raises(EmptyDataError):
             pm.train(pm.init_network([2, 4, 3], seed=0), frames, pm.TrainConfig(epochs=1))
 
+    def test_divergence_raises(self):
+        net = pm.init_network([3, 8, 2], seed=0)
+        with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
+            pm.train(net, blob_frames(10), pm.TrainConfig(initial_lr=1e12, epochs=3))
+
 
 def finite_difference_gradients(net, x, y, h=1e-5):
     """Central differences of the mean cross-entropy, via forward() only."""
@@ -269,6 +276,15 @@ class TestPersistence:
         path = tmp_path / "bogus.npz"
         np.savez(path, stuff=np.zeros(3))
         with pytest.raises(ShapeError):
+            pm.load_network(path)
+
+    def test_missing_or_truncated_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        with pytest.raises(ArtifactError, match="model.npz"):
+            pm.load_network(path)
+        pm.save_network(pm.init_network([5, 7, 4], seed=1), path)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(ArtifactError, match="model.npz"):
             pm.load_network(path)
 
 
