@@ -39,14 +39,10 @@ from .mapping import (
 from .multitask import (
     MTTrainConfig,
     MultiHeadNetwork,
-    TargetAssignment,
     forward_head,
     forward_heads,
     init_multihead,
     load_multihead,
-    make_targets_mapped,
-    make_targets_single,
-    mt_loss,
     multihead_loss_and_gradients,
     prune,
     save_multihead,

@@ -25,28 +25,88 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
+def _wrote(path: Path) -> str:
+    return f"wrote {path}"
+
+
+def _model(args: argparse.Namespace) -> Path | None:
+    return Path(args.model) if args.model else None
+
+
+def _evaluate(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    fer = harness.stage_evaluate(cfg, model_path=_model(args), split=args.split)
+    return f"frame_error_rate {args.split} {fer:.4f}"
+
+
+def _experiment(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    row = harness.run_experiment(cfg)
+    return (
+        f"method={row.method} seed={row.seed} "
+        f"dev={row.dev_frame_error:.4f} test={row.test_frame_error:.4f}\n"
+        + _wrote(paths.row(cfg.method, cfg.seed))
+    )
+
+
+def _report(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    rows = _collect_rows(args.rows, paths.rows_dir)
+    return harness.write_report(rows, cfg.output_dir, metadata={"target": cfg.target})
+
+
+def _validate_map(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    corpus = harness.prepare_corpus(cfg, paths.corpus)
+    inventories = corpus.phone_inventories if args.kind == "phone" else corpus.senone_inventories
+    load_manual_map(args.map, inventories[args.source], inventories[args.target])
+    return "ok"
+
+
+# Subcommand -> (help, call returning the text to print).  The calls look
+# stages up at call time, so a function replaced on its module is the one run.
+COMMANDS = {
+    "synth": (
+        "generate the synthetic corpus and its answer-key maps",
+        lambda cfg, args, paths: _wrote(harness.stage_synth(cfg)),
+    ),
+    "train-baseline": (
+        "train the target language's own classifier",
+        lambda cfg, args, paths: _wrote(harness.stage_train_baseline(cfg)[1]),
+    ),
+    "build-map": (
+        "build and persist the configured method's label maps",
+        lambda cfg, args, paths: _wrote(harness.stage_build_map(cfg)),
+    ),
+    "pool-train": (
+        "train a fresh net on pooled, relabeled data",
+        lambda cfg, args, paths: _wrote(harness.stage_pool_train(cfg)[1]),
+    ),
+    "mt-train": (
+        "train the multi-head network",
+        lambda cfg, args, paths: _wrote(harness.stage_mt_train(cfg)[1]),
+    ),
+    "prune": (
+        "prune the multi-head network to the target head",
+        lambda cfg, args, paths: _wrote(harness.stage_prune(cfg)[1]),
+    ),
+    "finetune": (
+        "fine-tune a model on target training data",
+        lambda cfg, args, paths: _wrote(
+            harness.stage_finetune(cfg, model_path=_model(args))[1]
+        ),
+    ),
+    "evaluate": ("frame error rate of a model on a split", _evaluate),
+    "experiment": ("run the configured method end to end", _experiment),
+    "report": ("aggregate result rows into a table", _report),
+    "validate-map": ("check a map file against the corpus inventories", _validate_map),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymap",
         description="Cross-lingual label mapping and multitask transfer experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "synth": "generate the synthetic corpus and its answer-key maps",
-        "train-baseline": "train the target language's own classifier",
-        "build-map": "build and persist the configured method's label maps",
-        "pool-train": "train a fresh net on pooled, relabeled data",
-        "mt-train": "train the multi-head network",
-        "prune": "prune the multi-head network to the target head",
-        "finetune": "fine-tune a model on target training data",
-        "evaluate": "frame error rate of a model on a split",
-        "experiment": "run the configured method end to end",
-        "report": "aggregate result rows into a table",
-        "validate-map": "check a map file against the corpus inventories",
-    }
     parsers = {}
-    for name, help_text in commands.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         parsers[name] = p
@@ -85,57 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_experiment_config(args.config, seed=args.seed)
-        paths = RunPaths(cfg.output_dir)
-        command = args.command
-
-        if command == "synth":
-            corpus_path = harness.stage_synth(cfg)
-            print(f"wrote {corpus_path}")
-        elif command == "train-baseline":
-            _, model_path = harness.stage_train_baseline(cfg)
-            print(f"wrote {model_path}")
-        elif command == "build-map":
-            manifest = harness.stage_build_map(cfg)
-            print(f"wrote {manifest}")
-        elif command == "pool-train":
-            _, model_path = harness.stage_pool_train(cfg)
-            print(f"wrote {model_path}")
-        elif command == "mt-train":
-            _, model_path = harness.stage_mt_train(cfg)
-            print(f"wrote {model_path}")
-        elif command == "prune":
-            _, model_path = harness.stage_prune(cfg)
-            print(f"wrote {model_path}")
-        elif command == "finetune":
-            model = Path(args.model) if args.model else None
-            _, model_path = harness.stage_finetune(cfg, model_path=model)
-            print(f"wrote {model_path}")
-        elif command == "evaluate":
-            model = Path(args.model) if args.model else None
-            fer = harness.stage_evaluate(cfg, model_path=model, split=args.split)
-            print(f"frame_error_rate {args.split} {fer:.4f}")
-        elif command == "experiment":
-            row = harness.run_experiment(cfg)
-            print(
-                f"method={row.method} seed={row.seed} "
-                f"dev={row.dev_frame_error:.4f} test={row.test_frame_error:.4f}"
-            )
-            print(f"wrote {paths.row(cfg.method, cfg.seed)}")
-        elif command == "report":
-            rows = _collect_rows(args.rows, paths.rows_dir)
-            text = harness.write_report(
-                rows, cfg.output_dir, metadata={"target": cfg.target}
-            )
-            print(text)
-        elif command == "validate-map":
-            corpus = harness.prepare_corpus(cfg, paths.corpus)
-            inventories = (
-                corpus.phone_inventories if args.kind == "phone" else corpus.senone_inventories
-            )
-            load_manual_map(args.map, inventories[args.source], inventories[args.target])
-            print("ok")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(command)
+        _, run = COMMANDS[args.command]
+        print(run(cfg, args, RunPaths(cfg.output_dir)))
         return 0
     except PolymapError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -90,7 +90,9 @@ class MultiCorpus:
     ``splits`` maps language -> utterance id -> split name and is empty
     until :func:`split_corpus` runs.  ``phone_truth`` / ``senone_truth``
     hold the generator's cross-language answer key for shared phones
-    (empty for corpora loaded without one).
+    (empty for corpora loaded without one).  ``provenance`` records what
+    the corpus was made from (``synth`` stamps it); binary files
+    keep it, text files do not.
     """
 
     languages: list[str]
@@ -102,6 +104,7 @@ class MultiCorpus:
     splits: dict[str, dict[int, str]] = field(default_factory=dict)
     phone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
     senone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     def subset(self, language: str, split: str) -> FrameSet:
         if language not in self.frames:
@@ -303,6 +306,7 @@ def _corpus_meta(corpus: MultiCorpus) -> dict:
             for (a, b), pairs in sorted(corpus.senone_truth.items())
             for s, t in sorted(pairs.items())
         ],
+        "provenance": corpus.provenance,
     }
 
 
@@ -338,32 +342,25 @@ def _corpus_from_parts(
         splits=splits,
         phone_truth=phone_truth,
         senone_truth=senone_truth,
+        provenance=meta.get("provenance", {}),
     )
 
 
-def save_corpus(corpus: MultiCorpus, path: str | Path, fmt: str | None = None) -> None:
-    """Write a corpus file; ``fmt`` is "binary" or "text" (inferred from
-    the suffix when omitted: .npz binary, anything else text)."""
+def save_corpus(corpus: MultiCorpus, path: str | Path) -> None:
+    """Write a corpus file: binary for an ``.npz`` suffix, text otherwise."""
     path = Path(path)
-    if fmt is None:
-        fmt = "binary" if path.suffix == ".npz" else "text"
-    if fmt == "binary":
+    if path.suffix == ".npz":
         _save_corpus_binary(corpus, path)
-    elif fmt == "text":
-        _save_corpus_text(corpus, path)
     else:
-        raise ShapeError(f"unknown corpus format {fmt!r}")
+        _save_corpus_text(corpus, path)
 
 
-def load_corpus(path: str | Path, fmt: str | None = None) -> MultiCorpus:
+def load_corpus(path: str | Path) -> MultiCorpus:
+    """Read a corpus file: binary for an ``.npz`` suffix, text otherwise."""
     path = Path(path)
-    if fmt is None:
-        fmt = "binary" if path.suffix == ".npz" else "text"
-    if fmt == "binary":
+    if path.suffix == ".npz":
         return _load_corpus_binary(path)
-    if fmt == "text":
-        return _load_corpus_text(path)
-    raise ShapeError(f"unknown corpus format {fmt!r}")
+    return _load_corpus_text(path)
 
 
 def _save_corpus_binary(corpus: MultiCorpus, path: Path) -> None:

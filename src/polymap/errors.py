@@ -73,5 +73,9 @@ class ArtifactError(PolymapError):
     """A file the pipeline reads back is missing, truncated or not of its format."""
 
 
+class StaleArtifactError(ArtifactError):
+    """A cached artifact was made for another config or seed than this run's."""
+
+
 class NonFiniteLossError(PolymapError):
     """Training diverged: an epoch's loss is not a finite number."""

@@ -41,7 +41,7 @@ from .corpus import (
     split_corpus,
 )
 from .data import FrameSet
-from .errors import ConfigError, EmptyDataError, MissingBaselineError
+from .errors import ConfigError, EmptyDataError, MissingBaselineError, StaleArtifactError
 from .mapping import (
     LabelMap,
     MapSet,
@@ -238,6 +238,8 @@ def _synth_from(raw: dict, context: str) -> SynthSpec:
 
 def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build and fully validate a config before any compute happens."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     base_dir = Path(base_dir)
     _check_keys(
         raw,
@@ -290,11 +292,33 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
 
 def load_experiment_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     path = Path(path)
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = experiment_config_from_dict(raw, path.resolve().parent)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
     return cfg
+
+
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _corpus_definition(cfg: ExperimentConfig) -> dict:
+    """The config fields that, with the seed, define a run's corpus and split."""
+    return {
+        "corpus_path": str(cfg.corpus_path) if cfg.corpus_path else None,
+        "synth": dataclasses.asdict(cfg.synth) if cfg.synth else None,
+        "split": {k: cfg.split_fractions[k] for k in sorted(cfg.split_fractions)},
+    }
+
+
+def _corpus_stamp(cfg: ExperimentConfig) -> dict:
+    """Provenance of the corpus a run prepares: its seed and a digest of
+    its corpus source and split fractions."""
+    return {"seed": cfg.seed, "digest": _digest(_corpus_definition(cfg))}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -303,22 +327,30 @@ def config_hash(cfg: ExperimentConfig) -> str:
         "method": cfg.method,
         "target": cfg.target,
         "sources": cfg.sources,
-        "corpus_path": str(cfg.corpus_path) if cfg.corpus_path else None,
-        "synth": dataclasses.asdict(cfg.synth) if cfg.synth else None,
-        "split": {k: cfg.split_fractions[k] for k in sorted(cfg.split_fractions)},
+        **_corpus_definition(cfg),
         "hidden_dims": cfg.hidden_dims,
         "train": dataclasses.asdict(cfg.train),
         "mt_train": dataclasses.asdict(cfg.mt_train),
         "finetune": {"epochs": cfg.finetune_epochs, "lr": cfg.finetune_lr},
         "manual_maps": {k: str(v) for k, v in sorted(cfg.manual_maps.items())},
     }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    return _digest(payload)
 
 
 def prepare_corpus(cfg: ExperimentConfig, cached_path: Path | None = None) -> MultiCorpus:
-    """Load or generate the corpus and make sure it carries split tags."""
+    """Load or generate the corpus and make sure it carries split tags.
+
+    A cached corpus (written by :func:`stage_synth`) must carry this
+    config's :func:`_corpus_stamp`, or :class:`StaleArtifactError` is raised.
+    """
     if cached_path is not None and Path(cached_path).exists():
         corpus = load_corpus(cached_path)
+        stamp = _corpus_stamp(cfg)
+        if corpus.provenance != stamp:
+            raise StaleArtifactError(
+                f"{cached_path} was made for another corpus, split or seed "
+                f"({corpus.provenance or 'unstamped'}, this run {stamp}); rerun synth"
+            )
     elif cfg.corpus_path is not None:
         corpus = load_corpus(cfg.corpus_path)
     else:
@@ -433,11 +465,12 @@ def build_pooled_frames(
 
 
 def stage_synth(cfg: ExperimentConfig, corpus: MultiCorpus | None = None) -> Path:
-    """Materialize the corpus plus the generator's answer-key map files."""
+    """Materialize the corpus, stamped with :func:`_corpus_stamp`, plus the
+    generator's answer-key map files."""
     paths = RunPaths(cfg.output_dir)
     if corpus is None:
         corpus = prepare_corpus(cfg)
-    save_corpus(corpus, paths.corpus)
+    save_corpus(dataclasses.replace(corpus, provenance=_corpus_stamp(cfg)), paths.corpus)
     save_ground_truth_maps(corpus, paths.truth_dir)
     return paths.corpus
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .errors import (
+    ArtifactError,
     DuplicateEntryError,
     IncompleteMapError,
     IncompleteMapSetError,
@@ -186,13 +187,20 @@ def phone_map(
     return LabelMap(source_inv, target_inv, table, PROVENANCE_PHONE)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_map_file(
     path: str | Path,
     source_inventory: LabelInventory,
     target_inventory: LabelInventory,
 ) -> np.ndarray:
     entries: dict[int, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -324,17 +332,6 @@ class MapSet:
         except KeyError:
             raise IncompleteMapSetError(f"no map from {source!r} to {target!r}") from None
 
-    def languages(self) -> list[str]:
-        seen = {lang for pair in self.maps for lang in pair}
-        return sorted(seen)
-
-    def require_complete(self, sources: list[str], targets: list[str]) -> None:
-        missing = [
-            (s, t) for s in sources for t in targets if (s, t) not in self.maps
-        ]
-        if missing:
-            raise IncompleteMapSetError(f"map set missing pairs: {missing}")
-
 
 def all_pairs_senone_maps(
     nets: dict[str, Network],
@@ -390,15 +387,28 @@ def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
 def load_map_set(directory: str | Path) -> MapSet:
     directory = Path(directory)
     manifest_path = directory / "mapset.json"
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != _MAPSET_FORMAT:
+    try:
+        manifest = json.loads(_read_text(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise MapFormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != _MAPSET_FORMAT:
         raise MapFormatError(f"{manifest_path} is not a {_MAPSET_FORMAT} manifest")
+    try:
+        entries = [
+            (
+                LabelInventory(entry["source"], entry["source_size"], entry["kind"]),
+                LabelInventory(entry["target"], entry["target_size"], entry["kind"]),
+                directory / entry["file"],
+                entry["provenance"],
+            )
+            for entry in manifest["maps"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise MapFormatError(f"{manifest_path} has a malformed map entry: {exc!r}") from exc
     maps: dict[tuple[str, str], LabelMap] = {}
-    for entry in manifest["maps"]:
-        source_inv = LabelInventory(entry["source"], entry["source_size"], entry["kind"])
-        target_inv = LabelInventory(entry["target"], entry["target_size"], entry["kind"])
-        table = _parse_map_file(directory / entry["file"], source_inv, target_inv)
-        maps[(entry["source"], entry["target"])] = LabelMap(
-            source_inv, target_inv, table, entry["provenance"]
+    for source_inv, target_inv, map_file, provenance in entries:
+        table = _parse_map_file(map_file, source_inv, target_inv)
+        maps[(source_inv.task_id, target_inv.task_id)] = LabelMap(
+            source_inv, target_inv, table, provenance
         )
     return MapSet(maps)

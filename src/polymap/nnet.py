@@ -5,9 +5,13 @@ inventory.  Weights are initialized from a seeded uniform distribution
 scaled by 1/sqrt(fan-in) with zero biases, so a (layer_dims, seed) pair
 fully determines the starting point and training is reproducible end to
 end.  Cross-entropy is evaluated in log-sum-exp form so it stays finite
-for extreme logits.  The private kernel and loop also train multi-head
-networks (:mod:`polymap.multitask`), whose stacked heads are segments of
-one output layer; a plain network is the one-head case.
+for extreme logits.
+
+:class:`Network` is the package's only parameter container.  A multi-head
+network (:mod:`polymap.multitask`) is a ``Network`` whose output rows are
+split into per-language heads with one softmax each; the private kernel,
+SGD loop and model file layout here serve both, and a plain network is
+the one-head case.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import (
 )
 
 _MODEL_FORMAT = "polymap-network"
+_MODEL_VERSION = 1
 
 
 @dataclass
@@ -107,19 +112,13 @@ def init_network(layer_dims: list[int], seed: int = 0) -> Network:
         raise InvalidArchitectureError(f"need at least input and output layers, got {dims}")
     if any(d < 1 for d in dims):
         raise InvalidArchitectureError(f"all layer dims must be >= 1, got {dims}")
-    weights, biases = _draw_layers(list(zip(dims[:-1], dims[1:])), seed)
-    return Network(dims, weights, biases, activation="relu", seed=int(seed))
-
-
-def _draw_layers(shapes: list[tuple[int, int]], seed: int) -> tuple[list, list]:
-    """Weights and zero biases for each ``(fan_in, fan_out)``, drawn in order."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in shapes:
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return weights, biases
+    return Network(dims, weights, biases, activation="relu", seed=int(seed))
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -133,24 +132,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def hidden_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Apply a stack of affine+ReLU layers to a batch.
-
-    Shared between plain and multi-head networks so that a pruned head
-    reproduces the multi-head arithmetic bit for bit.
-    """
-    h = x
-    for w, b in zip(weights, biases):
-        h = relu(h @ w.T + b)
-    return h
-
-
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Posterior probabilities for a batch of feature rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
-    h = hidden_forward(net.weights[:-1], net.biases[:-1], x)
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = relu(h @ w.T + b)
     return softmax(h @ net.weights[-1].T + net.biases[-1])
 
 
@@ -338,12 +327,13 @@ def finetune(
 def save_network(net: Network, path: str | Path) -> None:
     """Write a self-describing model file; loading reproduces forward
     outputs bit for bit."""
-    meta = {
-        "format": _MODEL_FORMAT,
-        "version": 1,
-        "activation": net.activation,
-        "seed": net.seed,
-    }
+    _write_model(net, path, {"format": _MODEL_FORMAT, "version": _MODEL_VERSION})
+
+
+def _write_model(net: Network, path: str | Path, meta: dict) -> None:
+    """Write the one model layout: a JSON ``meta`` (the given keys plus
+    activation and seed), ``layer_dims`` and ``weight_k``/``bias_k``."""
+    meta = {**meta, "activation": net.activation, "seed": net.seed}
     arrays: dict[str, np.ndarray] = {
         "meta": np.array(json.dumps(meta, sort_keys=True)),
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
@@ -354,21 +344,25 @@ def save_network(net: Network, path: str | Path) -> None:
     write_npz(path, arrays)
 
 
-def _read_model(path: str | Path, model_format: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Arrays and metadata of a model file, checked to be of ``model_format``."""
+def _read_model(path: str | Path, model_format: str, version: int) -> tuple[Network, dict]:
+    """The network and metadata of a model file, checked to be of
+    ``model_format`` at ``version``."""
     arrays = read_npz(path)
     try:
         meta = json.loads(str(arrays["meta"][()]))
     except KeyError as exc:
         raise ShapeError(f"{path} is not a model file (missing metadata)") from exc
-    if meta.get("format") != model_format:
-        raise ShapeError(f"{path} is not a {model_format} file")
-    return arrays, meta
+    found = (meta.get("format"), meta.get("version"))
+    if found != (model_format, version):
+        raise ShapeError(f"{path} is not a {model_format} v{version} file: it holds {found}")
+    try:
+        dims = [int(d) for d in arrays["layer_dims"]]
+        weights = [arrays[f"weight_{k}"] for k in range(len(dims) - 1)]
+        biases = [arrays[f"bias_{k}"] for k in range(len(dims) - 1)]
+    except KeyError as exc:
+        raise ShapeError(f"{path} lacks the model array {exc}") from exc
+    return Network(dims, weights, biases, meta["activation"], int(meta["seed"])), meta
 
 
 def load_network(path: str | Path) -> Network:
-    arrays, meta = _read_model(path, _MODEL_FORMAT)
-    dims = [int(d) for d in arrays["layer_dims"]]
-    weights = [arrays[f"weight_{k}"] for k in range(len(dims) - 1)]
-    biases = [arrays[f"bias_{k}"] for k in range(len(dims) - 1)]
-    return Network(dims, weights, biases, meta["activation"], int(meta["seed"]))
+    return _read_model(path, _MODEL_FORMAT, _MODEL_VERSION)[0]

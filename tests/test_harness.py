@@ -359,3 +359,48 @@ class TestCli:
         pm.save_network(pm.init_network([6, 16, 16, 8], seed=99), paths.pruned_model)
         assert cli.main(["finetune", "--config", str(path)]) == 0
         assert paths.final_model.read_bytes() == expected
+
+    def one_error_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def test_pool_train_without_maps_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path, method="senone-map"))
+        assert cli.main(["train-baseline", "--config", str(path)]) == 0
+        capsys.readouterr()
+        err = self.one_error_line(capsys, ["pool-train", "--config", str(path)])
+        assert err.startswith("ArtifactError: ") and "mapset.json" in err
+
+    def test_malformed_map_set_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path, method="senone-map"))
+        for command in ("train-baseline", "build-map"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        capsys.readouterr()
+        (tmp_path / "run" / "maps" / "mapset.json").write_text("{bad")
+        err = self.one_error_line(capsys, ["pool-train", "--config", str(path)])
+        assert err.startswith("MapFormatError: ")
+
+    def test_validate_missing_map_file_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        err = self.one_error_line(capsys, [
+            "validate-map", "--config", str(path), "--map", str(tmp_path / "missing.txt"),
+            "--source", "lang1", "--target", "lang0",
+        ])
+        assert err.startswith("ArtifactError: ") and "missing.txt" in err
+
+    def test_missing_or_malformed_config_fails_cleanly(self, tmp_path, capsys):
+        err = self.one_error_line(capsys, ["synth", "--config", str(tmp_path / "none.json")])
+        assert err.startswith("ConfigError: ") and "none.json" in err
+        (tmp_path / "bad.json").write_text("{bad")
+        err = self.one_error_line(capsys, ["synth", "--config", str(tmp_path / "bad.json")])
+        assert err.startswith("ConfigError: ")
+
+    def test_cached_corpus_of_another_seed_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        assert cli.main(["synth", "--config", str(path), "--seed", "0"]) == 0
+        capsys.readouterr()
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path), "--seed", "7"])
+        assert err.startswith("StaleArtifactError: ") and "corpus.npz" in err
+        assert cli.main(["train-baseline", "--config", str(path), "--seed", "0"]) == 0

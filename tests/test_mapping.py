@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import polymap as pm
 from polymap.errors import (
+    ArtifactError,
     DuplicateEntryError,
     IncompleteMapError,
     IncompleteMapSetError,
@@ -402,3 +403,21 @@ class TestMapSetFiles:
         for key in ms.maps:
             np.testing.assert_array_equal(again.maps[key].table, ms.maps[key].table)
             assert again.maps[key].provenance == ms.maps[key].provenance
+
+    def test_loader_failures_are_polymap_errors(self, tmp_path):
+        ms = pm.MapSet({("a", "a"): pm.identity_map(pm.LabelInventory("a", 4))})
+        manifest = pm.save_map_set(ms, tmp_path / "maps")
+        good = manifest.read_text()
+        manifest.write_text(good.replace('"provenance"', '"origin"'))
+        with pytest.raises(MapFormatError, match="malformed map entry"):
+            pm.load_map_set(tmp_path / "maps")
+        manifest.write_text("{bad")
+        with pytest.raises(MapFormatError, match="not valid JSON"):
+            pm.load_map_set(tmp_path / "maps")
+        manifest.write_text(good)
+        (tmp_path / "maps" / "map_a_to_a.txt").unlink()
+        with pytest.raises(ArtifactError, match="map_a_to_a.txt"):
+            pm.load_map_set(tmp_path / "maps")
+        manifest.unlink()
+        with pytest.raises(ArtifactError, match="mapset.json"):
+            pm.load_map_set(tmp_path / "maps")

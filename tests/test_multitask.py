@@ -1,19 +1,23 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import polymap as pm
+from polymap._npz import write_npz
 from polymap.errors import (
     EmptyDataError,
     IncompleteMapSetError,
     InvalidArchitectureError,
     LabelRangeError,
     NonFiniteLossError,
+    PolymapError,
     RangeError,
     ShapeError,
     UnknownLanguageError,
 )
+from target_oracles import make_targets_mapped, make_targets_single, mt_loss
 
 
 def make_map_set(languages, sizes, tables):
@@ -45,8 +49,15 @@ class TestInit:
     def test_deterministic(self):
         a = pm.init_multihead([4, 8], [3, 5], ["x", "y"], seed=7)
         b = pm.init_multihead([4, 8], [3, 5], ["x", "y"], seed=7)
-        for wa, wb in zip(a.shared_weights + a.head_weights, b.shared_weights + b.head_weights):
+        for wa, wb in zip(a.network.weights, b.network.weights):
             assert wa.tobytes() == wb.tobytes()
+
+    def test_weights_are_init_network_over_stacked_heads(self):
+        mt = pm.init_multihead([20, 64, 64, 64, 64], [36, 36, 36], ["a", "b", "c"], seed=5)
+        plain = pm.init_network([20, 64, 64, 64, 64, 108], seed=5)
+        assert mt.bounds == [0, 36, 72, 108]
+        for a, b in zip(mt.network.weights + mt.network.biases, plain.weights + plain.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_no_heads_rejected(self):
         with pytest.raises(InvalidArchitectureError):
@@ -64,8 +75,8 @@ class TestInit:
         mt = pm.init_multihead([4, 8, 6], [5], ["only"], seed=3)
         net = pm.Network(
             [4, 8, 6, 5],
-            [w.copy() for w in mt.shared_weights] + [mt.head_weights[0].copy()],
-            [b.copy() for b in mt.shared_biases] + [mt.head_biases[0].copy()],
+            [w.copy() for w in mt.network.weights],
+            [b.copy() for b in mt.network.biases],
         )
         x = np.random.default_rng(0).normal(size=(30, 4))
         head = pm.forward_head(mt, "only", x)
@@ -81,33 +92,33 @@ class TestInit:
 
 class TestTargetsSingle:
     def test_owner_head_zero(self):
-        t = pm.make_targets_single(1, 0, [3, 2])
+        t = make_targets_single(1, 0, [3, 2])
         assert list(t.head_targets[0]) == [0, 1, 0]
         assert list(t.head_targets[1]) == [0, 0]
         assert t.owner == 0 and t.mode == "single-head"
 
     def test_owner_head_one(self):
-        t = pm.make_targets_single(0, 1, [3, 2])
+        t = make_targets_single(0, 1, [3, 2])
         assert list(t.head_targets[0]) == [0, 0, 0]
         assert list(t.head_targets[1]) == [1, 0]
 
     def test_exactly_one_nonzero(self):
         for owner in range(3):
             for label in range(2):
-                t = pm.make_targets_single(label, owner, [2, 2, 2])
+                t = make_targets_single(label, owner, [2, 2, 2])
                 assert sum(v.sum() for v in t.head_targets) == 1.0
 
     def test_errors(self):
         with pytest.raises(LabelRangeError):
-            pm.make_targets_single(5, 0, [3, 2])
+            make_targets_single(5, 0, [3, 2])
         with pytest.raises(RangeError):
-            pm.make_targets_single(0, 4, [3, 2])
+            make_targets_single(0, 4, [3, 2])
 
 
 class TestTargetsMapped:
     def test_maps_to_other_head(self):
         ms = make_map_set(["l0", "l1"], [3, 4], {("l1", "l0"): [0, 0, 1, 0], ("l0", "l1"): [0, 1, 2]})
-        t = pm.make_targets_mapped(2, 1, ms, ["l0", "l1"], [3, 4])
+        t = make_targets_mapped(2, 1, ms, ["l0", "l1"], [3, 4])
         assert list(t.head_targets[0]) == [0, 1, 0]
         assert list(t.head_targets[1]) == [0, 0, 1, 0]
         assert t.mode == "mapped-all-heads"
@@ -115,8 +126,8 @@ class TestTargetsMapped:
     def test_single_language_matches_single_head(self):
         ms = make_map_set(["l0"], [4], {})
         for label in range(4):
-            mapped = pm.make_targets_mapped(label, 0, ms, ["l0"], [4])
-            single = pm.make_targets_single(label, 0, [4])
+            mapped = make_targets_mapped(label, 0, ms, ["l0"], [4])
+            single = make_targets_single(label, 0, [4])
             assert list(mapped.head_targets[0]) == list(single.head_targets[0])
 
     def test_every_head_one_hot(self):
@@ -124,7 +135,7 @@ class TestTargetsMapped:
             ["l0", "l1"], [3, 4], {("l1", "l0"): [2, 2, 0, 1], ("l0", "l1"): [3, 0, 1]}
         )
         for owner, label in [(0, 0), (0, 2), (1, 3)]:
-            t = pm.make_targets_mapped(label, owner, ms, ["l0", "l1"], [3, 4])
+            t = make_targets_mapped(label, owner, ms, ["l0", "l1"], [3, 4])
             for vec in t.head_targets:
                 assert vec.sum() == 1.0
             assert t.head_targets[owner][label] == 1.0
@@ -132,33 +143,33 @@ class TestTargetsMapped:
     def test_missing_map_raises(self):
         ms = pm.MapSet({})
         with pytest.raises(IncompleteMapSetError):
-            pm.make_targets_mapped(0, 1, ms, ["l0", "l1"], [3, 4])
+            make_targets_mapped(0, 1, ms, ["l0", "l1"], [3, 4])
 
 
 class TestLoss:
     def test_masked_uniform_binary(self):
-        t = pm.make_targets_single(0, 0, [2, 3])
-        loss = pm.mt_loss([np.array([0.5, 0.5]), np.array([0.9, 0.05, 0.05])], t)
+        t = make_targets_single(0, 0, [2, 3])
+        loss = mt_loss([np.array([0.5, 0.5]), np.array([0.9, 0.05, 0.05])], t)
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_masked_ignores_other_heads(self):
-        t = pm.make_targets_single(0, 0, [2, 3])
-        a = pm.mt_loss([np.array([0.5, 0.5]), np.array([1 / 3] * 3)], t)
-        b = pm.mt_loss([np.array([0.5, 0.5]), np.array([0.98, 0.01, 0.01])], t)
+        t = make_targets_single(0, 0, [2, 3])
+        a = mt_loss([np.array([0.5, 0.5]), np.array([1 / 3] * 3)], t)
+        b = mt_loss([np.array([0.5, 0.5]), np.array([0.98, 0.01, 0.01])], t)
         assert a == b
 
     def test_mapped_sums_heads(self):
         ms = make_map_set(["l0", "l1"], [2, 2], {("l0", "l1"): [0, 1], ("l1", "l0"): [0, 1]})
-        t = pm.make_targets_mapped(0, 0, ms, ["l0", "l1"], [2, 2])
-        loss = pm.mt_loss([np.array([0.5, 0.5]), np.array([0.5, 0.5])], t)
+        t = make_targets_mapped(0, 0, ms, ["l0", "l1"], [2, 2])
+        loss = mt_loss([np.array([0.5, 0.5]), np.array([0.5, 0.5])], t)
         assert abs(loss - 2 * math.log(2)) < 1e-12
 
     def test_shape_mismatch(self):
-        t = pm.make_targets_single(0, 0, [2, 3])
+        t = make_targets_single(0, 0, [2, 3])
         with pytest.raises(ShapeError):
-            pm.mt_loss([np.array([0.5, 0.5])], t)
+            mt_loss([np.array([0.5, 0.5])], t)
         with pytest.raises(ShapeError):
-            pm.mt_loss([np.array([0.5, 0.25, 0.25]), np.array([1 / 3] * 3)], t)
+            mt_loss([np.array([0.5, 0.25, 0.25]), np.array([1 / 3] * 3)], t)
 
 
 def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
@@ -171,10 +182,10 @@ def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
         total = 0.0
         for i in range(x.shape[0]):
             if mode == "masked":
-                t = pm.make_targets_single(int(labels[i]), int(owners[i]), sizes)
+                t = make_targets_single(int(labels[i]), int(owners[i]), sizes)
             else:
-                t = pm.make_targets_mapped(int(labels[i]), int(owners[i]), map_set, languages, sizes)
-            total += pm.mt_loss([out[i] for out in outputs], t)
+                t = make_targets_mapped(int(labels[i]), int(owners[i]), map_set, languages, sizes)
+            total += mt_loss([out[i] for out in outputs], t)
         return total / x.shape[0]
 
     def grad_of(arrays_getter):
@@ -190,11 +201,12 @@ def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
             grads.append(g)
         return grads
 
+    heads = net.bounds[1:-1]  # np.split gives views, so perturbations reach the network
     return (
-        grad_of(lambda n: n.shared_weights),
-        grad_of(lambda n: n.shared_biases),
-        grad_of(lambda n: n.head_weights),
-        grad_of(lambda n: n.head_biases),
+        grad_of(lambda n: n.network.weights[:-1]),
+        grad_of(lambda n: n.network.biases[:-1]),
+        grad_of(lambda n: np.split(n.network.weights[-1], heads)),
+        grad_of(lambda n: np.split(n.network.biases[-1], heads)),
     )
 
 
@@ -235,11 +247,7 @@ class TestGradients:
         # that never had the other heads at all
         rng = np.random.default_rng(2)
         big = pm.init_multihead([3, 6], [4, 3], ["a", "b"], seed=3)
-        small = pm.MultiHeadNetwork(
-            [3, 6], ["a"],
-            [w.copy() for w in big.shared_weights], [b.copy() for b in big.shared_biases],
-            [big.head_weights[0].copy()], [big.head_biases[0].copy()],
-        )
+        small = pm.MultiHeadNetwork(pm.prune(big, "a"), ["a"], [4])
         x = rng.normal(size=(8, 3))
         labels = rng.integers(0, 4, size=8)
         owners = np.zeros(8, dtype=int)
@@ -261,12 +269,12 @@ class TestGradients:
             per_frame = []
             for i in range(12):
                 if mode == "masked":
-                    t = pm.make_targets_single(int(labels[i]), int(owners[i]), net.head_sizes)
+                    t = make_targets_single(int(labels[i]), int(owners[i]), net.head_sizes)
                 else:
-                    t = pm.make_targets_mapped(
+                    t = make_targets_mapped(
                         int(labels[i]), int(owners[i]), ms, net.languages, net.head_sizes
                     )
-                per_frame.append(pm.mt_loss([out[i] for out in outputs], t))
+                per_frame.append(mt_loss([out[i] for out in outputs], t))
             assert abs(batch_loss - np.mean(per_frame)) < 1e-12
 
 
@@ -278,16 +286,19 @@ class TestTrainMultihead:
         m1, h1 = pm.train_multihead(net, frames, cfg)
         m2, h2 = pm.train_multihead(net, frames, cfg)
         assert [h.mean_loss for h in h1] == [h.mean_loss for h in h2]
-        for wa, wb in zip(m1.shared_weights + m1.head_weights, m2.shared_weights + m2.head_weights):
+        for wa, wb in zip(m1.network.weights, m2.network.weights):
             assert wa.tobytes() == wb.tobytes()
 
     def test_absent_language_head_untouched(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         net = pm.init_multihead([4, 6], [3, 3, 3], ["a", "b", "c"], seed=7)
         trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=8))
-        assert trained.head_weights[2].tobytes() == net.head_weights[2].tobytes()
-        assert trained.head_biases[2].tobytes() == net.head_biases[2].tobytes()
-        assert trained.head_weights[0].tobytes() != net.head_weights[0].tobytes()
+        w, w0 = trained.network.weights[-1], net.network.weights[-1]
+        b, b0 = trained.network.biases[-1], net.network.biases[-1]
+        lo, hi = net.bounds[2], net.bounds[3]
+        assert w[lo:hi].tobytes() == w0[lo:hi].tobytes()
+        assert b[lo:hi].tobytes() == b0[lo:hi].tobytes()
+        assert w[: net.bounds[1]].tobytes() != w0[: net.bounds[1]].tobytes()
 
     def test_per_language_losses_logged(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
@@ -323,9 +334,7 @@ class TestTrainMultihead:
         # plain training is the one-head case of masked multi-head training
         frames = lang_frames("a", 2, n=150)
         net = pm.init_network([4, 8, 6, 3], seed=3)
-        mt = pm.MultiHeadNetwork(
-            [4, 8, 6], ["a"], net.weights[:-1], net.biases[:-1], net.weights[-1:], net.biases[-1:]
-        )
+        mt = pm.MultiHeadNetwork(net, ["a"], [3])
         schedule = dict(initial_lr=0.05, epochs=3, batch_size=5, shuffle_seed=4)
         plain, plain_hist = pm.train(net, frames, pm.TrainConfig(**schedule))
         multi, multi_hist = pm.train_multihead(
@@ -376,7 +385,7 @@ class TestPrune:
         net = pm.init_multihead([4, 6], [3], ["only"], seed=1)
         pruned = pm.prune(net, "only")
         assert pruned.layer_dims == [4, 6, 3]
-        for w, (sw) in zip(pruned.weights, net.shared_weights + net.head_weights):
+        for w, (sw) in zip(pruned.weights, net.network.weights):
             assert (w == sw).all()
 
     def test_prune_persist_reload(self, tmp_path):
@@ -397,6 +406,26 @@ class TestPrune:
         np.savez(path, stuff=np.zeros(3))
         with pytest.raises(ShapeError):
             pm.load_multihead(path)
+
+    def test_plain_and_multihead_files_not_confused(self, tmp_path):
+        pm.save_multihead(self.make_trained(), tmp_path / "mt.npz")
+        pm.save_network(pm.init_network([4, 6, 3], seed=1), tmp_path / "plain.npz")
+        with pytest.raises(ShapeError, match="polymap-network"):
+            pm.load_network(tmp_path / "mt.npz")
+        with pytest.raises(ShapeError, match="polymap-multihead"):
+            pm.load_multihead(tmp_path / "plain.npz")
+
+    def test_version_1_multihead_file_rejected(self, tmp_path):
+        # the earlier layout kept the trunk and each head under their own names
+        meta = {"format": "polymap-multihead", "version": 1, "languages": ["a"],
+                "activation": "relu", "seed": 0}
+        write_npz(tmp_path / "old.npz", {
+            "meta": np.array(json.dumps(meta)), "shared_dims": np.array([4, 6]),
+            "shared_weight_0": np.zeros((6, 4)), "shared_bias_0": np.zeros(6),
+            "head_weight_0": np.zeros((3, 6)), "head_bias_0": np.zeros(3),
+        })
+        with pytest.raises(PolymapError, match="v2"):
+            pm.load_multihead(tmp_path / "old.npz")
 
     def test_multihead_persistence_round_trip(self, tmp_path):
         trained = self.make_trained()

@@ -278,6 +278,15 @@ class TestPersistence:
         with pytest.raises(ShapeError):
             pm.load_network(path)
 
+    def test_reject_file_missing_an_array(self, tmp_path):
+        path = tmp_path / "model.npz"
+        pm.save_network(pm.init_network([5, 7, 4], seed=1), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != "bias_1"}
+        np.savez(path, **arrays)
+        with pytest.raises(ShapeError, match="bias_1"):
+            pm.load_network(path)
+
     def test_missing_or_truncated_file(self, tmp_path):
         path = tmp_path / "model.npz"
         with pytest.raises(ArtifactError, match="model.npz"):
