@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +24,10 @@ import numpy as np
 from ._npz import read_npz, write_npz
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .errors import (
+    ArtifactError,
     FractionError,
     InventoryError,
+    LabelRangeError,
     PolymapError,
     ShapeError,
     SynthSpecError,
@@ -40,6 +43,9 @@ FRAMES_PER_UTTERANCE = 50
 
 _CORPUS_FORMAT = "polymap-corpus"
 _CORPUS_VERSION = 1
+# Per-language arrays of a corpus file, named ``<name>_<language>``: the
+# frame set's three columns, then the collapse table.
+_ARRAYS = ("features", "labels", "utterances", "gtable")
 
 
 @dataclass(frozen=True)
@@ -85,26 +91,52 @@ class SynthSpec:
 
 @dataclass
 class MultiCorpus:
-    """Per-language frame sets with inventories, collapse tables and splits.
+    """Per-language frame sets, collapse tables, splits and answer key.
 
-    ``splits`` maps language -> utterance id -> split name and is empty
-    until :func:`split_corpus` runs.  ``phone_truth`` / ``senone_truth``
-    hold the generator's cross-language answer key for shared phones
-    (empty for corpora loaded without one).  ``provenance`` records what
-    the corpus was made from (``synth`` stamps it); binary files
-    keep it, text files do not.
+    The senone and phone inventories derive from ``g_tables``.  ``splits``
+    maps language -> split name -> sorted utterance ids (empty until
+    :func:`split_corpus` runs).  ``phone_truth`` / ``senone_truth`` hold the
+    generator's cross-language answer key, if any.  ``provenance`` records
+    what the corpus was made from (``synth`` stamps it; text files drop it).
+    Construction checks one frame set and table per language, ``feature_dim``
+    values per frame, labels in the senone range and disjoint splits.
     """
 
     languages: list[str]
     feature_dim: int
-    senone_inventories: dict[str, LabelInventory]
-    phone_inventories: dict[str, LabelInventory]
     g_tables: dict[str, SenoneToPhoneTable]
     frames: dict[str, FrameSet]
-    splits: dict[str, dict[int, str]] = field(default_factory=dict)
+    splits: dict[str, dict[str, list[int]]] = field(default_factory=dict)
     phone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
     senone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        langs = set(self.languages)
+        if len(langs) != len(self.languages) or not langs == set(self.frames) == set(self.g_tables):
+            raise InventoryError(f"languages {self.languages} need one frame set and table each")
+        for lang in self.languages:
+            labels, senones = self.frames[lang].labels, self.g_tables[lang].num_senones
+            if self.frames[lang].feature_dim != self.feature_dim:
+                raise ShapeError(f"{lang} frames do not have feature_dim {self.feature_dim} values")
+            if labels.size and not 0 <= labels.min() <= labels.max() < senones:
+                raise LabelRangeError(f"{lang} labels must lie in [0, {senones})")
+        for lang, by_name in self.splits.items():
+            utts = [u for ids in by_name.values() for u in ids]
+            if lang not in langs or set(by_name) - {*SPLIT_NAMES} or len(set(utts)) < len(utts):
+                raise FractionError(f"{lang} splits must be {SPLIT_NAMES}, each utterance in one")
+        self.splits = {
+            lang: {name: sorted(by_name.get(name, ())) for name in SPLIT_NAMES}
+            for lang, by_name in self.splits.items()
+        }
+
+    @property
+    def senone_inventories(self) -> dict[str, LabelInventory]:
+        return {k: LabelInventory(k, t.num_senones, "senone") for k, t in self.g_tables.items()}
+
+    @property
+    def phone_inventories(self) -> dict[str, LabelInventory]:
+        return {k: LabelInventory(k, t.num_phones, "phone") for k, t in self.g_tables.items()}
 
     def subset(self, language: str, split: str) -> FrameSet:
         if language not in self.frames:
@@ -113,9 +145,8 @@ class MultiCorpus:
             raise FractionError(f"unknown split {split!r}")
         if language not in self.splits:
             raise PolymapError(f"corpus has no split tags for {language!r}; run split_corpus")
-        tags = self.splits[language]
-        utterances = [u for u, s in tags.items() if s == split]
-        return self.frames[language].for_utterances(utterances)
+        fs = self.frames[language]
+        return fs.take(np.flatnonzero(np.isin(fs.utterance_ids, self.splits[language][split])))
 
 
 def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
@@ -184,10 +215,6 @@ def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
     return MultiCorpus(
         languages=languages,
         feature_dim=D,
-        senone_inventories={
-            lang: LabelInventory(lang, P * K, "senone") for lang in languages
-        },
-        phone_inventories={lang: LabelInventory(lang, P, "phone") for lang in languages},
         g_tables=g_tables,
         frames=frames,
         phone_truth=phone_truth,
@@ -215,7 +242,7 @@ def split_corpus(
 
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(corpus.languages))
-    splits: dict[str, dict[int, str]] = {}
+    splits: dict[str, dict[str, list[int]]] = {}
     for lang, stream in zip(corpus.languages, streams):
         utterances = np.unique(corpus.frames[lang].utterance_ids)
         order = np.random.default_rng(stream).permutation(utterances)
@@ -227,13 +254,8 @@ def split_corpus(
             i = int(np.argmax(remainders))
             sizes[i] += 1
             remainders[i] = -1.0
-        tags: dict[int, str] = {}
-        start = 0
-        for name, size in zip(SPLIT_NAMES, sizes):
-            for utt in order[start : start + size]:
-                tags[int(utt)] = name
-            start += size
-        splits[lang] = tags
+        bounds = np.cumsum([0, *sizes])
+        splits[lang] = {n: order[a:b].tolist() for n, a, b in zip(SPLIT_NAMES, bounds, bounds[1:])}
     return dataclasses.replace(corpus, splits=splits)
 
 
@@ -283,205 +305,146 @@ def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[P
     return written
 
 
-def _corpus_meta(corpus: MultiCorpus) -> dict:
-    return {
+def save_corpus(corpus: MultiCorpus, path: str | Path) -> None:
+    """Write a corpus file: binary for an ``.npz`` suffix, text otherwise.  Both hold
+    one metadata record (binary: a JSON member; text: header lines) and per-language arrays."""
+    path = Path(path)
+    meta = {
         "format": _CORPUS_FORMAT,
         "version": _CORPUS_VERSION,
         "languages": corpus.languages,
         "feature_dim": corpus.feature_dim,
-        "num_phones": {lang: corpus.phone_inventories[lang].size for lang in corpus.languages},
-        "splits": {
-            lang: {
-                name: sorted(u for u, s in tags.items() if s == name) for name in SPLIT_NAMES
-            }
-            for lang, tags in corpus.splits.items()
-        },
-        "phone_truth": [
-            [a, b, int(s), int(t)]
-            for (a, b), pairs in sorted(corpus.phone_truth.items())
-            for s, t in sorted(pairs.items())
-        ],
-        "senone_truth": [
-            [a, b, int(s), int(t)]
-            for (a, b), pairs in sorted(corpus.senone_truth.items())
-            for s, t in sorted(pairs.items())
-        ],
+        "num_phones": {lang: corpus.g_tables[lang].num_phones for lang in corpus.languages},
+        "splits": corpus.splits,
         "provenance": corpus.provenance,
     }
-
-
-def _corpus_from_parts(
-    meta: dict,
-    frames: dict[str, FrameSet],
-    g_tables: dict[str, SenoneToPhoneTable],
-    senone_sizes: dict[str, int],
-) -> MultiCorpus:
-    languages = list(meta["languages"])
-    phone_truth: dict[tuple[str, str], dict[int, int]] = {}
-    for a, b, s, t in meta.get("phone_truth", []):
-        phone_truth.setdefault((a, b), {})[int(s)] = int(t)
-    senone_truth: dict[tuple[str, str], dict[int, int]] = {}
-    for a, b, s, t in meta.get("senone_truth", []):
-        senone_truth.setdefault((a, b), {})[int(s)] = int(t)
-    splits = {
-        lang: {int(u): name for name, utts in by_split.items() for u in utts}
-        for lang, by_split in meta.get("splits", {}).items()
-    }
-    return MultiCorpus(
-        languages=languages,
-        feature_dim=int(meta["feature_dim"]),
-        senone_inventories={
-            lang: LabelInventory(lang, senone_sizes[lang], "senone") for lang in languages
-        },
-        phone_inventories={
-            lang: LabelInventory(lang, int(meta["num_phones"][lang]), "phone")
-            for lang in languages
-        },
-        g_tables=g_tables,
-        frames=frames,
-        splits=splits,
-        phone_truth=phone_truth,
-        senone_truth=senone_truth,
-        provenance=meta.get("provenance", {}),
-    )
-
-
-def save_corpus(corpus: MultiCorpus, path: str | Path) -> None:
-    """Write a corpus file: binary for an ``.npz`` suffix, text otherwise."""
-    path = Path(path)
+    for kind, truth in (("phone", corpus.phone_truth), ("senone", corpus.senone_truth)):
+        meta[f"{kind}_truth"] = [
+            [a, b, int(s), int(t)] for (a, b), pairs in sorted(truth.items())
+            for s, t in sorted(pairs.items())
+        ]
+    arrays = {}
+    for lang in corpus.languages:
+        fs = corpus.frames[lang]
+        columns = (fs.features, fs.labels, fs.utterance_ids, corpus.g_tables[lang].table)
+        arrays.update((f"{name}_{lang}", a) for name, a in zip(_ARRAYS, columns))
     if path.suffix == ".npz":
-        _save_corpus_binary(corpus, path)
+        write_npz(path, {"meta": np.array(json.dumps(meta, sort_keys=True)), **arrays})
     else:
-        _save_corpus_text(corpus, path)
+        _write_text(path, meta, arrays)
 
 
 def load_corpus(path: str | Path) -> MultiCorpus:
-    """Read a corpus file: binary for an ``.npz`` suffix, text otherwise."""
+    """Read a corpus file: binary for an ``.npz`` suffix, text otherwise.  A file that
+    is missing or does not hold a valid corpus raises :class:`ArtifactError` naming it."""
     path = Path(path)
-    if path.suffix == ".npz":
-        return _load_corpus_binary(path)
-    return _load_corpus_text(path)
-
-
-def _save_corpus_binary(corpus: MultiCorpus, path: Path) -> None:
-    arrays: dict[str, np.ndarray] = {
-        "meta": np.array(json.dumps(_corpus_meta(corpus), sort_keys=True))
-    }
-    for lang in corpus.languages:
-        fs = corpus.frames[lang]
-        arrays[f"features_{lang}"] = fs.features
-        arrays[f"labels_{lang}"] = fs.labels
-        arrays[f"utterances_{lang}"] = fs.utterance_ids
-        arrays[f"gtable_{lang}"] = corpus.g_tables[lang].table
-    write_npz(path, arrays)
-
-
-def _load_corpus_binary(path: Path) -> MultiCorpus:
-    arrays = read_npz(path)
-    meta = json.loads(str(arrays["meta"][()]))
-    if meta.get("format") != _CORPUS_FORMAT:
-        raise ShapeError(f"{path} is not a {_CORPUS_FORMAT} file")
-    frames = {}
-    g_tables = {}
-    senone_sizes = {}
-    for lang in meta["languages"]:
-        frames[lang] = FrameSet(
-            lang,
-            arrays[f"features_{lang}"],
-            arrays[f"labels_{lang}"],
-            arrays[f"utterances_{lang}"],
+    try:
+        if path.suffix == ".npz":
+            arrays = read_npz(path)
+            meta = json.loads(str(arrays["meta"][()]))
+            if meta.get("format") != _CORPUS_FORMAT:
+                raise ValueError(f"not a {_CORPUS_FORMAT} file")
+        else:
+            meta, arrays = _read_text(path)
+        langs, phones = list(meta["languages"]), meta["num_phones"]
+        truth: dict[str, dict[tuple[str, str], dict[int, int]]] = {"phone": {}, "senone": {}}
+        for kind, pairs in truth.items():
+            for a, b, s, t in meta.get(f"{kind}_truth", []):
+                pairs.setdefault((a, b), {})[int(s)] = int(t)
+        return MultiCorpus(
+            languages=langs,
+            feature_dim=int(meta["feature_dim"]),
+            g_tables={
+                lang: SenoneToPhoneTable(lang, arrays[f"gtable_{lang}"], int(phones[lang]))
+                for lang in langs
+            },
+            frames={
+                lang: FrameSet(lang, *(arrays[f"{name}_{lang}"] for name in _ARRAYS[:3]))
+                for lang in langs
+            },
+            splits=meta.get("splits", {}),
+            phone_truth=truth["phone"],
+            senone_truth=truth["senone"],
+            provenance=meta.get("provenance", {}),
         )
-        table = arrays[f"gtable_{lang}"]
-        g_tables[lang] = SenoneToPhoneTable(lang, table, num_phones=int(meta["num_phones"][lang]))
-        senone_sizes[lang] = int(table.size)
-    return _corpus_from_parts(meta, frames, g_tables, senone_sizes)
+    except ArtifactError:
+        raise
+    except KeyError as exc:
+        raise ArtifactError(f"cannot read {path}: no entry {exc}") from exc
+    except (OSError, PolymapError, AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
-def _save_corpus_text(corpus: MultiCorpus, path: Path) -> None:
-    lines = [f"{_CORPUS_FORMAT} {_CORPUS_VERSION}", f"feature_dim {corpus.feature_dim}"]
-    for lang in corpus.languages:
-        inv = corpus.senone_inventories[lang]
-        lines.append(
-            f"language {lang} senones {inv.size} phones {corpus.phone_inventories[lang].size}"
-        )
-    for lang in corpus.languages:
-        table = " ".join(str(int(p)) for p in corpus.g_tables[lang].table)
-        lines.append(f"gtable {lang} {table}")
-    for lang, tags in corpus.splits.items():
-        for name in SPLIT_NAMES:
-            utts = sorted(u for u, s in tags.items() if s == name)
-            if utts:
-                lines.append(f"split {lang} {name} " + " ".join(str(u) for u in utts))
-    for kind, truth in (("phone", corpus.phone_truth), ("senone", corpus.senone_truth)):
-        for (a, b), pairs in sorted(truth.items()):
-            for s, t in sorted(pairs.items()):
-                lines.append(f"truth {kind} {a} {b} {s} {t}")
-    for lang in corpus.languages:
-        fs = corpus.frames[lang]
-        for i in range(len(fs)):
-            values = " ".join(repr(float(v)) for v in fs.features[i])
-            lines.append(
-                f"frame {lang} {int(fs.utterance_ids[i])} {int(fs.labels[i])} {values}"
-            )
+def _write_text(path: Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    langs, phones = meta["languages"], meta["num_phones"]
+    tables = {lang: arrays[f"gtable_{lang}"].tolist() for lang in langs}
+    lines = [f"{_CORPUS_FORMAT} {_CORPUS_VERSION}", f"feature_dim {meta['feature_dim']}"]
+    for lang in langs:
+        lines.append(f"language {lang} senones {len(tables[lang])} phones {phones[lang]}")
+    lines += [f"gtable {lang} {' '.join(map(str, tables[lang]))}" for lang in langs]
+    for lang, by_name in meta["splits"].items():
+        lines += [f"split {lang} {n} {' '.join(map(str, u))}" for n, u in by_name.items() if u]
+    for kind in ("phone", "senone"):
+        lines += [f"truth {kind} {a} {b} {s} {t}" for a, b, s, t in meta[f"{kind}_truth"]]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.writelines(line + "\n" for line in lines)
+        for lang in langs:
+            names = ("utterances", "labels", "features")
+            rows = zip(*(arrays[f"{name}_{lang}"].tolist() for name in names))
+            f.writelines(f"frame {lang} {u} {y} {' '.join(map(repr, x))}\n" for u, y, x in rows)
 
 
-def _load_corpus_text(path: Path) -> MultiCorpus:
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith(_CORPUS_FORMAT):
-        raise ShapeError(f"{path} is not a {_CORPUS_FORMAT} text file")
-    meta: dict = {
-        "format": _CORPUS_FORMAT,
-        "languages": [],
-        "num_phones": {},
-        "splits": {},
-        "phone_truth": [],
-        "senone_truth": [],
-    }
-    senone_sizes: dict[str, int] = {}
-    g_tables: dict[str, SenoneToPhoneTable] = {}
-    rows: dict[str, list[tuple[int, int, list[float]]]] = {}
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        key = parts[0]
-        if key == "feature_dim":
-            meta["feature_dim"] = int(parts[1])
-        elif key == "language":
-            lang = parts[1]
-            meta["languages"].append(lang)
-            senone_sizes[lang] = int(parts[3])
-            meta["num_phones"][lang] = int(parts[5])
-            rows[lang] = []
-        elif key == "gtable":
-            lang = parts[1]
-            table = np.asarray([int(v) for v in parts[2:]], dtype=np.int64)
-            g_tables[lang] = SenoneToPhoneTable(lang, table, num_phones=meta["num_phones"][lang])
-        elif key == "split":
-            lang, name = parts[1], parts[2]
-            meta["splits"].setdefault(lang, {}).setdefault(name, []).extend(
-                int(u) for u in parts[3:]
-            )
-        elif key == "truth":
-            kind, a, b, s, t = parts[1], parts[2], parts[3], int(parts[4]), int(parts[5])
-            meta[f"{kind}_truth"].append([a, b, s, t])
-        elif key == "frame":
-            lang, utt, label = parts[1], int(parts[2]), int(parts[3])
-            rows[lang].append((utt, label, [float(v) for v in parts[4:]]))
-        else:
-            raise ShapeError(f"unknown corpus line key {key!r} in {path}")
-    frames = {}
-    for lang in meta["languages"]:
-        if rows[lang]:
-            features = np.asarray([r[2] for r in rows[lang]], dtype=np.float64)
-        else:
-            features = np.zeros((0, meta["feature_dim"]))
-        frames[lang] = FrameSet(
-            lang,
-            features,
-            np.asarray([r[1] for r in rows[lang]], dtype=np.int64),
-            np.asarray([r[0] for r in rows[lang]], dtype=np.int64),
-        )
-    return _corpus_from_parts(meta, frames, g_tables, senone_sizes)
+def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Decode a text corpus into the binary file's metadata record and arrays.
+    Each ``frame`` line becomes numbers as it is read, so the text is never held
+    whole.  A malformed line raises ``ValueError`` naming its number."""
+    meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
+    senones: dict[str, int] = {}
+    columns: dict[str, dict[str, array]] = {}
+    dim = None
+    with open(path) as lines:
+        if next(lines, "").split() != [_CORPUS_FORMAT, str(_CORPUS_VERSION)]:
+            raise ValueError(f"not a {_CORPUS_FORMAT} {_CORPUS_VERSION} text file")
+        for number, line in enumerate(lines, 2):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                key, lang = parts[0], parts[1]
+                if key in ("frame", "gtable") and lang not in columns:
+                    raise ValueError(f"{key} of undeclared language {lang!r}")
+                if key == "frame":
+                    if len(parts) - 4 != dim:
+                        raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")
+                    column = columns[lang]
+                    column["utterances"].append(int(parts[2]))
+                    column["labels"].append(int(parts[3]))
+                    column["features"].extend(map(float, parts[4:]))
+                elif key == "feature_dim":
+                    dim = meta["feature_dim"] = int(lang)
+                elif key == "language":
+                    meta["languages"].append(lang)
+                    senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
+                    columns[lang] = {n: array("d" if n == "features" else "q") for n in _ARRAYS}
+                elif key == "gtable":
+                    columns[lang]["gtable"] = array("q", map(int, parts[2:]))
+                elif key == "split":
+                    by_name = meta["splits"].setdefault(lang, {})
+                    by_name.setdefault(parts[2], []).extend(map(int, parts[3:]))
+                elif key == "truth":
+                    kind, a, b, s, t = parts[1:]
+                    meta[f"{kind}_truth"].append([a, b, int(s), int(t)])
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except (IndexError, KeyError, OverflowError, ValueError) as exc:
+                raise ValueError(f"line {number} ({parts[0]}): {exc}") from exc
+    if dim is None:
+        raise ValueError("no feature_dim line")
+    arrays = {}
+    for lang, column in columns.items():
+        if len(column["gtable"]) != senones[lang]:
+            raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(column['gtable'])}")
+        arrays.update((f"{name}_{lang}", np.array(a)) for name, a in column.items())
+        arrays[f"features_{lang}"] = arrays[f"features_{lang}"].reshape(len(column["labels"]), dim)
+    return meta, arrays

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class FrameSet:
         return FrameSet(
             self.language, self.features[index], self.labels[index], self.utterance_ids[index]
         )
-
-    def for_utterances(self, utterances: Iterable[int]) -> "FrameSet":
-        wanted = np.asarray(sorted(set(int(u) for u in utterances)), dtype=np.int64)
-        return self.take(np.flatnonzero(np.isin(self.utterance_ids, wanted)))
 
     @classmethod
     def concat(cls, sets: Sequence["FrameSet"], language: str | None = None) -> "FrameSet":

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polymap as pm
 from polymap.corpus import FRAMES_PER_UTTERANCE
-from polymap.errors import FractionError, InventoryError, PolymapError, SynthSpecError
+from polymap.errors import (
+    ArtifactError,
+    FractionError,
+    InventoryError,
+    PolymapError,
+    SynthSpecError,
+)
 
 SMALL = dict(
     num_languages=2,
@@ -125,9 +133,7 @@ def tiny_corpus(n_utts=100, langs=("a", "b"), frames_per_utt=2, n_labels=4):
     return pm.MultiCorpus(
         languages=list(langs),
         feature_dim=3,
-        senone_inventories={l: pm.LabelInventory(l, n_labels) for l in langs},
-        phone_inventories={l: pm.LabelInventory(l, 2, "phone") for l in langs},
-        g_tables={l: pm.SenoneToPhoneTable(l, [0, 0, 1, 1]) for l in langs},
+        g_tables={l: pm.SenoneToPhoneTable(l, np.arange(n_labels) // 2) for l in langs},
         frames=frames,
     )
 
@@ -146,10 +152,7 @@ class TestSplit:
     def test_80_10_10_sizes(self):
         corpus = pm.split_corpus(tiny_corpus(n_utts=100), {"train": 0.8, "dev": 0.1, "test": 0.1}, 1)
         for lang in corpus.languages:
-            by_split = {
-                s: sum(1 for v in corpus.splits[lang].values() if v == s)
-                for s in ("train", "dev", "test")
-            }
+            by_split = {s: len(corpus.splits[lang][s]) for s in ("train", "dev", "test")}
             assert abs(by_split["train"] - 80) <= 1
             assert abs(by_split["dev"] - 10) <= 1
             assert abs(by_split["test"] - 10) <= 1
@@ -171,7 +174,7 @@ class TestSplit:
         corpus = pm.split_corpus(tiny_corpus(n_utts=37), fractions, seed)
         for lang in corpus.languages:
             utts = set(np.unique(corpus.frames[lang].utterance_ids).tolist())
-            assert set(corpus.splits[lang]) == utts
+            assert set().union(*corpus.splits[lang].values()) == utts
             pieces = [corpus.subset(lang, s) for s in ("train", "dev", "test")]
             assert sum(len(p) for p in pieces) == len(corpus.frames[lang])
 
@@ -251,6 +254,47 @@ class TestPooling:
             pm.pool_and_relabel([(src, wrong)], target)
 
 
+HEAD = "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\ngtable a 0 0\n"
+
+# Case -> (file suffix, content): a string is written as text, a dict of
+# arrays with np.savez, None leaves the file missing.
+MALFORMED = {
+    "missing text file": (".txt", None),
+    "missing npz file": (".npz", None),
+    "npz without meta": (".npz", {"weights": np.zeros(3)}),
+    "npz of another format": (".npz", {"meta": np.array('{"format": "other"}')}),
+    "no header": (".txt", HEAD.split("\n", 1)[1]),
+    "frame of undeclared language": (".txt", HEAD + "frame b 0 1 0.5 -0.5\n"),
+    "non-integer label": (".txt", HEAD + "frame a 0 x 0.5 -0.5\n"),
+    "non-integer feature_dim": (".txt", HEAD.replace("feature_dim 2", "feature_dim two")),
+    "non-numeric feature": (".txt", HEAD + "frame a 0 1 0.5 abc\n"),
+    "short language line": (".txt", "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2\n"),
+    "frame narrower than feature_dim": (".txt", HEAD + "frame a 0 1 0.5\n"),
+    "frame wider than feature_dim": (".txt", HEAD + "frame a 0 1 0.5 0.5 0.5\n"),
+    "senones disagree with gtable": (".txt", HEAD.replace("senones 2", "senones 3")),
+    "label outside the senones": (".txt", HEAD + "frame a 0 2 0.5 -0.5\n"),
+    "gtable of undeclared language": (".txt", HEAD + "gtable b 0 0\n"),
+    "no gtable": (".txt", HEAD.replace("gtable a 0 0\n", "")),
+    "no feature_dim": (".txt", HEAD.replace("feature_dim 2\n", "")),
+    "duplicate language": (".txt", HEAD + "language a senones 2 phones 1\n"),
+    "unknown split name": (".txt", HEAD + "split a training 0\n"),
+    "utterance in two splits": (".txt", HEAD + "split a train 0\nsplit a test 0\n"),
+    "split of undeclared language": (".txt", HEAD + "split b train 0\n"),
+    "unknown line key": (".txt", HEAD + "speaker a 0\n"),
+}
+
+
+def small_text_corpus(directory):
+    spec = pm.SynthSpec(
+        num_languages=2, feature_dim=2, phones_per_language=2, senones_per_phone=2,
+        shared_phone_fraction=0.5, frames_per_senone=3, seed=0,
+    )
+    corpus = pm.generate_synthetic(spec)
+    corpus = pm.split_corpus(corpus, {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
+    pm.save_corpus(corpus, directory / "small.txt")
+    return (directory / "small.txt").read_text()
+
+
 class TestCorpusFiles:
     @pytest.mark.parametrize("suffix", [".npz", ".txt"])
     def test_round_trip(self, tmp_path, suffix):
@@ -274,11 +318,65 @@ class TestCorpusFiles:
         assert loaded.phone_truth == corpus.phone_truth
         assert loaded.senone_truth == corpus.senone_truth
 
+    def test_declared_language_without_frames_loads_empty(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(
+            "polymap-corpus 1\nfeature_dim 2\n"
+            "language a senones 2 phones 1\nlanguage b senones 2 phones 1\n"
+            "gtable a 0 0\ngtable b 0 0\nframe a 0 1 0.5 -0.5\n"
+        )
+        corpus = pm.load_corpus(path)
+        assert corpus.frames["a"].features.shape == (1, 2)
+        assert corpus.frames["b"].features.shape == (0, 2)
+        assert len(corpus.frames["b"].labels) == len(corpus.frames["b"].utterance_ids) == 0
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_corpus_raises_artifact_error(self, tmp_path, case):
+        suffix, content = MALFORMED[case]
+        path = tmp_path / f"corpus{suffix}"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            np.savez(path, **content)
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        assert str(path) in str(info.value)
+
+    @given(position=st.integers(0, 10**6), delete_line=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_text_corpus_loads_or_raises_artifact_error(
+        self, tmp_path_factory, position, delete_line
+    ):
+        directory = tmp_path_factory.mktemp("damaged")
+        text = small_text_corpus(directory)
+        if delete_line:
+            lines = text.splitlines(keepends=True)
+            del lines[position % len(lines)]
+            text = "".join(lines)
+        else:
+            text = text[: position % (len(text) + 1)]
+        (directory / "damaged.txt").write_text(text)
+        try:
+            corpus = pm.load_corpus(directory / "damaged.txt")
+        except ArtifactError:
+            return
+        assert isinstance(corpus, pm.MultiCorpus)
+
     def test_binary_save_is_byte_deterministic(self, tmp_path):
-        corpus = pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8))
-        pm.save_corpus(corpus, tmp_path / "a.npz")
-        pm.save_corpus(corpus, tmp_path / "b.npz")
-        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        corpus = pm.split_corpus(
+            pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8)),
+            {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=1,
+        )
+        corpus = dataclasses.replace(corpus, provenance={"seed": 8, "digest": "0123"})
+        for suffix in (".npz", ".txt"):
+            pm.save_corpus(corpus, tmp_path / f"a{suffix}")
+            pm.save_corpus(corpus, tmp_path / f"b{suffix}")
+            first = (tmp_path / f"a{suffix}").read_bytes()
+            assert (tmp_path / f"b{suffix}").read_bytes() == first
+            # save -> load -> save is a fixpoint
+            pm.save_corpus(pm.load_corpus(tmp_path / f"a{suffix}"), tmp_path / f"c{suffix}")
+            assert (tmp_path / f"c{suffix}").read_bytes() == first
+        assert pm.load_corpus(tmp_path / "a.npz").provenance == corpus.provenance
 
     def test_ground_truth_map_files(self, tmp_path):
         spec = pm.SynthSpec(**{**SMALL, "shared_phone_fraction": 1.0}, seed=3)

@@ -404,3 +404,15 @@ class TestCli:
         err = self.one_error_line(capsys, ["train-baseline", "--config", str(path), "--seed", "7"])
         assert err.startswith("StaleArtifactError: ") and "corpus.npz" in err
         assert cli.main(["train-baseline", "--config", str(path), "--seed", "0"]) == 0
+
+    def test_missing_or_malformed_text_corpus_fails_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        path = write_config(tmp_path, tiny_config(tmp_path, corpus={"path": str(corpus)}))
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err.startswith("ArtifactError: ") and "corpus.txt" in err
+        corpus.write_text(
+            "polymap-corpus 1\nfeature_dim 6\nlanguage lang0 senones 2 phones 1\n"
+            "gtable lang0 0 0\nframe lang1 0 1 0 0 0 0 0 0\n"
+        )
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err.startswith("ArtifactError: ") and "corpus.txt" in err and "'lang1'" in err
