@@ -39,5 +39,8 @@ def read_npz(path: str | Path) -> dict[str, np.ndarray]:
     try:
         with np.load(path, allow_pickle=False) as data:
             return {name: data[name] for name in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+    # zipfile raises NotImplementedError for an unknown compression method or
+    # zip version and RuntimeError for a member flagged as encrypted.
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, NotImplementedError,
+            RuntimeError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc

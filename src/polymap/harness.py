@@ -41,7 +41,13 @@ from .corpus import (
     split_corpus,
 )
 from .data import FrameSet
-from .errors import ConfigError, EmptyDataError, MissingBaselineError, StaleArtifactError
+from .errors import (
+    ArtifactError,
+    ConfigError,
+    EmptyDataError,
+    MissingBaselineError,
+    StaleArtifactError,
+)
 from .mapping import (
     LabelMap,
     MapSet,
@@ -340,10 +346,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def prepare_corpus(cfg: ExperimentConfig, cached_path: Path | None = None) -> MultiCorpus:
     """Load or generate the corpus and make sure it carries split tags.
 
-    A cached corpus (written by :func:`stage_synth`) must carry this
-    config's :func:`_corpus_stamp`, or :class:`StaleArtifactError` is raised.
+    A corpus without split tags is split here; a corpus file whose tags
+    miss a configured language raises :class:`ArtifactError`.  A cached
+    corpus (written by :func:`stage_synth`) must carry this config's
+    :func:`_corpus_stamp`, or :class:`StaleArtifactError` is raised.
     """
+    source = None
     if cached_path is not None and Path(cached_path).exists():
+        source = cached_path
         corpus = load_corpus(cached_path)
         stamp = _corpus_stamp(cfg)
         if corpus.provenance != stamp:
@@ -352,6 +362,7 @@ def prepare_corpus(cfg: ExperimentConfig, cached_path: Path | None = None) -> Mu
                 f"({corpus.provenance or 'unstamped'}, this run {stamp}); rerun synth"
             )
     elif cfg.corpus_path is not None:
+        source = cfg.corpus_path
         corpus = load_corpus(cfg.corpus_path)
     else:
         spec = cfg.synth
@@ -363,7 +374,13 @@ def prepare_corpus(cfg: ExperimentConfig, cached_path: Path | None = None) -> Mu
     if missing:
         raise ConfigError(f"corpus has no language(s) {missing}; it has {corpus.languages}")
     if not corpus.splits:
-        corpus = split_corpus(corpus, cfg.split_fractions, derive_seed(cfg.seed, "split"))
+        return split_corpus(corpus, cfg.split_fractions, derive_seed(cfg.seed, "split"))
+    untagged = [l for l in (cfg.target, *cfg.sources) if l not in corpus.splits]
+    if untagged:
+        raise ArtifactError(
+            f"{source} has split tags for {sorted(corpus.splits)} but not for {untagged}; "
+            "tag the utterances of every language or of none"
+        )
     return corpus
 
 

@@ -50,6 +50,7 @@ from .nnet import (
     Network,
     TrainConfig,
     _backprop,
+    _heads,
     _read_model,
     _sgd,
     _write_model,
@@ -200,7 +201,9 @@ def multihead_loss_and_gradients(
         raise LabelRangeError("some frame labels exceed their owner head's size")
     targets = _target_array(net, labels, owners, mode, map_set)
     weights, biases, bounds = net.network.weights, net.network.biases, net.bounds
-    losses, grads_w, grads_b = _backprop(weights, biases, bounds, x, targets)
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    losses = _backprop(weights, biases, _heads(bounds), x, targets, grads_w, grads_b)
     n = x.shape[0]
     return (
         float(losses.sum()) / n,
@@ -292,5 +295,9 @@ def save_multihead(net: MultiHeadNetwork, path: str | Path) -> None:
 
 
 def load_multihead(path: str | Path) -> MultiHeadNetwork:
-    network, meta = _read_model(path, _MODEL_FORMAT, _MODEL_VERSION)
-    return MultiHeadNetwork(network, meta["languages"], meta["head_sizes"])
+    lists = (("languages", str), ("head_sizes", int))
+    network, meta = _read_model(path, _MODEL_FORMAT, _MODEL_VERSION, lists)
+    try:
+        return MultiHeadNetwork(network, meta["languages"], meta["head_sizes"])
+    except InvalidArchitectureError as exc:
+        raise ShapeError(f"{path} holds heads that do not fit its network: {exc}") from exc

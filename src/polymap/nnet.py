@@ -12,6 +12,13 @@ network (:mod:`polymap.multitask`) is a ``Network`` whose output rows are
 split into per-language heads with one softmax each; the private kernel,
 SGD loop and model file layout here serve both, and a plain network is
 the one-head case.
+
+Training packs every weight and bias into one contiguous buffer, so a
+trained network's arrays are views of that buffer.  Each SGD step writes
+the gradient into a buffer of the same layout and updates all parameters
+with two operations over the flat buffers; the result is bit-identical
+to updating each array on its own, and to computing each head's softmax
+on its own.
 """
 
 from __future__ import annotations
@@ -169,47 +176,71 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.initial_lr
 
 
-def _backprop(
-    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, list, list]:
-    """Per-(frame, head) cross-entropies and the gradients of their sum.
+def _flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A copy of ``arrays`` in one contiguous buffer, and views of it in
+    their shapes."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])[:-1]
+    return flat, [v.reshape(a.shape) for v, a in zip(np.split(flat, ends), arrays)]
 
-    Head ``l`` owns output rows ``bounds[l]:bounds[l + 1]``.  ``targets[i, l]``
-    is frame ``i``'s label on head ``l``, or -1 for no loss (and no error) there.
+
+def _heads(bounds: list[int]) -> tuple[list[int], np.ndarray]:
+    """``bounds`` (head ``l`` owns output columns ``bounds[l]:bounds[l + 1]``)
+    and each output column's head."""
+    return list(bounds), np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+
+def _backprop(
+    weights: list, biases: list, heads: tuple, x: np.ndarray, targets: np.ndarray,
+    grads_w: list, grads_b: list,
+) -> np.ndarray:
+    """Per-(frame, head) cross-entropies; the gradients of their sum are
+    written into ``grads_w`` and ``grads_b`` (arrays of the parameters' shapes).
+
+    ``targets[i, l]`` is frame ``i``'s label on head ``l``, or -1 for no loss
+    (and no error) there.  Every head's softmax is computed over the whole
+    output row at once, bit-identical to one head at a time.
     """
     acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(relu(acts[-1] @ w.T + b))
+        h = acts[-1] @ w.T
+        h += b
+        acts.append(np.maximum(h, 0.0, out=h))
 
-    # Each head's segment of ``delta`` goes from logits to the softmax
-    # error in place.
-    delta = acts[-1] @ weights[-1].T + biases[-1]
-    rows = np.arange(x.shape[0])
-    losses = np.empty(targets.shape)
-    for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        seg = delta[:, lo:hi]
-        seg -= seg.max(axis=1, keepdims=True)
-        hot = targets[:, l]
-        picked = seg[rows, hot]
-        np.exp(seg, out=seg)
-        # Not np.add.reduceat: its sums differ from sum(axis=1) in the last bit.
-        norm = seg.sum(axis=1, keepdims=True)
-        losses[:, l] = np.log(norm[:, 0]) - picked
-        seg /= norm
-        seg[rows, hot] -= 1.0
-        if hot.min() < 0:  # a -1 target indexed the last column above; zero those rows
-            off = hot < 0
-            losses[off, l] = 0.0
-            seg[off] = 0.0
+    # ``delta`` goes from logits to the softmax error in place.
+    delta = acts[-1] @ weights[-1].T
+    delta += biases[-1]
+    bounds, column_head = heads
+    starts = bounds[:-1]
+    delta -= np.maximum.reduceat(delta, starts, axis=1).take(column_head, axis=1)
+    # Flat indices of the target logits; a -1 target points at its head's
+    # first column, and its row of that head is zeroed below.
+    hot = np.maximum(targets, 0)
+    hot += starts
+    hot += np.arange(0, delta.size, delta.shape[1])[:, None]
+    flat = delta.reshape(-1)
+    picked = flat.take(hot)
+    np.exp(delta, out=delta)
+    # Not np.add.reduceat: its sums differ from sum(axis=1) in the last bit.
+    norm = np.empty(targets.shape)
+    for l, (lo, hi) in enumerate(zip(starts, bounds[1:])):
+        np.add.reduce(delta[:, lo:hi], axis=1, out=norm[:, l])
+    losses = np.log(norm)
+    losses -= picked
+    delta /= norm.take(column_head, axis=1)
+    flat[hot] -= 1.0
+    if targets.min() < 0:
+        off = targets < 0
+        np.putmask(losses, off, 0.0)
+        np.putmask(delta, off.take(column_head, axis=1), 0.0)
 
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(weights)
     for k in range(len(weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ acts[k]
-        grads_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[k], out=grads_w[k])
+        np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
-            delta = (delta @ weights[k]) * (acts[k] > 0.0)
-    return losses, grads_w, grads_b
+            delta = delta @ weights[k]
+            delta *= acts[k] > 0.0
+    return losses
 
 
 def loss_and_gradients(
@@ -219,8 +250,10 @@ def loss_and_gradients(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_labeled_batch(net, x, y)
-    losses, grads_w, grads_b = _backprop(
-        net.weights, net.biases, [0, net.output_dim], x, y[:, None]
+    grads_w = [np.empty_like(w) for w in net.weights]
+    grads_b = [np.empty_like(b) for b in net.biases]
+    losses = _backprop(
+        net.weights, net.biases, _heads([0, net.output_dim]), x, y[:, None], grads_w, grads_b
     )
     n = x.shape[0]
     return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
@@ -242,11 +275,22 @@ def _sgd(
     weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray,
     cfg: TrainConfig,
 ) -> Iterator[tuple[int, float, float, np.ndarray]]:
-    """Mini-batch SGD on the summed loss of :func:`_backprop`, in place.
+    """Mini-batch SGD on the summed loss of :func:`_backprop`.
+
+    The arrays in ``weights`` and ``biases`` are replaced by views of one
+    contiguous parameter buffer, which is trained in place: each step
+    writes the gradient into a buffer of the same layout and updates all
+    parameters with two operations over the flat buffers.  The result is
+    bit-identical to updating each array on its own.
 
     Yields ``(epoch, lr, mean_loss, frame_losses)`` after each epoch, where
     ``frame_losses`` (reused) holds the epoch's per-(frame, head) losses.
     """
+    params, views = _flatten(weights + biases)
+    weights[:], biases[:] = views[: len(weights)], views[len(weights) :]
+    grad, grad_views = _flatten(views)
+    grads_w, grads_b = grad_views[: len(weights)], grad_views[len(weights) :]
+    heads = _heads(bounds)
     rng = np.random.default_rng(cfg.shuffle_seed)
     n = x.shape[0]
     frame_losses = np.empty(targets.shape)
@@ -259,18 +303,17 @@ def _sgd(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                losses, grads_w, grads_b = _backprop(
-                    weights, biases, bounds, x.take(idx, axis=0), targets.take(idx, axis=0)
+                losses = _backprop(
+                    weights, biases, heads, x.take(idx, axis=0), targets.take(idx, axis=0),
+                    grads_w, grads_b,
                 )
-                scale = lr / idx.size
-                for k in range(len(weights)):
-                    weights[k] -= scale * grads_w[k]
-                    biases[k] -= scale * grads_b[k]
+                grad *= lr / idx.size
+                params -= grad
                 shuffled_losses[start : start + cfg.batch_size] = losses
                 loss_total += float(losses.sum())
         frame_losses[order] = shuffled_losses
         mean_loss = loss_total / n
-        if not (math.isfinite(mean_loss) and all(np.isfinite(p).all() for p in weights + biases)):
+        if not (math.isfinite(mean_loss) and np.isfinite(params).all()):
             raise NonFiniteLossError(
                 f"training diverged in epoch {epoch} (lr {lr:g}): mean loss {mean_loss}"
             )
@@ -288,8 +331,7 @@ def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, li
     y = frames.labels
     _check_labeled_batch(net, x, y)
 
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
+    weights, biases = list(net.weights), list(net.biases)
     history = [
         EpochStats(epoch=epoch, lr=lr, mean_loss=loss)
         for epoch, lr, loss, _ in _sgd(weights, biases, [0, net.output_dim], x, y[:, None], cfg)
@@ -344,24 +386,47 @@ def _write_model(net: Network, path: str | Path, meta: dict) -> None:
     write_npz(path, arrays)
 
 
-def _read_model(path: str | Path, model_format: str, version: int) -> tuple[Network, dict]:
+def _read_model(
+    path: str | Path, model_format: str, version: int, lists: tuple[tuple[str, type], ...] = ()
+) -> tuple[Network, dict]:
     """The network and metadata of a model file, checked to be of
-    ``model_format`` at ``version``."""
+    ``model_format`` at ``version``, with a string ``activation``, an
+    integer ``seed``, each ``(key, kind)`` of ``lists`` a list of ``kind``
+    values in its metadata, and arrays that fit its layer sizes;
+    :class:`ShapeError` naming the file otherwise."""
     arrays = read_npz(path)
+    if "meta" not in arrays:
+        raise ShapeError(f"{path} is not a model file (missing metadata)")
     try:
         meta = json.loads(str(arrays["meta"][()]))
-    except KeyError as exc:
-        raise ShapeError(f"{path} is not a model file (missing metadata)") from exc
-    found = (meta.get("format"), meta.get("version"))
+    except json.JSONDecodeError as exc:
+        raise ShapeError(f"{path} has unreadable model metadata: {exc}") from exc
+    found = (meta.get("format"), meta.get("version")) if isinstance(meta, dict) else None
     if found != (model_format, version):
         raise ShapeError(f"{path} is not a {model_format} v{version} file: it holds {found}")
+    scalars = (("activation", str), ("seed", int))
+    bad = [k for k, kind in scalars if not isinstance(meta.get(k), kind)]
+    bad += [
+        k for k, kind in lists
+        if not (isinstance(meta.get(k), list) and all(isinstance(v, kind) for v in meta[k]))
+    ]
+    if bad:
+        raise ShapeError(f"{path} model metadata lacks a valid {', '.join(bad)}")
     try:
-        dims = [int(d) for d in arrays["layer_dims"]]
+        layer_dims = arrays["layer_dims"]
+        is_list = layer_dims.ndim == 1 and layer_dims.dtype.kind in "iu"
+        dims = [int(d) for d in layer_dims] if is_list else []
         weights = [arrays[f"weight_{k}"] for k in range(len(dims) - 1)]
         biases = [arrays[f"bias_{k}"] for k in range(len(dims) - 1)]
     except KeyError as exc:
         raise ShapeError(f"{path} lacks the model array {exc}") from exc
-    return Network(dims, weights, biases, meta["activation"], int(meta["seed"])), meta
+    fits = [
+        w.shape == (n_out, n_in) and b.shape == (n_out,) and w.dtype == b.dtype == np.float64
+        for w, b, n_in, n_out in zip(weights, biases, dims, dims[1:])
+    ]
+    if len(dims) < 2 or min(dims) < 1 or not all(fits):
+        raise ShapeError(f"{path} holds model arrays that do not fit its layer_dims {dims}")
+    return Network(dims, weights, biases, meta["activation"], meta["seed"]), meta
 
 
 def load_network(path: str | Path) -> Network:

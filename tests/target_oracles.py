@@ -1,9 +1,12 @@
-"""Per-frame multi-head target and loss oracles for the tests.
+"""Per-frame multi-head target and loss oracles, and a reference SGD step,
+for the tests.
 
 The package builds every frame's targets at once as one
 ``(n_frames, n_heads)`` label array; these one-frame-at-a-time versions
 state the same targets and loss directly, as references to check the
-batched kernel against.
+batched kernel against.  :func:`reference_backprop` and
+:func:`reference_sgd` are the kernel and loop as plain per-head and
+per-array code, which the package's fused step must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet
+from polymap.nnet import lr_at_epoch, relu
 
 
 @dataclass(frozen=True)
@@ -95,3 +99,73 @@ def mt_loss(head_outputs: list[np.ndarray], targets: TargetAssignment) -> float:
         probs = np.asarray(head_outputs[l], dtype=np.float64)
         total -= float(targets.head_targets[l] @ np.log(np.maximum(probs, 1e-12)))
     return total
+
+
+def reference_backprop(
+    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, list, list]:
+    """Per-(frame, head) cross-entropies and the gradients of their sum,
+    one head at a time.
+
+    Head ``l`` owns output rows ``bounds[l]:bounds[l + 1]``.  ``targets[i, l]``
+    is frame ``i``'s label on head ``l``, or -1 for no loss (and no error) there.
+    """
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(relu(acts[-1] @ w.T + b))
+
+    delta = acts[-1] @ weights[-1].T + biases[-1]
+    rows = np.arange(x.shape[0])
+    losses = np.empty(targets.shape)
+    for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        seg = delta[:, lo:hi]
+        seg -= seg.max(axis=1, keepdims=True)
+        hot = targets[:, l]
+        picked = seg[rows, hot]
+        np.exp(seg, out=seg)
+        norm = seg.sum(axis=1, keepdims=True)
+        losses[:, l] = np.log(norm[:, 0]) - picked
+        seg /= norm
+        seg[rows, hot] -= 1.0
+        if hot.min() < 0:  # a -1 target indexed the last column above; zero those rows
+            off = hot < 0
+            losses[off, l] = 0.0
+            seg[off] = 0.0
+
+    grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
+    grads_b: list[np.ndarray] = [np.empty(0)] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        grads_w[k] = delta.T @ acts[k]
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ weights[k]) * (acts[k] > 0.0)
+    return losses, grads_w, grads_b
+
+
+def reference_sgd(
+    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray, cfg
+) -> list[tuple[float, np.ndarray]]:
+    """Mini-batch SGD over :func:`reference_backprop`, updating each array
+    of ``weights`` and ``biases`` in place; returns every epoch's mean loss
+    and per-(frame, head) losses."""
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    n = x.shape[0]
+    epochs = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at_epoch(cfg, epoch)
+        order = rng.permutation(n)
+        frame_losses = np.empty(targets.shape)
+        loss_total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            losses, grads_w, grads_b = reference_backprop(
+                weights, biases, bounds, x[idx], targets[idx]
+            )
+            scale = lr / idx.size
+            for k in range(len(weights)):
+                weights[k] -= scale * grads_w[k]
+                biases[k] -= scale * grads_b[k]
+            frame_losses[idx] = losses
+            loss_total += float(losses.sum())
+        epochs.append((loss_total / n, frame_losses))
+    return epochs

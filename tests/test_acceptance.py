@@ -335,7 +335,7 @@ def test_directional_transfer_multitask(multitask_rows):
         for m, b in zip(rows["mtdnn-mapped"], rows["baseline"])
     )
     assert wins >= 4, f"mtdnn-mapped beat baseline in only {wins}/5 seeds"
-    assert elapsed < 600.0, f"multitask transfer took {elapsed:.1f}s (budget 600s)"
+    assert elapsed < 340.0, f"multitask transfer took {elapsed:.1f}s (budget 340s)"
     report(
         "directional-transfer-multitask",
         f"(mapped {mean['mtdnn-mapped']:.2f} <= masked {mean['mtdnn-masked']:.2f} "

@@ -416,3 +416,18 @@ class TestCli:
         )
         err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
         assert err.startswith("ArtifactError: ") and "corpus.txt" in err and "'lang1'" in err
+
+    def test_corpus_with_partial_split_tags_fails_cleanly(self, tmp_path, capsys):
+        corpus = pm.split_corpus(
+            pm.generate_synthetic(pm.SynthSpec(**TINY_SYNTH, seed=51)),
+            {"train": 0.8, "dev": 0.1, "test": 0.1}, seed=2,
+        )
+        del corpus.splits["lang1"]
+        pm.save_corpus(corpus, tmp_path / "corpus.txt")
+        raw = tiny_config(
+            tmp_path, method="senone-map", corpus={"path": str(tmp_path / "corpus.txt")}
+        )
+        path = write_config(tmp_path, raw)
+        err = self.one_error_line(capsys, ["experiment", "--config", str(path)])
+        assert err.startswith("ArtifactError: ") and "corpus.txt" in err and "['lang1']" in err
+        assert not harness.RunPaths(tmp_path / "run").models_dir.exists()

@@ -256,6 +256,21 @@ class TestGradients:
         for a, b in zip(gsw_big + gsb_big, gsw_small + gsb_small):
             assert (a == b).all()
 
+    def test_second_call_keeps_first_results(self):
+        rng = np.random.default_rng(4)
+        net = pm.init_multihead([3, 5], [3, 4], ["a", "b"], seed=5)
+        owners = np.array([0, 1, 1, 0])
+        first = pm.multihead_loss_and_gradients(
+            net, rng.normal(size=(4, 3)), np.array([2, 3, 0, 1]), owners, "masked"
+        )
+        grads = [g for part in first[1:] for g in part]
+        kept = [g.copy() for g in grads]
+        pm.multihead_loss_and_gradients(
+            net, rng.normal(size=(4, 3)), np.array([0, 1, 2, 0]), owners, "masked"
+        )
+        for g, k in zip(grads, kept):
+            assert g.tobytes() == k.tobytes()
+
     def test_batch_loss_matches_per_frame_api(self):
         rng = np.random.default_rng(3)
         net = pm.init_multihead([3, 5], [3, 4], ["a", "b"], seed=4)

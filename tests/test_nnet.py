@@ -1,19 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polymap as pm
+from polymap._npz import write_npz
 from polymap.errors import (
     ArtifactError,
     EmptyDataError,
     InvalidArchitectureError,
     LabelRangeError,
     NonFiniteLossError,
+    PolymapError,
     RangeError,
     ShapeError,
 )
+from polymap.nnet import _sgd
+from target_oracles import reference_sgd
 
 
 def bias_only_net(log_probs):
@@ -198,6 +203,75 @@ class TestTrain:
             pm.train(net, blob_frames(10), pm.TrainConfig(initial_lr=1e12, epochs=3))
 
 
+def step_targets(mode, sizes, n, seed, absent=None):
+    """Masked (owner column only, -1 elsewhere) or mapped (every column)
+    targets of ``n`` frames on heads of ``sizes``; no frame is owned by
+    head ``absent``."""
+    rng = np.random.default_rng(seed)
+    labels = np.stack([rng.integers(0, s, n) for s in sizes], axis=1)
+    if mode == "mapped":
+        return labels
+    owners = rng.integers(0, len(sizes), n)
+    if absent is not None:
+        owners[owners == absent] = (absent + 1) % len(sizes)
+    targets = np.full_like(labels, -1)
+    rows = np.arange(n)
+    targets[rows, owners] = labels[rows, owners]
+    return targets
+
+
+class TestFusedStep:
+    """The fused SGD step against the per-head, per-array reference loop."""
+
+    @pytest.mark.parametrize(
+        "trunk,sizes,n,batch_size,mode,absent",
+        [
+            ([6, 16, 16], [12], 200, 32, "mapped", None),  # plain: one head, no -1 targets
+            ([8, 16, 16], [36, 36, 36], 150, 4, "masked", None),
+            ([8, 16, 16], [36, 36, 36], 150, 4, "mapped", None),
+            ([5, 12], [7, 100, 3], 103, 5, "masked", None),  # last batch holds 3 frames
+            ([5, 12], [7, 100, 3], 103, 5, "masked", 1),  # head 1 owns no frame
+        ],
+        ids=["plain-32", "masked-4", "mapped-4", "unequal-partial", "absent-head"],
+    )
+    def test_bit_identical_to_reference(self, trunk, sizes, n, batch_size, mode, absent):
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        net = pm.init_network([*trunk, bounds[-1]], seed=2)
+        x = np.random.default_rng(3).normal(size=(n, trunk[0]))
+        targets = step_targets(mode, sizes, n, seed=4, absent=absent)
+        cfg = pm.TrainConfig(initial_lr=0.05, epochs=3, batch_size=batch_size, shuffle_seed=5)
+
+        weights, biases = list(net.weights), list(net.biases)
+        fused = [
+            (loss, frame_losses.copy())
+            for _, _, loss, frame_losses in _sgd(weights, biases, bounds, x, targets, cfg)
+        ]
+        ref_weights = [w.copy() for w in net.weights]
+        ref_biases = [b.copy() for b in net.biases]
+        reference = reference_sgd(ref_weights, ref_biases, bounds, x, targets, cfg)
+
+        assert len({id(p.base) for p in weights + biases}) == 1  # views of one buffer
+        for a, b in zip(weights + biases, ref_weights + ref_biases):
+            assert a.tobytes() == b.tobytes()
+        for (loss, frame_losses), (ref_loss, ref_frame_losses) in zip(fused, reference):
+            assert loss == ref_loss
+            assert frame_losses.tobytes() == ref_frame_losses.tobytes()
+        if absent is not None:
+            lo, hi = bounds[absent], bounds[absent + 1]
+            assert weights[-1][lo:hi].tobytes() == net.weights[-1][lo:hi].tobytes()
+
+    def test_second_call_keeps_first_results(self):
+        net = pm.init_network([4, 6, 3], seed=0)
+        rng = np.random.default_rng(1)
+        _, grads_w, grads_b = pm.loss_and_gradients(
+            net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5)
+        )
+        kept = [g.copy() for g in grads_w + grads_b]
+        pm.loss_and_gradients(net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5))
+        for g, k in zip(grads_w + grads_b, kept):
+            assert g.tobytes() == k.tobytes()
+
+
 def finite_difference_gradients(net, x, y, h=1e-5):
     """Central differences of the mean cross-entropy, via forward() only."""
 
@@ -295,6 +369,101 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(ArtifactError, match="model.npz"):
             pm.load_network(path)
+
+
+MODEL_META = {"format": "polymap-network", "version": 1, "activation": "relu", "seed": 1}
+MULTIHEAD_META = {
+    "format": "polymap-multihead", "version": 2, "activation": "relu", "seed": 1,
+    "languages": ["a", "b"], "head_sizes": [1, 1],
+}
+
+
+def model_arrays(meta):
+    net = pm.init_network([3, 4, 2], seed=1)
+    arrays = {"meta": np.array(json.dumps(meta)), "layer_dims": np.array([3, 4, 2])}
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        arrays[f"weight_{k}"], arrays[f"bias_{k}"] = w, b
+    return arrays
+
+
+def without(meta, key):
+    return {k: v for k, v in meta.items() if k != key}
+
+
+class TestModelFileDamage:
+    @pytest.mark.parametrize(
+        "load,meta,changes",
+        [
+            (pm.load_network, MODEL_META, {"meta": np.array("{bad")}),
+            (pm.load_network, MODEL_META, {"meta": np.array("[1, 2]")}),
+            (pm.load_network, without(MODEL_META, "activation"), {}),
+            (pm.load_network, without(MODEL_META, "seed"), {}),
+            (pm.load_network, {**MODEL_META, "seed": "one"}, {}),
+            (pm.load_multihead, without(MULTIHEAD_META, "languages"), {}),
+            (pm.load_multihead, without(MULTIHEAD_META, "head_sizes"), {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "languages": "ab"}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": ["1", "1"]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": [1, 2]}, {}),
+            (pm.load_network, MODEL_META, {"weight_0": np.zeros((5, 3))}),
+            (pm.load_network, MODEL_META, {"bias_1": np.zeros(3)}),
+            (pm.load_network, MODEL_META, {"weight_1": np.zeros((2, 4), dtype="<U1")}),
+            (pm.load_network, MODEL_META, {"layer_dims": np.array([3.0, 4.0, 2.0])}),
+            (pm.load_network, MODEL_META, {"layer_dims": np.array(3)}),
+            (pm.load_network, MODEL_META, {"layer_dims": np.array([3])}),
+            (pm.load_network, MODEL_META, {
+                "layer_dims": np.array([3, 0, 2]), "weight_0": np.zeros((0, 3)),
+                "bias_0": np.zeros(0), "weight_1": np.zeros((2, 0)),
+            }),
+        ],
+        ids=[
+            "meta-not-json", "meta-not-object", "no-activation", "no-seed", "seed-not-int",
+            "multihead-no-languages", "multihead-no-head-sizes", "multihead-languages-text",
+            "multihead-head-sizes-text", "multihead-head-sizes-sum", "weight-shape", "bias-shape",
+            "weight-dtype", "float-layer-dims", "scalar-layer-dims", "one-layer-dim",
+            "zero-layer-dim",
+        ],
+    )
+    def test_malformed_model_raises_shape_error(self, tmp_path, load, meta, changes):
+        path = tmp_path / "model.npz"
+        write_npz(path, {**model_arrays(meta), **changes})
+        with pytest.raises(ShapeError, match=r"model\.npz"):
+            load(path)
+
+    @given(
+        multihead=st.booleans(),
+        position=st.integers(0, 10**6),
+        flip=st.one_of(st.none(), st.integers(1, 255)),
+    )
+    # the last member's central-directory flag and compression-method bytes
+    @example(multihead=False, position=1882, flip=1)
+    @example(multihead=False, position=1885, flip=1)
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_model_file_loads_or_raises_polymap_error(
+        self, tmp_path_factory, multihead, position, flip
+    ):
+        # flip None cuts the file at ``position``; otherwise one byte is XORed
+        path = tmp_path_factory.mktemp("damaged") / "model.npz"
+        if multihead:
+            net = pm.init_multihead([3, 4], [1, 2], ["a", "b"], seed=1)
+            pm.save_multihead(net, path)
+            load, network_of = pm.load_multihead, lambda m: m.network
+        else:
+            net = pm.init_network([3, 4, 3], seed=1)
+            pm.save_network(net, path)
+            load, network_of = pm.load_network, lambda m: m
+        data = bytearray(path.read_bytes())
+        if flip is None:
+            del data[position % (len(data) + 1) :]
+        else:
+            data[position % len(data)] ^= flip
+        path.write_bytes(bytes(data))
+        try:
+            loaded = load(path)
+        except PolymapError:
+            return
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        expected = pm.forward_batch(network_of(net), x)
+        assert pm.forward_batch(network_of(loaded), x).tobytes() == expected.tobytes()
 
 
 class TestFinetune:
