@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Every subcommand reads the same JSON experiment config (``--config``)
-and accepts ``--seed`` to override the config's run seed.  Stage
-subcommands write their artifacts under the config's output directory
-so they can be chained by hand; ``experiment`` runs the configured
-method end to end.  Errors exit nonzero after printing the specific
-error class.
+and accepts ``--seed`` to override the config's run seed.  Each row of
+:data:`polymap.harness.STAGES` is a subcommand that runs that stage of
+the configured method's pipeline, writing under the config's output
+directory, so the stages can be chained by hand; ``evaluate`` scores the
+output of the method's last stage, and ``experiment`` runs the method
+end to end.  Errors exit nonzero after printing the specific error class.
 """
 
 from __future__ import annotations
@@ -25,16 +26,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
-def _wrote(path: Path) -> str:
-    return f"wrote {path}"
+def _synth(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    return f"wrote {harness.stage_synth(cfg, paths, harness.prepare_corpus(cfg))}"
 
 
-def _model(args: argparse.Namespace) -> Path | None:
-    return Path(args.model) if args.model else None
+def _stage(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
+    harness.run_stage(cfg, args.command)
+    return f"wrote {getattr(paths, harness.STAGES[args.command].writes)}"
 
 
 def _evaluate(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
-    fer = harness.stage_evaluate(cfg, model_path=_model(args), split=args.split)
+    fer = harness.evaluate(cfg, args.split, args.model)
     return f"frame_error_rate {args.split} {fer:.4f}"
 
 
@@ -43,7 +45,7 @@ def _experiment(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: 
     return (
         f"method={row.method} seed={row.seed} "
         f"dev={row.dev_frame_error:.4f} test={row.test_frame_error:.4f}\n"
-        + _wrote(paths.row(cfg.method, cfg.seed))
+        + f"wrote {paths.row(cfg.method, cfg.seed)}"
     )
 
 
@@ -59,40 +61,12 @@ def _validate_map(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths
     return "ok"
 
 
-# Subcommand -> (help, call returning the text to print).  The calls look
-# stages up at call time, so a function replaced on its module is the one run.
+# Subcommand -> (help, call returning the text to print).  The calls look harness
+# functions up at call time, so a function replaced on its module is the one run.
 COMMANDS = {
-    "synth": (
-        "generate the synthetic corpus and its answer-key maps",
-        lambda cfg, args, paths: _wrote(harness.stage_synth(cfg)),
-    ),
-    "train-baseline": (
-        "train the target language's own classifier",
-        lambda cfg, args, paths: _wrote(harness.stage_train_baseline(cfg)[1]),
-    ),
-    "build-map": (
-        "build and persist the configured method's label maps",
-        lambda cfg, args, paths: _wrote(harness.stage_build_map(cfg)),
-    ),
-    "pool-train": (
-        "train a fresh net on pooled, relabeled data",
-        lambda cfg, args, paths: _wrote(harness.stage_pool_train(cfg)[1]),
-    ),
-    "mt-train": (
-        "train the multi-head network",
-        lambda cfg, args, paths: _wrote(harness.stage_mt_train(cfg)[1]),
-    ),
-    "prune": (
-        "prune the multi-head network to the target head",
-        lambda cfg, args, paths: _wrote(harness.stage_prune(cfg)[1]),
-    ),
-    "finetune": (
-        "fine-tune a model on target training data",
-        lambda cfg, args, paths: _wrote(
-            harness.stage_finetune(cfg, model_path=_model(args))[1]
-        ),
-    ),
-    "evaluate": ("frame error rate of a model on a split", _evaluate),
+    "synth": ("generate the synthetic corpus and its answer-key maps", _synth),
+    **{name: (stage.help, _stage) for name, stage in harness.STAGES.items()},
+    "evaluate": ("frame error rate of the method's last model on a split", _evaluate),
     "experiment": ("run the configured method end to end", _experiment),
     "report": ("aggregate result rows into a table", _report),
     "validate-map": ("check a map file against the corpus inventories", _validate_map),
@@ -111,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         parsers[name] = p
 
-    parsers["finetune"].add_argument("--model", default=None, help="model file to fine-tune")
     parsers["evaluate"].add_argument("--model", default=None, help="model file to evaluate")
     parsers["evaluate"].add_argument(
         "--split", default="test", choices=["train", "dev", "test"]

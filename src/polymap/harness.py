@@ -6,6 +6,11 @@ the run seed by hashing stage names, so a config plus a seed pins every
 number in the emitted results.  Wall-clock time goes to the run log
 only, never into results files, keeping those byte-reproducible.
 
+Each method is a sequence of stages (:data:`PIPELINES`); each stage is a
+row of :data:`STAGES` naming its function, the file it writes and the
+stages it may read.  :func:`run_stage` runs one stage, whose inputs are
+the outputs of the stages it reads that come earlier in the pipeline.
+
 Methods
 -------
 baseline      train on the target language's own data only
@@ -49,6 +54,7 @@ from .errors import (
     StaleArtifactError,
 )
 from .mapping import (
+    MAPSET_MANIFEST,
     LabelMap,
     MapSet,
     accumulate_confusion,
@@ -83,9 +89,44 @@ from .nnet import (
     train,
 )
 
-METHODS = ("baseline", "manual-map", "phone-map", "senone-map", "mtdnn-masked", "mtdnn-mapped")
-MAP_METHODS = ("manual-map", "phone-map", "senone-map")
-MT_METHODS = ("mtdnn-masked", "mtdnn-mapped")
+
+@dataclass(frozen=True)
+class Stage:
+    """A stage's ``stage_*`` function, the :class:`RunPaths` attribute it
+    writes, the stages it may read, its CLI help and whether it reads the corpus."""
+
+    function: str
+    writes: str
+    reads: tuple[str, ...]
+    help: str
+    uses_corpus: bool = True
+
+
+STAGES = {
+    "train-baseline": Stage("stage_train_baseline", "baseline_model", (),
+                            "train the target language's own classifier"),
+    "build-map": Stage("stage_build_map", "map_manifest", ("train-baseline",),
+                       "build and persist the configured method's label maps"),
+    "pool-train": Stage("stage_pool_train", "pooled_model", ("train-baseline", "build-map"),
+                        "train a fresh net on pooled, relabeled data"),
+    "mt-train": Stage("stage_mt_train", "mtdnn_model", ("build-map",),
+                      "train the multi-head network"),
+    "prune": Stage("stage_prune", "pruned_model", ("mt-train",),
+                   "prune the multi-head network to the target head", uses_corpus=False),
+    "finetune": Stage("stage_finetune", "final_model", ("pool-train", "prune"),
+                      "fine-tune the pooled or pruned model on target training data"),
+}
+
+_MAP_PIPELINE = ("train-baseline", "build-map", "pool-train", "finetune")
+PIPELINES = {
+    "baseline": ("train-baseline",),
+    "manual-map": _MAP_PIPELINE,
+    "phone-map": _MAP_PIPELINE,
+    "senone-map": _MAP_PIPELINE,
+    "mtdnn-masked": ("mt-train", "prune", "finetune"),
+    "mtdnn-mapped": ("build-map", "mt-train", "prune", "finetune"),
+}
+METHODS = tuple(PIPELINES)
 
 CONFIG_VERSION = 1
 ROW_FORMAT = "polymap-result-row"
@@ -132,6 +173,10 @@ class RunPaths:
     @property
     def maps_dir(self) -> Path:
         return self.root / "maps"
+
+    @property
+    def map_manifest(self) -> Path:
+        return self.maps_dir / MAPSET_MANIFEST
 
     @property
     def pooled_model(self) -> Path:
@@ -411,19 +456,15 @@ def _write_train_log(path: Path, history: list) -> None:
 
 
 def train_language_net(
-    corpus: MultiCorpus, cfg: ExperimentConfig, language: str, stage: str
+    corpus: MultiCorpus, cfg: ExperimentConfig, language: str, stage: str, frames: FrameSet
 ) -> tuple[Network, list[EpochStats]]:
-    """Train a per-language classifier with the baseline recipe."""
+    """Train a fresh classifier for ``language`` on ``frames`` with the baseline recipe."""
     net = init_network(_arch(corpus, cfg, language), derive_seed(cfg.seed, f"init:{stage}"))
-    tcfg = dataclasses.replace(
-        cfg.train, shuffle_seed=derive_seed(cfg.seed, f"shuffle:{stage}")
-    )
-    return train(net, corpus.subset(language, "train"), tcfg)
+    tcfg = dataclasses.replace(cfg.train, shuffle_seed=derive_seed(cfg.seed, f"shuffle:{stage}"))
+    return train(net, frames, tcfg)
 
 
-def build_source_maps(
-    corpus: MultiCorpus, cfg: ExperimentConfig, mapper: Network
-) -> dict[str, LabelMap]:
+def build_source_maps(corpus: MultiCorpus, cfg: ExperimentConfig, mapper: Network) -> MapSet:
     """One (source -> target) map per source language, per the method."""
     maps: dict[str, LabelMap] = {}
     for source in cfg.sources:
@@ -446,7 +487,7 @@ def build_source_maps(
             maps[source] = phone_map(
                 counts, corpus.g_tables[source], corpus.g_tables[cfg.target]
             )
-    return maps
+    return MapSet({(source, cfg.target): m for source, m in maps.items()})
 
 
 def build_pooled_frames(
@@ -478,104 +519,78 @@ def build_pooled_frames(
 
 
 # ---------------------------------------------------------------------------
-# stages (each one also backs a CLI subcommand)
+# stages: each takes the config, paths, inputs (stage -> file) and corpus
 
 
-def stage_synth(cfg: ExperimentConfig, corpus: MultiCorpus | None = None) -> Path:
+def stage_synth(cfg: ExperimentConfig, paths: RunPaths, corpus: MultiCorpus) -> Path:
     """Materialize the corpus, stamped with :func:`_corpus_stamp`, plus the
     generator's answer-key map files."""
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg)
     save_corpus(dataclasses.replace(corpus, provenance=_corpus_stamp(cfg)), paths.corpus)
     save_ground_truth_maps(corpus, paths.truth_dir)
     return paths.corpus
 
 
 def stage_train_baseline(
-    cfg: ExperimentConfig, corpus: MultiCorpus | None = None
-) -> tuple[Network, Path]:
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg, paths.corpus)
-    net, history = train_language_net(corpus, cfg, cfg.target, "baseline")
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
+) -> Network:
+    frames = corpus.subset(cfg.target, "train")
+    net, history = train_language_net(corpus, cfg, cfg.target, "baseline", frames)
     save_network(net, paths.baseline_model)
     _write_train_log(paths.logs_dir / "baseline_train.log", history)
-    return net, paths.baseline_model
+    return net
 
 
-def stage_build_map(cfg: ExperimentConfig, corpus: MultiCorpus | None = None) -> Path:
-    """Build and persist the method's maps; returns the manifest path."""
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg, paths.corpus)
-    if cfg.method == "mtdnn-mapped":
+def stage_build_map(
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
+) -> MapSet:
+    """Build and persist source-to-target maps through the target baseline if
+    the pipeline trains one, else senone maps between all language pairs."""
+    if "train-baseline" in inputs:
+        map_set = build_source_maps(corpus, cfg, load_network(inputs["train-baseline"]))
+    else:
         languages = [cfg.target, *cfg.sources]
+        frames = {lang: corpus.subset(lang, "train") for lang in languages}
         nets: dict[str, Network] = {}
         for lang in languages:
-            net, history = train_language_net(corpus, cfg, lang, f"mapper:{lang}")
+            net, history = train_language_net(corpus, cfg, lang, f"mapper:{lang}", frames[lang])
             save_network(net, paths.mapper_model(lang))
             _write_train_log(paths.logs_dir / f"mapper_{lang}_train.log", history)
             nets[lang] = net
         map_set = all_pairs_senone_maps(
-            nets,
-            {lang: corpus.subset(lang, "train") for lang in languages},
-            {lang: corpus.senone_inventories[lang] for lang in languages},
+            nets, frames, {lang: corpus.senone_inventories[lang] for lang in languages}
         )
-    elif cfg.method in MAP_METHODS:
-        if not paths.baseline_model.exists():
-            raise ConfigError(
-                f"{paths.baseline_model} not found; run train-baseline before build-map"
-            )
-        mapper = load_network(paths.baseline_model)
-        maps = build_source_maps(corpus, cfg, mapper)
-        map_set = MapSet({(src, cfg.target): m for src, m in maps.items()})
-    else:
-        raise ConfigError(f"method {cfg.method!r} does not build maps")
-    return save_map_set(map_set, paths.maps_dir)
+    save_map_set(map_set, paths.maps_dir)
+    return map_set
 
 
 def stage_pool_train(
-    cfg: ExperimentConfig, corpus: MultiCorpus | None = None
-) -> tuple[Network, Path]:
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
+) -> Network:
     """Train a fresh network on pooled, relabeled data."""
-    if cfg.method not in MAP_METHODS:
-        raise ConfigError(f"pool-train applies to {MAP_METHODS}, not {cfg.method!r}")
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg, paths.corpus)
-    mapper = load_network(paths.baseline_model)
+    mapper = load_network(inputs["train-baseline"])
     map_set = load_map_set(paths.maps_dir)
     maps = {src: map_set.get(src, cfg.target) for src in cfg.sources}
     pooled = build_pooled_frames(corpus, cfg, mapper, maps)
-    net = init_network(_arch(corpus, cfg, cfg.target), derive_seed(cfg.seed, "init:pooled"))
-    tcfg = dataclasses.replace(cfg.train, shuffle_seed=derive_seed(cfg.seed, "shuffle:pooled"))
-    trained, history = train(net, pooled, tcfg)
+    trained, history = train_language_net(corpus, cfg, cfg.target, "pooled", pooled)
     save_network(trained, paths.pooled_model)
     _write_train_log(paths.logs_dir / "pooled_train.log", history)
-    return trained, paths.pooled_model
+    return trained
 
 
 def stage_mt_train(
-    cfg: ExperimentConfig, corpus: MultiCorpus | None = None
-) -> tuple[MultiHeadNetwork, Path]:
-    if cfg.method not in MT_METHODS:
-        raise ConfigError(f"mt-train applies to {MT_METHODS}, not {cfg.method!r}")
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg, paths.corpus)
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
+) -> MultiHeadNetwork:
+    """Multi-head training: with mapped targets when the pipeline built
+    maps, with per-frame loss masking otherwise."""
     languages = [cfg.target, *cfg.sources]
-    map_set = None
-    mode = "masked"
-    if cfg.method == "mtdnn-mapped":
-        mode = "mapped"
-        map_set = load_map_set(paths.maps_dir)
+    map_set = load_map_set(paths.maps_dir) if "build-map" in inputs else None
     net = init_multihead(
         [corpus.feature_dim, *cfg.hidden_dims],
         [corpus.senone_inventories[lang].size for lang in languages],
         languages,
         derive_seed(cfg.seed, "init:mtdnn"),
     )
+    mode = "masked" if map_set is None else "mapped"
     mt_cfg = dataclasses.replace(
         cfg.mt_train, loss_mode=mode, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn")
     )
@@ -583,30 +598,24 @@ def stage_mt_train(
     trained, history = train_multihead(net, frames, mt_cfg, map_set)
     save_multihead(trained, paths.mtdnn_model)
     _write_train_log(paths.logs_dir / "mtdnn_train.log", history)
-    return trained, paths.mtdnn_model
+    return trained
 
 
-def stage_prune(cfg: ExperimentConfig) -> tuple[Network, Path]:
-    paths = RunPaths(cfg.output_dir)
-    net = prune(load_multihead(paths.mtdnn_model), cfg.target)
+def stage_prune(
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus | None
+) -> Network:
+    net = prune(load_multihead(inputs["mt-train"]), cfg.target)
     save_network(net, paths.pruned_model)
-    return net, paths.pruned_model
+    return net
 
 
 def stage_finetune(
-    cfg: ExperimentConfig,
-    corpus: MultiCorpus | None = None,
-    model_path: Path | None = None,
-) -> tuple[Network, Path]:
-    """Fine-tune a model on target training data at a constant rate."""
-    paths = RunPaths(cfg.output_dir)
-    if corpus is None:
-        corpus = prepare_corpus(cfg, paths.corpus)
-    if model_path is None:
-        model_path = paths.pruned_model if cfg.method in MT_METHODS else paths.pooled_model
-    net = load_network(model_path)
+    cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
+) -> Network:
+    """Fine-tune the one input model on target training data at a constant rate."""
+    (model_path,) = inputs.values()
     tuned, history = finetune(
-        net,
+        load_network(model_path),
         corpus.subset(cfg.target, "train"),
         epochs=cfg.finetune_epochs,
         lr=cfg.finetune_lr,
@@ -615,20 +624,45 @@ def stage_finetune(
     )
     save_network(tuned, paths.final_model)
     _write_train_log(paths.logs_dir / "finetune.log", history)
-    return tuned, paths.final_model
+    return tuned
 
 
-def stage_evaluate(
-    cfg: ExperimentConfig,
-    corpus: MultiCorpus | None = None,
-    model_path: Path | None = None,
-    split: str = "test",
-) -> float:
+def stage_evaluate(cfg: ExperimentConfig, corpus: MultiCorpus, model: Path, split: str) -> float:
+    return frame_error_rate(load_network(model), corpus.subset(cfg.target, split))
+
+
+def _output(paths: RunPaths, stage: str) -> Path:
+    """The existing output file of ``stage``; :class:`ArtifactError` if missing."""
+    path = getattr(paths, STAGES[stage].writes)
+    if not path.exists():
+        raise ArtifactError(f"{path} not found; run {stage} first")
+    return path
+
+
+def run_stage(cfg: ExperimentConfig, name: str, corpus: MultiCorpus | None = None):
+    """Run one stage of the configured method's pipeline and return its result.
+
+    Its inputs, the outputs of the stages it reads that come earlier in the
+    pipeline, must exist.  The stage function is looked up on this module at
+    call time, so a function replaced on the module is the one run.
+    """
+    pipeline = PIPELINES[cfg.method]
+    if name not in pipeline:
+        raise ConfigError(f"{name} is not a stage of {cfg.method}; it runs {', '.join(pipeline)}")
+    stage = STAGES[name]
     paths = RunPaths(cfg.output_dir)
-    if corpus is None:
+    earlier = pipeline[: pipeline.index(name)]
+    inputs = {r: _output(paths, r) for r in stage.reads if r in earlier}
+    if corpus is None and stage.uses_corpus:
         corpus = prepare_corpus(cfg, paths.corpus)
-    net = load_network(model_path or paths.final_model)
-    return frame_error_rate(net, corpus.subset(cfg.target, split))
+    return globals()[stage.function](cfg, paths, inputs, corpus)
+
+
+def evaluate(cfg: ExperimentConfig, split: str = "test", model_path: Path | None = None) -> float:
+    """Frame error rate of ``model_path``, by default the last stage's output."""
+    paths = RunPaths(cfg.output_dir)
+    model = Path(model_path) if model_path else _output(paths, PIPELINES[cfg.method][-1])
+    return stage_evaluate(cfg, prepare_corpus(cfg, paths.corpus), model, split)
 
 
 # ---------------------------------------------------------------------------
@@ -762,27 +796,17 @@ def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = N
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
-    """Execute the configured method end to end and persist its artifacts."""
+    """Run the configured method's pipeline end to end on one prepared
+    corpus, persisting every artifact, and score its last model."""
     cfg.validate()
     started = time.monotonic()
     paths = RunPaths(cfg.output_dir)
     corpus = prepare_corpus(cfg, paths.corpus)
-
-    if cfg.method == "baseline":
-        net, _ = stage_train_baseline(cfg, corpus)
-        save_network(net, paths.final_model)
-        final = net
-    elif cfg.method in MAP_METHODS:
-        stage_train_baseline(cfg, corpus)
-        stage_build_map(cfg, corpus)
-        _, pooled_path = stage_pool_train(cfg, corpus)
-        final, _ = stage_finetune(cfg, corpus, model_path=pooled_path)
-    else:
-        if cfg.method == "mtdnn-mapped":
-            stage_build_map(cfg, corpus)
-        stage_mt_train(cfg, corpus)
-        _, pruned_path = stage_prune(cfg)
-        final, _ = stage_finetune(cfg, corpus, model_path=pruned_path)
+    for name in PIPELINES[cfg.method]:
+        final = run_stage(cfg, name, corpus)
+    # Every run leaves its scored model at final_model, whichever stage wrote it.
+    if getattr(paths, STAGES[name].writes) != paths.final_model:
+        save_network(final, paths.final_model)
 
     dev = frame_error_rate(final, corpus.subset(cfg.target, "dev"))
     test = frame_error_rate(final, corpus.subset(cfg.target, "test"))

@@ -39,6 +39,7 @@ PROVENANCE_MANUAL = "manual"
 PROVENANCE_IDENTITY = "identity"
 
 _MAPSET_FORMAT = "polymap-mapset"
+MAPSET_MANIFEST = "mapset.json"
 
 
 class UnmappedLabelWarning(UserWarning):
@@ -379,14 +380,14 @@ def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
             }
         )
     manifest = {"format": _MAPSET_FORMAT, "version": 1, "maps": entries}
-    manifest_path = directory / "mapset.json"
+    manifest_path = directory / MAPSET_MANIFEST
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
 def load_map_set(directory: str | Path) -> MapSet:
     directory = Path(directory)
-    manifest_path = directory / "mapset.json"
+    manifest_path = directory / MAPSET_MANIFEST
     try:
         manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
@@ -398,7 +399,7 @@ def load_map_set(directory: str | Path) -> MapSet:
             (
                 LabelInventory(entry["source"], entry["source_size"], entry["kind"]),
                 LabelInventory(entry["target"], entry["target_size"], entry["kind"]),
-                directory / entry["file"],
+                entry["file"],
                 entry["provenance"],
             )
             for entry in manifest["maps"]
@@ -406,8 +407,10 @@ def load_map_set(directory: str | Path) -> MapSet:
     except (KeyError, TypeError) as exc:
         raise MapFormatError(f"{manifest_path} has a malformed map entry: {exc!r}") from exc
     maps: dict[tuple[str, str], LabelMap] = {}
-    for source_inv, target_inv, map_file, provenance in entries:
-        table = _parse_map_file(map_file, source_inv, target_inv)
+    for source_inv, target_inv, name, provenance in entries:
+        if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
+            raise MapFormatError(f"{manifest_path} names {name!r}, not a file in its directory")
+        table = _parse_map_file(directory / name, source_inv, target_inv)
         maps[(source_inv.task_id, target_inv.task_id)] = LabelMap(
             source_inv, target_inv, table, provenance
         )

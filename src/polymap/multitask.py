@@ -77,11 +77,13 @@ class MultiHeadNetwork:
 
     def __post_init__(self) -> None:
         langs, sizes = self.languages, self.head_sizes
-        if not (langs and len(set(langs)) == len(langs) == len(sizes) and min(sizes) >= 1
-                and sum(sizes) == self.network.output_dim):
+        typed = (isinstance(langs, list) and all(isinstance(l, str) for l in langs)
+                 and isinstance(sizes, list) and all(type(s) is int for s in sizes))
+        if not (typed and langs and len(set(langs)) == len(langs) == len(sizes)
+                and min(sizes) >= 1 and sum(sizes) == self.network.output_dim):
             raise InvalidArchitectureError(
-                f"need distinct language ids, one head size >= 1 each, adding up to the "
-                f"network's {self.network.output_dim} outputs; got {langs} and {sizes}"
+                f"need a list of distinct str language ids and a list of int head sizes >= 1 adding"
+                f" up to the network's {self.network.output_dim} outputs; got {langs!r}, {sizes!r}"
             )
 
     @property
@@ -94,9 +96,6 @@ class MultiHeadNetwork:
             return self.languages.index(language)
         except ValueError:
             raise RangeError(f"network has no head for language {language!r}") from None
-
-    def copy(self) -> "MultiHeadNetwork":
-        return MultiHeadNetwork(self.network.copy(), list(self.languages), list(self.head_sizes))
 
 
 @dataclass(frozen=True)
@@ -248,12 +247,11 @@ def train_multihead(
     )
     targets = _target_array(net, labels, owners, cfg.loss_mode, map_set)
 
-    trained = net.copy()
+    src = net.network
+    weights, biases = list(src.weights), list(src.biases)
     counts = np.bincount(owners, minlength=len(net.languages))
     history: list[MTEpochStats] = []
-    for epoch, lr, mean_loss, frame_losses in _sgd(
-        trained.network.weights, trained.network.biases, net.bounds, x, targets, cfg
-    ):
+    for epoch, lr, mean_loss, frame_losses in _sgd(weights, biases, net.bounds, x, targets, cfg):
         sums = np.bincount(owners, weights=frame_losses.sum(axis=1), minlength=len(counts))
         per_language = {
             lang: float(sums[l] / counts[l]) for l, lang in enumerate(net.languages) if counts[l]
@@ -261,7 +259,8 @@ def train_multihead(
         history.append(
             MTEpochStats(epoch=epoch, lr=lr, mean_loss=mean_loss, per_language=per_language)
         )
-    return trained, history
+    trained = Network(list(src.layer_dims), weights, biases, src.activation, src.seed)
+    return MultiHeadNetwork(trained, list(net.languages), list(net.head_sizes)), history
 
 
 def prune(net: MultiHeadNetwork, language: str) -> Network:

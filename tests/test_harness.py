@@ -248,23 +248,53 @@ class TestRunExperiment:
         row = harness.run_experiment(cfg)
         assert row.method == "manual-map"
 
-    def test_stagewise_equals_end_to_end(self, tmp_path):
-        raw = tiny_config(tmp_path, method="senone-map", sources=["lang1"], output_dir="auto")
-        cfg = harness.experiment_config_from_dict(raw, tmp_path)
-        harness.run_experiment(cfg)
-        auto = harness.RunPaths(cfg.output_dir)
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_stagewise_equals_end_to_end(self, tmp_path, method):
+        manual_maps = {}
+        if method == "manual-map":
+            # the generator's phone answer key doubles as a manual map file
+            corpus = pm.generate_synthetic(pm.SynthSpec(**TINY_SYNTH, seed=51))
+            pm.save_ground_truth_maps(corpus, tmp_path / "truth")
+            manual_maps = {"lang1": str(tmp_path / "truth" / "truth_phone_lang1_to_lang0.txt")}
+        synth = {"synth": {**TINY_SYNTH, "seed": 51}}
 
-        raw2 = tiny_config(tmp_path, method="senone-map", sources=["lang1"], output_dir="manual")
-        cfg2 = harness.experiment_config_from_dict(raw2, tmp_path)
-        manual = harness.RunPaths(cfg2.output_dir)
-        harness.stage_synth(cfg2)
-        harness.stage_train_baseline(cfg2)
-        harness.stage_build_map(cfg2)
-        harness.stage_pool_train(cfg2)
-        harness.stage_finetune(cfg2)
-        assert manual.final_model.read_bytes() == auto.final_model.read_bytes()
-        dev = harness.stage_evaluate(cfg2, split="dev")
-        assert dev == harness.read_row(auto.row("senone-map", 3)).dev_frame_error
+        def config(output_dir):
+            raw = tiny_config(
+                tmp_path, method=method, sources=["lang1"], output_dir=output_dir,
+                corpus=synth, manual_maps=manual_maps,
+            )
+            return harness.experiment_config_from_dict(raw, tmp_path)
+
+        auto_cfg = config("auto")
+        row = harness.run_experiment(auto_cfg)
+        auto = harness.RunPaths(auto_cfg.output_dir)
+
+        cfg = config("manual")
+        manual = harness.RunPaths(cfg.output_dir)
+        harness.stage_synth(cfg, manual, harness.prepare_corpus(cfg))
+        for name in harness.PIPELINES[method]:
+            harness.run_stage(cfg, name)
+        last = harness.STAGES[harness.PIPELINES[method][-1]]
+        assert getattr(manual, last.writes).read_bytes() == auto.final_model.read_bytes()
+        assert harness.evaluate(cfg, split="dev") == row.dev_frame_error
+
+
+def missing_input_cases():
+    """(method, command, missing input stage, present input stages) for
+    every input of every stage in every pipeline, and of ``evaluate``,
+    which reads the output of the pipeline's last stage."""
+    cases = []
+    for method, pipeline in harness.PIPELINES.items():
+        steps = [(s, harness.STAGES[s].reads, pipeline[:i]) for i, s in enumerate(pipeline)]
+        for command, reads, earlier in [*steps, ("evaluate", pipeline[-1:], pipeline)]:
+            inputs = [r for r in reads if r in earlier]
+            for missing in inputs:
+                name = getattr(harness.RunPaths(""), harness.STAGES[missing].writes).name
+                present = [r for r in inputs if r != missing]
+                cases.append(
+                    pytest.param(method, command, missing, present, id=f"{method}-{command}-{name}")
+                )
+    return cases
 
 
 class TestCli:
@@ -326,20 +356,36 @@ class TestCli:
     def test_build_map_requires_baseline(self, tmp_path, capsys):
         raw = tiny_config(tmp_path, method="senone-map", sources=["lang1"])
         path = write_config(tmp_path, raw)
-        assert cli.main(["build-map", "--config", str(path)]) == 1
-        assert "ConfigError" in capsys.readouterr().err
+        err = self.one_error_line(capsys, ["build-map", "--config", str(path)])
+        baseline = harness.RunPaths(tmp_path / "run").baseline_model
+        assert err == f"ArtifactError: {baseline} not found; run train-baseline first"
+
+    @pytest.mark.parametrize("method,command,missing,present", missing_input_cases())
+    def test_stage_before_its_input_fails_cleanly(
+        self, tmp_path, capsys, method, command, missing, present
+    ):
+        raw = tiny_config(tmp_path, method=method, sources=["lang1"])
+        if method == "manual-map":
+            raw["manual_maps"] = {"lang1": "never-read.txt"}
+        path = write_config(tmp_path, raw)
+        paths = harness.RunPaths(tmp_path / "run")
+        # Inputs are checked before any is read, so an empty file stands in
+        # for an input that is present.
+        for stage in present:
+            output = getattr(paths, harness.STAGES[stage].writes)
+            output.parent.mkdir(parents=True, exist_ok=True)
+            output.touch()
+        err = self.one_error_line(capsys, [command, "--config", str(path)])
+        output = getattr(paths, harness.STAGES[missing].writes)
+        assert err == f"ArtifactError: {output} not found; run {missing} first"
 
     @pytest.mark.parametrize(
-        "method,command,missing",
-        [("senone-map", "pool-train", "baseline.npz"), ("mtdnn-masked", "prune", "mtdnn.npz")],
+        "method,command", [("senone-map", "mt-train"), ("baseline", "finetune")]
     )
-    def test_stage_before_its_input_fails_cleanly(self, tmp_path, capsys, method, command, missing):
-        path = write_config(tmp_path, tiny_config(tmp_path, method=method, sources=["lang1"]))
-        assert cli.main(["synth", "--config", str(path)]) == 0
-        capsys.readouterr()
-        assert cli.main([command, "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ArtifactError: ") and missing in err[0]
+    def test_stage_outside_the_pipeline_fails_cleanly(self, tmp_path, capsys, method, command):
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method))
+        err = self.one_error_line(capsys, [command, "--config", str(path)])
+        assert err.startswith("ConfigError: ") and ", ".join(harness.PIPELINES[method]) in err
 
     def test_diverging_training_fails_cleanly(self, tmp_path, capsys):
         raw = tiny_config(tmp_path, train={**TINY_TRAIN, "initial_lr": 1e12})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +420,13 @@ class TestMapSetFiles:
         (tmp_path / "maps" / "map_a_to_a.txt").unlink()
         with pytest.raises(ArtifactError, match="map_a_to_a.txt"):
             pm.load_map_set(tmp_path / "maps")
+        # a valid map file outside the maps directory must not be reachable
+        outside = tmp_path / "outside.txt"
+        outside.write_text("0 0\n1 1\n2 2\n3 3\n")
+        for name in ["../outside.txt", str(outside), "..", ""]:
+            manifest.write_text(good.replace('"map_a_to_a.txt"', json.dumps(name)))
+            with pytest.raises(MapFormatError, match="mapset.json"):
+                pm.load_map_set(tmp_path / "maps")
         manifest.unlink()
         with pytest.raises(ArtifactError, match="mapset.json"):
             pm.load_map_set(tmp_path / "maps")

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -70,6 +71,17 @@ class TestInit:
     def test_bad_architectures(self, shared, heads, langs):
         with pytest.raises(InvalidArchitectureError):
             pm.init_multihead(shared, heads, langs, seed=0)
+
+    @pytest.mark.parametrize(
+        "languages,head_sizes",
+        [
+            ("ab", [1, 1]), (5, [2]), (["a", 1], [1, 1]), (["a", "b"], "11"),
+            (["a", "b"], [True, True]), (["a"], [2.0]), (["a", "b"], (1, 1)),
+        ],
+    )
+    def test_argument_types_checked(self, languages, head_sizes):
+        with pytest.raises(InvalidArchitectureError):
+            pm.MultiHeadNetwork(pm.init_network([3, 4, 2]), languages, head_sizes)
 
     def test_single_head_equals_plain_network(self):
         mt = pm.init_multihead([4, 8, 6], [5], ["only"], seed=3)
@@ -194,7 +206,7 @@ def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
             ref = arrays_getter(net)[k]
             g = np.zeros_like(ref)
             for idx in np.ndindex(*ref.shape):
-                up, down = net.copy(), net.copy()
+                up, down = copy.deepcopy(net), copy.deepcopy(net)
                 arrays_getter(up)[k][idx] += h
                 arrays_getter(down)[k][idx] -= h
                 g[idx] = (loss_of(up) - loss_of(down)) / (2 * h)
@@ -303,6 +315,18 @@ class TestTrainMultihead:
         assert [h.mean_loss for h in h1] == [h.mean_loss for h in h2]
         for wa, wb in zip(m1.network.weights, m2.network.weights):
             assert wa.tobytes() == wb.tobytes()
+
+    @pytest.mark.parametrize("mode", ["masked", "mapped"])
+    def test_input_net_unchanged(self, mode):
+        frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
+        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=5)
+        before = [a.copy() for a in net.network.weights + net.network.biases]
+        map_set = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
+        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=6, loss_mode=mode)
+        trained, _ = pm.train_multihead(net, frames, cfg, map_set)
+        for a, orig in zip(net.network.weights + net.network.biases, before):
+            assert a.tobytes() == orig.tobytes()
+        assert trained.network.weights[0].tobytes() != before[0].tobytes()
 
     def test_absent_language_head_untouched(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
