@@ -580,8 +580,8 @@ def stage_pool_train(
 def stage_mt_train(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
 ) -> MultiHeadNetwork:
-    """Multi-head training: with mapped targets when the pipeline built
-    maps, with per-frame loss masking otherwise."""
+    """Multi-head training: every head takes a target through the maps
+    when the pipeline built maps, only the frame's own head otherwise."""
     languages = [cfg.target, *cfg.sources]
     map_set = load_map_set(paths.maps_dir) if "build-map" in inputs else None
     net = init_multihead(
@@ -590,10 +590,7 @@ def stage_mt_train(
         languages,
         derive_seed(cfg.seed, "init:mtdnn"),
     )
-    mode = "masked" if map_set is None else "mapped"
-    mt_cfg = dataclasses.replace(
-        cfg.mt_train, loss_mode=mode, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn")
-    )
+    mt_cfg = dataclasses.replace(cfg.mt_train, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn"))
     frames = {lang: corpus.subset(lang, "train") for lang in languages}
     trained, history = train_multihead(net, frames, mt_cfg, map_set)
     save_multihead(trained, paths.mtdnn_model)
@@ -804,10 +801,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     corpus = prepare_corpus(cfg, paths.corpus)
     for name in PIPELINES[cfg.method]:
         final = run_stage(cfg, name, corpus)
-    # Every run leaves its scored model at final_model, whichever stage wrote it.
-    if getattr(paths, STAGES[name].writes) != paths.final_model:
-        save_network(final, paths.final_model)
-
     dev = frame_error_rate(final, corpus.subset(cfg.target, "dev"))
     test = frame_error_rate(final, corpus.subset(cfg.target, "test"))
     row = ResultRow(

@@ -4,21 +4,15 @@ A multi-head network is a plain :class:`~polymap.nnet.Network` whose
 output layer stacks every language's head: head ``l`` owns output rows
 ``bounds[l]:bounds[l + 1]`` and has its own softmax.  Every language's
 frames flow through the same hidden stack; each head classifies into
-its own language's senone inventory.  Two training regimes are
-supported:
+its own language's senone inventory.
 
-* ``masked`` — a frame contributes loss only through the head of its
-  own language.  Heads of other languages receive exactly zero gradient
-  from that frame, and the shared layers see only the owner head's
-  backpropagated error.
-* ``mapped`` — every head receives a one-hot target for every frame,
-  obtained by translating the frame's label through a cross-language
-  map set (the owner head keeps the frame's own label), and the
-  per-head cross-entropies are summed.
-
-The regimes differ only in their targets, one ``(n_frames, n_heads)``
-label array with -1 where a head takes no loss.  The network trains in
-the same kernel and SGD loop as a plain one (:mod:`polymap.nnet`) and is
+Training targets are one ``(n_frames, n_heads)`` label array, -1 where
+a head takes no loss.  A frame's own head takes the frame's label.
+Given a cross-language map set, every other head takes the label mapped
+into its language and the per-head losses are summed (senone-mapped
+training); without one, the other heads take no loss and exactly zero
+gradient from the frame (the masked loss).  The network trains in the
+same kernel and SGD loop as a plain one (:mod:`polymap.nnet`) and is
 stored in the same model file layout.
 
 Pruning keeps the shared stack plus one head's rows as a plain
@@ -35,9 +29,7 @@ import numpy as np
 
 from .data import FrameSet
 from .errors import (
-    ConfigError,
     EmptyDataError,
-    IncompleteMapSetError,
     InvalidArchitectureError,
     LabelRangeError,
     RangeError,
@@ -58,7 +50,6 @@ from .nnet import (
     init_network,
 )
 
-LOSS_MODES = ("masked", "mapped")
 _MODEL_FORMAT = "polymap-multihead"
 _MODEL_VERSION = 2
 
@@ -76,14 +67,11 @@ class MultiHeadNetwork:
     head_sizes: list[int]
 
     def __post_init__(self) -> None:
-        langs, sizes = self.languages, self.head_sizes
-        typed = (isinstance(langs, list) and all(isinstance(l, str) for l in langs)
-                 and isinstance(sizes, list) and all(type(s) is int for s in sizes))
-        if not (typed and langs and len(set(langs)) == len(langs) == len(sizes)
-                and min(sizes) >= 1 and sum(sizes) == self.network.output_dim):
+        _check_heads(self.languages, self.head_sizes)
+        if sum(self.head_sizes) != self.network.output_dim:
             raise InvalidArchitectureError(
-                f"need a list of distinct str language ids and a list of int head sizes >= 1 adding"
-                f" up to the network's {self.network.output_dim} outputs; got {langs!r}, {sizes!r}"
+                f"head sizes {self.head_sizes!r} do not add up to the network's"
+                f" {self.network.output_dim} outputs"
             )
 
     @property
@@ -98,18 +86,22 @@ class MultiHeadNetwork:
             raise RangeError(f"network has no head for language {language!r}") from None
 
 
+def _check_heads(langs: list[str], sizes: list[int]) -> None:
+    typed = (isinstance(langs, list) and all(isinstance(l, str) for l in langs)
+             and isinstance(sizes, list) and all(type(s) is int for s in sizes))
+    if not (typed and langs and len(set(langs)) == len(langs) == len(sizes) and min(sizes) >= 1):
+        raise InvalidArchitectureError(
+            "need a list of distinct str language ids and a list of as many int head sizes"
+            f" >= 1; got {langs!r}, {sizes!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MTTrainConfig(TrainConfig):
-    """SGD schedule for multi-head training, plus its loss mode."""
+    """SGD schedule for multi-head training, with the recipe's rate and batch size."""
 
     initial_lr: float = 0.008
     batch_size: int = 4
-    loss_mode: str = "masked"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,9 @@ def init_multihead(
 ) -> MultiHeadNetwork:
     """Deterministically initialize the shared stack and all heads: the
     weights of ``init_network(shared_dims + [sum(head_sizes)], seed)``."""
-    sizes = [int(h) for h in head_sizes]
-    network = init_network([*shared_dims, sum(sizes)], seed)
-    return MultiHeadNetwork(network, list(languages), sizes)
+    _check_heads(languages, head_sizes)
+    network = init_network([*shared_dims, sum(head_sizes)], seed)
+    return MultiHeadNetwork(network, languages, head_sizes)
 
 
 def forward_heads(net: MultiHeadNetwork, x: np.ndarray) -> list[np.ndarray]:
@@ -143,29 +135,27 @@ def forward_head(net: MultiHeadNetwork, language: str, x: np.ndarray) -> np.ndar
 
 
 def _target_array(
-    net: MultiHeadNetwork, labels: np.ndarray, owners: np.ndarray, mode: str, map_set: MapSet | None
+    net: MultiHeadNetwork, labels: np.ndarray, owners: np.ndarray, map_set: MapSet | None
 ) -> np.ndarray:
     """Every frame's label on every head, -1 where the head takes no loss:
-    masked mode fills the owner's column only, mapped mode every column."""
+    its own head takes its label, and with a map set every other head the
+    label mapped from the frame's language to the head's."""
     targets = np.full((labels.size, len(net.languages)), -1, dtype=np.int64)
-    if mode == "masked":
-        targets[np.arange(labels.size), owners] = labels
-        return targets
+    targets[np.arange(labels.size), owners] = labels
     if map_set is None:
-        raise IncompleteMapSetError("mapped-target training requires a map set")
+        return targets
     for m in np.unique(owners):
         rows = np.flatnonzero(owners == m)
         for l in range(len(net.languages)):
             if l == m:
-                table = np.arange(net.head_sizes[m])
-            else:
-                table = map_set.get(net.languages[m], net.languages[l]).table
-            if len(table) != net.head_sizes[m] or table.max() >= net.head_sizes[l]:
+                continue
+            label_map = map_set.get(net.languages[m], net.languages[l])
+            sizes = (label_map.source_inventory.size, label_map.target_inventory.size)
+            if sizes != (net.head_sizes[m], net.head_sizes[l]):
                 raise ShapeError(
-                    f"map {net.languages[m]!r}->{net.languages[l]!r} does not fit "
-                    "the head sizes"
+                    f"map {net.languages[m]!r}->{net.languages[l]!r} does not fit the head sizes"
                 )
-            targets[rows, l] = table[labels[rows]]
+            targets[rows, l] = label_map.table[labels[rows]]
     return targets
 
 
@@ -174,17 +164,17 @@ def multihead_loss_and_gradients(
     x: np.ndarray,
     labels: np.ndarray,
     owners: np.ndarray,
-    mode: str,
     map_set: MapSet | None = None,
 ) -> tuple[float, list, list, list, list]:
     """Mean loss over a batch and gradients for every parameter.
 
-    Returns ``(loss, shared_w, shared_b, head_w, head_b)`` gradient
-    lists, the output layer's gradient split into heads.  In masked mode
-    the gradients of heads owning no frame in the batch are exactly zero.
+    ``owners`` gives each frame's own head, whose target is the frame's
+    label.  With ``map_set`` every other head takes the mapped label as
+    its target too; without it, the gradients of heads owning no frame
+    in the batch are exactly zero.  Returns ``(loss, shared_w, shared_b,
+    head_w, head_b)`` gradient lists, the output layer's gradient split
+    into heads.
     """
-    if mode not in LOSS_MODES:
-        raise ConfigError(f"loss mode must be one of {LOSS_MODES}, got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     owners = np.asarray(owners, dtype=np.int64)
@@ -198,7 +188,7 @@ def multihead_loss_and_gradients(
     sizes = np.asarray(net.head_sizes)
     if (labels < 0).any() or (labels >= sizes[owners]).any():
         raise LabelRangeError("some frame labels exceed their owner head's size")
-    targets = _target_array(net, labels, owners, mode, map_set)
+    targets = _target_array(net, labels, owners, map_set)
     weights, biases, bounds = net.network.weights, net.network.biases, net.bounds
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
@@ -221,9 +211,11 @@ def train_multihead(
 ) -> tuple[MultiHeadNetwork, list[MTEpochStats]]:
     """Shuffled mini-batch SGD over the pooled frames of all languages.
 
-    Batches may mix languages; masking (or target mapping) is applied
-    per frame inside the batch.  In masked mode a head whose language
-    never occurs in the data is returned bit-identical to its input.
+    Batches may mix languages.  Each frame takes its own label on its
+    language's head.  Given ``map_set``, it also takes on every other
+    head its label mapped into that head's language; without one, the
+    other heads take no loss from it, and a head whose language never
+    occurs in the data is returned bit-identical to its input.
     """
     unknown = [lang for lang in frames_by_language if lang not in net.languages]
     if unknown:
@@ -245,7 +237,7 @@ def train_multihead(
     owners = np.concatenate(
         [np.full(len(fs), net.head_index(lang), np.int64) for lang, fs in zip(present, parts)]
     )
-    targets = _target_array(net, labels, owners, cfg.loss_mode, map_set)
+    targets = _target_array(net, labels, owners, map_set)
 
     src = net.network
     weights, biases = list(src.weights), list(src.biases)

@@ -150,7 +150,9 @@ def test_gradient_checks():
     owners = rng.integers(0, 2, size=10)
     labels = np.array([rng.integers(0, mt.head_sizes[o]) for o in owners])
     for mode in ("masked", "mapped"):
-        _, gsw, gsb, ghw, ghb = pm.multihead_loss_and_gradients(mt, x, labels, owners, mode, ms)
+        _, gsw, gsb, ghw, ghb = pm.multihead_loss_and_gradients(
+            mt, x, labels, owners, ms if mode == "mapped" else None
+        )
 
         def mt_loss_of():
             outputs = pm.forward_heads(mt, x)
@@ -177,7 +179,7 @@ def test_gradient_checks():
         owner = int(rng.integers(0, 2))
         label = int(rng.integers(0, mt.head_sizes[owner]))
         _, _, _, ghw, ghb = pm.multihead_loss_and_gradients(
-            mt, xi, np.array([label]), np.array([owner]), "masked"
+            mt, xi, np.array([label]), np.array([owner])
         )
         other = 1 - owner
         assert (ghw[other] == 0.0).all() and (ghb[other] == 0.0).all()

@@ -1,0 +1,87 @@
+"""The names perfbench reaches into polymap by.
+
+perfbench wraps polymap functions by module and attribute name, reads
+their arguments by parameter name and reads ``RunPaths`` attributes.  A
+rename in polymap would otherwise show only as a failed benchmark run.
+"""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from polymap import harness
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("layers")
+
+
+def targets(layers):
+    return [*layers.TARGETS, *layers.TRAIN_TARGETS, layers.CLI_TARGET]
+
+
+def resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+class Anything:
+    """Stands in for any argument a hook reads: sized, empty and path-like."""
+
+    epochs = batch_size = 1
+
+    def __len__(self):
+        return 0
+
+    def values(self):
+        return []
+
+    def __fspath__(self):
+        return __file__
+
+
+class Reads(dict):
+    """A wrapped function's arguments by parameter name, recording each read."""
+
+    def __init__(self, parameters):
+        super().__init__({name: Anything() for name in parameters})
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_every_target_resolves(layers):
+    for span, module_name, attr, _hook in targets(layers):
+        assert module_name.startswith("polymap"), span
+        assert callable(resolve(module_name, attr)), span
+
+
+def test_hooks_read_only_parameters_of_the_wrapped_function(layers):
+    read = set()
+    for span, module_name, attr, hook in targets(layers):
+        if hook is None:
+            continue
+        args = Reads(inspect.signature(resolve(module_name, attr)).parameters)
+        try:
+            hook(args, None)
+        except KeyError as exc:
+            pytest.fail(f"{span}'s hook reads {exc}, which {module_name}.{attr} does not take")
+        read |= args.read
+    assert {"net", "frames", "cfg", "frames_by_language", "x", "source_frames", "path"} <= read
+
+
+def test_run_paths_attributes_exist(tmp_path):
+    paths = harness.RunPaths(tmp_path)
+    for name in ("row", "models_dir", "maps_dir", "mtdnn_model", "pruned_model",
+                 "final_model", "corpus"):
+        assert hasattr(paths, name), name

@@ -53,7 +53,7 @@ class TestConfig:
         assert cfg.split_fractions == {"train": 0.8, "dev": 0.1, "test": 0.1}
         assert cfg.finetune_epochs == 2
         assert cfg.train.epochs == 4
-        assert cfg.mt_train.loss_mode == "masked"
+        assert cfg.mt_train == pm.MTTrainConfig(**TINY_MT)
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, tiny_config(tmp_path))
@@ -197,7 +197,8 @@ class TestRunExperiment:
 
     def test_baseline_artifacts(self, tmp_path):
         row, paths = self.run(tmp_path, "baseline")
-        assert paths.final_model.exists()
+        assert paths.baseline_model.exists()
+        assert not paths.final_model.exists()
         assert paths.row("baseline", 3).exists()
         loaded = harness.read_row(paths.row("baseline", 3))
         assert loaded == row
@@ -275,7 +276,7 @@ class TestRunExperiment:
         for name in harness.PIPELINES[method]:
             harness.run_stage(cfg, name)
         last = harness.STAGES[harness.PIPELINES[method][-1]]
-        assert getattr(manual, last.writes).read_bytes() == auto.final_model.read_bytes()
+        assert getattr(manual, last.writes).read_bytes() == getattr(auto, last.writes).read_bytes()
         assert harness.evaluate(cfg, split="dev") == row.dev_frame_error
 
 

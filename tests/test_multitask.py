@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import polymap as pm
+from polymap import multitask
 from polymap._npz import write_npz
 from polymap.errors import (
     EmptyDataError,
@@ -77,11 +78,19 @@ class TestInit:
         [
             ("ab", [1, 1]), (5, [2]), (["a", 1], [1, 1]), (["a", "b"], "11"),
             (["a", "b"], [True, True]), (["a"], [2.0]), (["a", "b"], (1, 1)),
+            ("ab", "11"), (["a", "b"], [1.5, 2]),
         ],
     )
-    def test_argument_types_checked(self, languages, head_sizes):
+    def test_argument_types_checked(self, languages, head_sizes, monkeypatch):
         with pytest.raises(InvalidArchitectureError):
             pm.MultiHeadNetwork(pm.init_network([3, 4, 2]), languages, head_sizes)
+
+        def no_network(*args):
+            raise AssertionError("init_network ran on unchecked arguments")
+
+        monkeypatch.setattr(multitask, "init_network", no_network)
+        with pytest.raises(InvalidArchitectureError):
+            pm.init_multihead([3, 4], head_sizes, languages)
 
     def test_single_head_equals_plain_network(self):
         mt = pm.init_multihead([4, 8, 6], [5], ["only"], seed=3)
@@ -236,7 +245,7 @@ class TestGradients:
         owners = rng.integers(0, 2, size=10)
         labels = np.array([rng.integers(0, net.head_sizes[o]) for o in owners])
         loss, gsw, gsb, ghw, ghb = pm.multihead_loss_and_gradients(
-            net, x, labels, owners, mode, ms
+            net, x, labels, owners, ms if mode == "mapped" else None
         )
         fsw, fsb, fhw, fhb = fd_multihead_gradients(net, x, labels, owners, mode, ms)
         for a, n in zip(gsw + gsb + ghw + ghb, fsw + fsb + fhw + fhb):
@@ -248,7 +257,7 @@ class TestGradients:
         x = rng.normal(size=(20, 3))
         owners = np.zeros(20, dtype=int)  # all frames belong to head 0
         labels = rng.integers(0, 4, size=20)
-        _, _, _, ghw, ghb = pm.multihead_loss_and_gradients(net, x, labels, owners, "masked")
+        _, _, _, ghw, ghb = pm.multihead_loss_and_gradients(net, x, labels, owners)
         for l in (1, 2):
             assert (ghw[l] == 0.0).all()
             assert (ghb[l] == 0.0).all()
@@ -263,8 +272,8 @@ class TestGradients:
         x = rng.normal(size=(8, 3))
         labels = rng.integers(0, 4, size=8)
         owners = np.zeros(8, dtype=int)
-        _, gsw_big, gsb_big, _, _ = pm.multihead_loss_and_gradients(big, x, labels, owners, "masked")
-        _, gsw_small, gsb_small, _, _ = pm.multihead_loss_and_gradients(small, x, labels, owners, "masked")
+        _, gsw_big, gsb_big, _, _ = pm.multihead_loss_and_gradients(big, x, labels, owners)
+        _, gsw_small, gsb_small, _, _ = pm.multihead_loss_and_gradients(small, x, labels, owners)
         for a, b in zip(gsw_big + gsb_big, gsw_small + gsb_small):
             assert (a == b).all()
 
@@ -273,12 +282,12 @@ class TestGradients:
         net = pm.init_multihead([3, 5], [3, 4], ["a", "b"], seed=5)
         owners = np.array([0, 1, 1, 0])
         first = pm.multihead_loss_and_gradients(
-            net, rng.normal(size=(4, 3)), np.array([2, 3, 0, 1]), owners, "masked"
+            net, rng.normal(size=(4, 3)), np.array([2, 3, 0, 1]), owners
         )
         grads = [g for part in first[1:] for g in part]
         kept = [g.copy() for g in grads]
         pm.multihead_loss_and_gradients(
-            net, rng.normal(size=(4, 3)), np.array([0, 1, 2, 0]), owners, "masked"
+            net, rng.normal(size=(4, 3)), np.array([0, 1, 2, 0]), owners
         )
         for g, k in zip(grads, kept):
             assert g.tobytes() == k.tobytes()
@@ -291,7 +300,9 @@ class TestGradients:
         owners = rng.integers(0, 2, size=12)
         labels = np.array([rng.integers(0, net.head_sizes[o]) for o in owners])
         for mode in ("masked", "mapped"):
-            batch_loss, *_ = pm.multihead_loss_and_gradients(net, x, labels, owners, mode, ms)
+            batch_loss, *_ = pm.multihead_loss_and_gradients(
+                net, x, labels, owners, ms if mode == "mapped" else None
+            )
             outputs = pm.forward_heads(net, x)
             per_frame = []
             for i in range(12):
@@ -322,8 +333,8 @@ class TestTrainMultihead:
         net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=5)
         before = [a.copy() for a in net.network.weights + net.network.biases]
         map_set = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
-        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=6, loss_mode=mode)
-        trained, _ = pm.train_multihead(net, frames, cfg, map_set)
+        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=6)
+        trained, _ = pm.train_multihead(net, frames, cfg, map_set if mode == "mapped" else None)
         for a, orig in zip(net.network.weights + net.network.biases, before):
             assert a.tobytes() == orig.tobytes()
         assert trained.network.weights[0].tobytes() != before[0].tobytes()
@@ -352,11 +363,39 @@ class TestTrainMultihead:
         with pytest.raises(UnknownLanguageError):
             pm.train_multihead(net, {"zz": lang_frames("zz", 0)}, pm.MTTrainConfig(epochs=1))
 
-    def test_mapped_requires_map_set(self):
+    @staticmethod
+    def two_languages():
+        """A two-head network, its frames, and a complete map set between them."""
         net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=0)
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        with pytest.raises(IncompleteMapSetError):
-            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1, loss_mode="mapped"))
+        ms = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
+        return net, frames, ms
+
+    def test_map_set_without_a_pair_raises(self):
+        net, frames, ms = self.two_languages()
+        partial = pm.MapSet({k: v for k, v in ms.maps.items() if k != ("b", "a")})
+        with pytest.raises(IncompleteMapSetError, match="'b' to 'a'"):
+            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1), partial)
+
+    @pytest.mark.parametrize("sizes", [(3, 40), (5, 3)], ids=["target", "source"])
+    def test_map_that_does_not_fit_the_heads_raises(self, sizes):
+        net, frames, ms = self.two_languages()
+        maps = dict(ms.maps)
+        maps[("a", "b")] = pm.LabelMap(
+            pm.LabelInventory("a", sizes[0]), pm.LabelInventory("b", sizes[1]),
+            np.arange(sizes[0]) % 3, "data-driven-senone",
+        )
+        with pytest.raises(ShapeError, match="'a'->'b'"):
+            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1), pm.MapSet(maps))
+
+    def test_map_set_changes_training(self):
+        net, frames, ms = self.two_languages()
+        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
+        masked, masked_hist = pm.train_multihead(net, frames, cfg)
+        mapped, mapped_hist = pm.train_multihead(net, frames, cfg, ms)
+        for a, b in zip(masked.network.weights, mapped.network.weights):
+            assert a.tobytes() != b.tobytes()
+        assert [h.mean_loss for h in masked_hist] != [h.mean_loss for h in mapped_hist]
 
     def test_empty_frames(self):
         net = pm.init_multihead([4, 6], [3], ["a"], seed=0)
@@ -377,7 +416,7 @@ class TestTrainMultihead:
         schedule = dict(initial_lr=0.05, epochs=3, batch_size=5, shuffle_seed=4)
         plain, plain_hist = pm.train(net, frames, pm.TrainConfig(**schedule))
         multi, multi_hist = pm.train_multihead(
-            mt, {"a": frames}, pm.MTTrainConfig(**schedule, loss_mode="masked")
+            mt, {"a": frames}, pm.MTTrainConfig(**schedule)
         )
         pruned = pm.prune(multi, "a")
         assert pruned.layer_dims == plain.layer_dims
