@@ -9,6 +9,7 @@ sorts the members, making every artifact reproducible byte for byte.
 from __future__ import annotations
 
 import io
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -32,7 +33,7 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 def read_npz(path: str | Path) -> dict[str, np.ndarray]:
     """All members of an ``.npz`` archive; :class:`ArtifactError` naming
-    the path if the file is missing, truncated or not an archive."""
+    the path if the file is missing, truncated, damaged or not an archive."""
     if not zipfile.is_zipfile(path):
         problem = "truncated or not an .npz archive" if Path(path).exists() else "no such file"
         raise ArtifactError(f"cannot read {path}: {problem}")
@@ -40,7 +41,9 @@ def read_npz(path: str | Path) -> dict[str, np.ndarray]:
         with np.load(path, allow_pickle=False) as data:
             return {name: data[name] for name in data.files}
     # zipfile raises NotImplementedError for an unknown compression method or
-    # zip version and RuntimeError for a member flagged as encrypted.
+    # zip version and RuntimeError for a member flagged as encrypted.  numpy
+    # raises TokenError for a member header with unbalanced brackets and
+    # SyntaxError for a dtype string that does not parse.
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, NotImplementedError,
-            RuntimeError) as exc:
+            RuntimeError, SyntaxError, tokenize.TokenError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +37,9 @@ from .errors import (
 )
 from .mapping import LabelMap, apply_map
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
 SPLIT_NAMES = ("train", "dev", "test")
 
 # Senone sub-cluster centers sit this far (per coordinate, relative to the
@@ -46,6 +52,10 @@ _CORPUS_VERSION = 1
 # Per-language arrays of a corpus file, named ``<name>_<language>``: the
 # frame set's three columns, then the collapse table.
 _ARRAYS = ("features", "labels", "utterances", "gtable")
+# Frame lines per parse job of a text corpus, and jobs in flight per pool
+# worker: enough to keep the workers busy, few enough to bound the memory.
+_CHUNK_LINES = 2048
+_JOBS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -397,38 +407,42 @@ def _write_text(path: Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Decode a text corpus into the binary file's metadata record and arrays.
-    Each ``frame`` line becomes numbers as it is read, so the text is never held
-    whole.  A malformed line raises ``ValueError`` naming its number."""
+
+    One pass over the lines checks everything that depends on order (the
+    header, declarations, line numbers) and collects each language's
+    ``frame`` lines; :class:`_FrameChunks` converts those in chunks, on a
+    pool of the usable CPUs once a file fills a second chunk.  The text is
+    never held whole.  A malformed line raises ``ValueError`` naming its
+    number, the earliest such line's if there are several."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
-    columns: dict[str, dict[str, array]] = {}
-    dim = None
-    with open(path) as lines:
+    gtables: dict[str, array] = {}
+    with open(path) as lines, _FrameChunks() as frames:
         if next(lines, "").split() != [_CORPUS_FORMAT, str(_CORPUS_VERSION)]:
             raise ValueError(f"not a {_CORPUS_FORMAT} {_CORPUS_VERSION} text file")
         for number, line in enumerate(lines, 2):
+            head = line.split(None, 2)
+            if len(head) == 3 and head[0] == "frame" and head[1] in gtables:
+                frames.add(head[1], number, head[2])
+                continue
             parts = line.split()
             if not parts:
                 continue
             try:
                 key, lang = parts[0], parts[1]
-                if key in ("frame", "gtable") and lang not in columns:
+                if key in ("frame", "gtable") and lang not in gtables:
                     raise ValueError(f"{key} of undeclared language {lang!r}")
-                if key == "frame":
-                    if len(parts) - 4 != dim:
-                        raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")
-                    column = columns[lang]
-                    column["utterances"].append(int(parts[2]))
-                    column["labels"].append(int(parts[3]))
-                    column["features"].extend(map(float, parts[4:]))
+                if key == "frame":  # a declared language's frame line without values
+                    _append_frame(_frame_columns(), parts, frames.dim)
                 elif key == "feature_dim":
-                    dim = meta["feature_dim"] = int(lang)
+                    meta["feature_dim"] = frames.set_dim(int(lang))
                 elif key == "language":
                     meta["languages"].append(lang)
                     senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
-                    columns[lang] = {n: array("d" if n == "features" else "q") for n in _ARRAYS}
+                    gtables[lang] = array("q")
+                    frames.declare(lang)
                 elif key == "gtable":
-                    columns[lang]["gtable"] = array("q", map(int, parts[2:]))
+                    gtables[lang] = array("q", map(int, parts[2:]))
                 elif key == "split":
                     by_name = meta["splits"].setdefault(lang, {})
                     by_name.setdefault(parts[2], []).extend(map(int, parts[3:]))
@@ -438,13 +452,187 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, KeyError, OverflowError, ValueError) as exc:
-                raise ValueError(f"line {number} ({parts[0]}): {exc}") from exc
+                frames.drain()  # an earlier frame line's error comes first
+                raise _LineError(number, parts[0], exc) from exc
+        frames.drain()
+    dim = frames.dim
     if dim is None:
         raise ValueError("no feature_dim line")
     arrays = {}
-    for lang, column in columns.items():
-        if len(column["gtable"]) != senones[lang]:
-            raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(column['gtable'])}")
-        arrays.update((f"{name}_{lang}", np.array(a)) for name, a in column.items())
-        arrays[f"features_{lang}"] = arrays[f"features_{lang}"].reshape(len(column["labels"]), dim)
+    for lang, gtable in gtables.items():
+        if len(gtable) != senones[lang]:
+            raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(gtable)}")
+        utterances, labels, features = frames.columns(lang)
+        arrays.update({
+            f"features_{lang}": features.reshape(len(labels), dim), f"labels_{lang}": labels,
+            f"utterances_{lang}": utterances, f"gtable_{lang}": np.array(gtable),
+        })
     return meta, arrays
+
+
+class _LineError(ValueError):
+    """A malformed text-corpus line, by number."""
+
+    def __init__(self, number: int, key: str, exc: Exception) -> None:
+        super().__init__(f"line {number} ({key}): {exc}")
+        self.number = number
+
+
+def _frame_columns() -> dict[str, array]:
+    return {"utterances": array("q"), "labels": array("q"), "features": array("d")}
+
+
+def _append_frame(columns: dict[str, array], parts: list[str], dim: int | None) -> None:
+    """Convert one split ``frame`` line with ``int`` and ``float``."""
+    if len(parts) - 4 != dim:
+        raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")
+    columns["utterances"].append(int(parts[2]))
+    columns["labels"].append(int(parts[3]))
+    columns["features"].extend(map(float, parts[4:]))
+
+
+def _parse_chunk(rows: list[str], dim: int | None) -> tuple[np.ndarray, ...] | None:
+    """Utterance ids, labels and flat features of ``frame`` lines' values (the
+    text after ``frame <language>``), or ``None`` if ``np.loadtxt`` rejects one.
+
+    One field per column makes a line of the wrong width fail.  ``loadtxt``
+    rejects some values ``float`` takes (``1_0``), never the reverse, and
+    rounds the same way; the caller re-reads a rejected chunk line by line."""
+    # n values take at least 2n - 1 characters: no dtype wider than the line
+    if dim is None or not 0 < dim <= len(rows[0]) // 2:
+        return None
+    fields = [("utterance", np.int64), ("label", np.int64)]
+    dtype = np.dtype(fields + [(f"x{i}", np.float64) for i in range(dim)])
+    try:
+        table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    if len(table) != len(rows):
+        return None
+    features = table.view(np.float64).reshape(len(rows), dim + 2)[:, 2:]
+    return table["utterance"], table["label"], features.ravel()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@dataclass
+class _Chunk:
+    """Up to ``_CHUNK_LINES`` frame lines of one language, in file order."""
+
+    language: str
+    out: list  # the language's parsed chunks when this one was cut
+    dim: int | None
+    numbers: list[int]
+    rows: list[str]
+    future: Future | None = None
+
+    def parse(self) -> tuple[np.ndarray, ...]:
+        """The chunk's arrays; :class:`_LineError` at its first bad line."""
+        parsed = self.future.result() if self.future else _parse_chunk(self.rows, self.dim)
+        if parsed is not None:
+            return parsed
+        columns = _frame_columns()
+        for number, values in zip(self.numbers, self.rows):
+            try:
+                _append_frame(columns, ["frame", self.language, *values.split()], self.dim)
+            except (IndexError, KeyError, OverflowError, ValueError) as exc:
+                raise _LineError(number, "frame", exc) from exc
+        return tuple(np.array(columns[n]) for n in ("utterances", "labels", "features"))
+
+
+class _FrameChunks:
+    """A text corpus's ``frame`` lines, collected per language and parsed in chunks.
+
+    Chunks are parsed in the order they are cut.  Once a file reaches its
+    second full chunk, and the machine has a second usable CPU, they go to
+    a process pool of the platform's default start method, with at most
+    ``_JOBS_PER_WORKER`` per worker in flight; until then, and for a
+    smaller file, they are parsed in the calling process.
+    """
+
+    def __init__(self) -> None:
+        self.dim: int | None = None
+        self.pending: dict[str, tuple[list[int], list[str]]] = {}
+        self.parsed: dict[str, list[tuple[np.ndarray, ...]]] = {}
+        self.chunks: deque[_Chunk] = deque()
+        self.workers = _usable_cpus()
+        self.pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> _FrameChunks:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def declare(self, lang: str) -> None:
+        """Start (or, as a repeated ``language`` line does, restart) a language's
+        frames.  Lines collected before a restart are still checked."""
+        if lang in self.pending:
+            self._cut(lang)
+        self.pending[lang], self.parsed[lang] = ([], []), []
+
+    def set_dim(self, dim: int) -> int:
+        """Values per frame line from here on."""
+        for lang in self.pending:
+            self._cut(lang)
+        self.dim = dim
+        return dim
+
+    def add(self, lang: str, number: int, values: str) -> None:
+        numbers, rows = self.pending[lang]
+        numbers.append(number)
+        rows.append(values)
+        if len(rows) < _CHUNK_LINES:
+            return
+        if self.pool is None and self.workers > 1 and self.chunks:
+            # imported here: it costs every process that imports polymap 25 ms
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.pool = ProcessPoolExecutor(self.workers)
+            for chunk in self.chunks:
+                chunk.future = self.pool.submit(_parse_chunk, chunk.rows, chunk.dim)
+        self._cut(lang)
+        while len(self.chunks) > _JOBS_PER_WORKER * self.workers:
+            chunk = self.chunks.popleft()
+            try:
+                chunk.out.append(chunk.parse())
+            except _LineError as exc:
+                self.drain(exc)
+
+    def drain(self, error: _LineError | None = None) -> None:
+        """Parse every line collected so far; raise the earliest bad line's error."""
+        for lang in self.pending:
+            self._cut(lang)
+        while self.chunks:
+            chunk = self.chunks.popleft()
+            try:
+                chunk.out.append(chunk.parse())
+            except _LineError as exc:
+                if error is None or exc.number < error.number:
+                    error = exc
+        if error is not None:
+            raise error
+
+    def columns(self, lang: str) -> tuple[np.ndarray, ...]:
+        """A drained language's utterance ids, labels and flat features."""
+        pieces = self.parsed.pop(lang)
+        return tuple(
+            np.concatenate([np.empty(0, dtype), *(piece[i] for piece in pieces)])
+            for i, dtype in enumerate((np.int64, np.int64, np.float64))
+        )
+
+    def _cut(self, lang: str) -> None:
+        numbers, rows = self.pending[lang]
+        if not rows:
+            return
+        self.pending[lang] = ([], [])
+        chunk = _Chunk(lang, self.parsed[lang], self.dim, numbers, rows)
+        if self.pool is not None:
+            chunk.future = self.pool.submit(_parse_chunk, rows, self.dim)
+        self.chunks.append(chunk)

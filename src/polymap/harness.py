@@ -711,7 +711,13 @@ def write_row(row: ResultRow, path: Path) -> None:
 
 
 def read_row(path: str | Path) -> ResultRow:
-    return row_from_dict(json.loads(Path(path).read_text()))
+    """A result row file; :class:`ArtifactError` naming it if it is missing or not a row."""
+    try:
+        return row_from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ArtifactError(f"cannot read {path}: no entry {exc}") from exc
+    except (OSError, AttributeError, ConfigError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
 def relative_improvement(baseline: float, value: float) -> float:

@@ -1,5 +1,5 @@
-"""Per-frame multi-head target and loss oracles, and a reference SGD step,
-for the tests.
+"""Per-frame multi-head target and loss oracles, a reference SGD step and
+a reference text-corpus reader, for the tests.
 
 The package builds every frame's targets at once as one
 ``(n_frames, n_heads)`` label array; these one-frame-at-a-time versions
@@ -7,14 +7,19 @@ state the same targets and loss directly, as references to check the
 batched kernel against.  :func:`reference_backprop` and
 :func:`reference_sgd` are the kernel and loop as plain per-head and
 per-array code, which the package's fused step must match bit for bit.
+:func:`reference_read_text` converts a text corpus one line at a time
+with ``int`` and ``float``; the package's chunked reader must give the
+same arrays, dtypes and errors.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from polymap.corpus import _ARRAYS, _CORPUS_FORMAT, _CORPUS_VERSION
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet
 from polymap.nnet import lr_at_epoch, relu
@@ -169,3 +174,58 @@ def reference_sgd(
             loss_total += float(losses.sum())
         epochs.append((loss_total / n, frame_losses))
     return epochs
+
+
+def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A text corpus's metadata record and arrays, every line split and
+    converted as it is read.  A malformed line raises ``ValueError``
+    naming its number."""
+    meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
+    senones: dict[str, int] = {}
+    columns: dict[str, dict[str, array]] = {}
+    dim = None
+    with open(path) as lines:
+        if next(lines, "").split() != [_CORPUS_FORMAT, str(_CORPUS_VERSION)]:
+            raise ValueError(f"not a {_CORPUS_FORMAT} {_CORPUS_VERSION} text file")
+        for number, line in enumerate(lines, 2):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                key, lang = parts[0], parts[1]
+                if key in ("frame", "gtable") and lang not in columns:
+                    raise ValueError(f"{key} of undeclared language {lang!r}")
+                if key == "frame":
+                    if len(parts) - 4 != dim:
+                        raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")
+                    column = columns[lang]
+                    column["utterances"].append(int(parts[2]))
+                    column["labels"].append(int(parts[3]))
+                    column["features"].extend(map(float, parts[4:]))
+                elif key == "feature_dim":
+                    dim = meta["feature_dim"] = int(lang)
+                elif key == "language":
+                    meta["languages"].append(lang)
+                    senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
+                    columns[lang] = {n: array("d" if n == "features" else "q") for n in _ARRAYS}
+                elif key == "gtable":
+                    columns[lang]["gtable"] = array("q", map(int, parts[2:]))
+                elif key == "split":
+                    by_name = meta["splits"].setdefault(lang, {})
+                    by_name.setdefault(parts[2], []).extend(map(int, parts[3:]))
+                elif key == "truth":
+                    kind, a, b, s, t = parts[1:]
+                    meta[f"{kind}_truth"].append([a, b, int(s), int(t)])
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except (IndexError, KeyError, OverflowError, ValueError) as exc:
+                raise ValueError(f"line {number} ({parts[0]}): {exc}") from exc
+    if dim is None:
+        raise ValueError("no feature_dim line")
+    arrays = {}
+    for lang, column in columns.items():
+        if len(column["gtable"]) != senones[lang]:
+            raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(column['gtable'])}")
+        arrays.update((f"{name}_{lang}", np.array(a)) for name, a in column.items())
+        arrays[f"features_{lang}"] = arrays[f"features_{lang}"].reshape(len(column["labels"]), dim)
+    return meta, arrays

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import polymap as pm
 from polymap import harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -20,6 +21,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("layers")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 def targets(layers):
@@ -85,3 +92,14 @@ def test_run_paths_attributes_exist(tmp_path):
     for name in ("row", "models_dir", "maps_dir", "mtdnn_model", "pruned_model",
                  "final_model", "corpus"):
         assert hasattr(paths, name), name
+
+
+def test_benchmark_text_corpus_is_the_text_format(workloads, tmp_path):
+    # perfbench writes its text corpus with its own copy of the text writer;
+    # the same bytes mean the benchmark times the reader on save_corpus's format.
+    corpus = pm.generate_synthetic(pm.SynthSpec(
+        num_languages=2, feature_dim=3, phones_per_language=2, frames_per_senone=2, seed=5,
+    ))
+    workloads.write_text_corpus(corpus, tmp_path / "bench.txt")
+    pm.save_corpus(corpus, tmp_path / "x.txt")
+    assert (tmp_path / "bench.txt").read_bytes() == (tmp_path / "x.txt").read_bytes()

@@ -1,10 +1,18 @@
+import concurrent.futures
 import dataclasses
+import functools
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polymap as pm
+from polymap import corpus as corpus_module
 from polymap.corpus import FRAMES_PER_UTTERANCE
 from polymap.errors import (
     ArtifactError,
@@ -13,6 +21,7 @@ from polymap.errors import (
     PolymapError,
     SynthSpecError,
 )
+from target_oracles import reference_read_text
 
 SMALL = dict(
     num_languages=2,
@@ -284,15 +293,106 @@ MALFORMED = {
 }
 
 
-def small_text_corpus(directory):
+@functools.cache
+def small_text_corpus():
+    """A small split corpus in the text format."""
     spec = pm.SynthSpec(
         num_languages=2, feature_dim=2, phones_per_language=2, senones_per_phone=2,
         shared_phone_fraction=0.5, frames_per_senone=3, seed=0,
     )
     corpus = pm.generate_synthetic(spec)
     corpus = pm.split_corpus(corpus, {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
-    pm.save_corpus(corpus, directory / "small.txt")
-    return (directory / "small.txt").read_text()
+    with tempfile.TemporaryDirectory() as directory:
+        pm.save_corpus(corpus, Path(directory) / "small.txt")
+        return (Path(directory) / "small.txt").read_text()
+
+
+def corpus_record(corpus):
+    """What a corpus file holds, comparable with ``==`` (arrays by dtype and bytes)."""
+    arrays = [
+        (a.dtype, a.shape, a.tobytes())
+        for lang, fs in corpus.frames.items()
+        for a in (fs.features, fs.labels, fs.utterance_ids, corpus.g_tables[lang].table)
+    ]
+    phones = [corpus.g_tables[lang].num_phones for lang in corpus.languages]
+    return (corpus.languages, corpus.feature_dim, arrays, phones, corpus.splits,
+            corpus.phone_truth, corpus.senone_truth, corpus.provenance)
+
+
+@functools.cache
+def small_npz_corpus():
+    """A small split corpus's binary file and :func:`corpus_record`."""
+    spec = pm.SynthSpec(num_languages=2, feature_dim=3, frames_per_senone=2, seed=1)
+    corpus = pm.split_corpus(
+        pm.generate_synthetic(spec), {"train": 0.8, "dev": 0.1, "test": 0.1}, seed=0
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        pm.save_corpus(corpus, Path(directory) / "small.npz")
+        return (Path(directory) / "small.npz").read_bytes(), corpus_record(corpus)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """One directory for every example of a property test: each writes its file anew."""
+    return tmp_path_factory.mktemp("damaged")
+
+
+def assert_reads_like_oracle(path):
+    """The text reader gives the line-by-line reader's metadata and arrays (same
+    dtypes, same bytes), or raises an error of its class with its message."""
+    try:
+        meta, arrays = reference_read_text(path)
+    except (OSError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            corpus_module._read_text(path)
+        assert str(info.value) == str(exc)
+        return
+    got_meta, got = corpus_module._read_text(path)
+    assert got_meta == meta
+    assert got.keys() == arrays.keys()
+    for name, want in arrays.items():
+        assert (got[name].dtype, got[name].shape) == (want.dtype, want.shape), name
+        assert got[name].tobytes() == want.tobytes(), name
+
+
+@contextmanager
+def chunked(lines, cpus):
+    """Text corpora parse in chunks of ``lines`` frame lines on ``cpus`` usable CPUs."""
+    with mock.patch.object(corpus_module, "_CHUNK_LINES", lines), mock.patch.object(
+        corpus_module, "_usable_cpus", lambda: cpus
+    ):
+        yield
+
+
+def frame_lines(langs, count, dim=2):
+    return [f"frame {lang} {i // 2} {i % 2} {i / 7!r} {-i / 3!r}" + " 0.25" * (dim - 2)
+            for i in range(count) for lang in langs]
+
+
+CORPUS_HEAD = (
+    "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\n"
+    "language b senones 2 phones 1\ngtable a 0 0\ngtable b 0 0\n"
+)
+# Case -> text corpus body after CORPUS_HEAD, to be read in chunks of two
+# frame lines: which error comes first across chunks and languages, dim and
+# declaration changes between chunks, and a chunk re-read line by line.
+CHUNK_ORDER = {
+    "frames interleave": frame_lines("ab", 5),
+    "bad line in a chunk cut after a later bad line's": [
+        *frame_lines("ab", 2), "frame a 9 1 0.5 x", "frame b 9 1 0.5 y", *frame_lines("b", 1)],
+    "bad frame line before a bad key": [*frame_lines("ab", 2), "frame a 0 1 x 1", "speaker a 0"],
+    "bad key after good frames": [*frame_lines("ab", 3), "speaker a 0", "frame a 0 1 x 1"],
+    "frames narrower than a new feature_dim": [
+        "feature_dim 3", *frame_lines("a", 3), "feature_dim 2"],
+    "feature_dim changes between frames": [*frame_lines("ab", 3), "feature_dim 3",
+                                           *frame_lines("ab", 3, dim=3)],
+    "language declared again after its frames": [
+        *frame_lines("ab", 3), "language a senones 2 phones 1", "gtable a 0 0"],
+    "bad frame line before a second declaration": [
+        *frame_lines("a", 2), "frame a 0 1 x 1", "language a senones 2 phones 1"],
+    "frame line without values": [*frame_lines("ab", 3), "frame a", *frame_lines("ab", 3)],
+    "value float reads and loadtxt does not": [*frame_lines("ab", 3), "frame a 1_0 1 1_5 -2"],
+}
 
 
 class TestCorpusFiles:
@@ -341,26 +441,106 @@ class TestCorpusFiles:
         with pytest.raises(ArtifactError) as info:
             pm.load_corpus(path)
         assert str(path) in str(info.value)
+        if suffix == ".txt" and content is not None:
+            assert_reads_like_oracle(path)
 
     @given(position=st.integers(0, 10**6), delete_line=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_damaged_text_corpus_loads_or_raises_artifact_error(
-        self, tmp_path_factory, position, delete_line
+        self, scratch_dir, position, delete_line
     ):
-        directory = tmp_path_factory.mktemp("damaged")
-        text = small_text_corpus(directory)
+        text = small_text_corpus()
         if delete_line:
             lines = text.splitlines(keepends=True)
             del lines[position % len(lines)]
             text = "".join(lines)
         else:
             text = text[: position % (len(text) + 1)]
-        (directory / "damaged.txt").write_text(text)
+        path = scratch_dir / "damaged.txt"
+        path.write_text(text)
+        with chunked(lines=2, cpus=1):
+            assert_reads_like_oracle(path)
         try:
-            corpus = pm.load_corpus(directory / "damaged.txt")
+            corpus = pm.load_corpus(path)
         except ArtifactError:
             return
         assert isinstance(corpus, pm.MultiCorpus)
+
+    @given(position=st.integers(0, 10**6), flip=st.one_of(st.none(), st.integers(1, 255)))
+    # a member's .npy header with unbalanced brackets, and one whose dtype is ",U2694"
+    @example(position=6333, flip=6)
+    @example(position=6291, flip=16)
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_npz_corpus_loads_or_raises_polymap_error(self, scratch_dir, position, flip):
+        # flip None cuts the file at ``position``; otherwise one byte is XORed
+        original, record = small_npz_corpus()
+        data = bytearray(original)
+        if flip is None:
+            del data[position % (len(data) + 1) :]
+        else:
+            data[position % len(data)] ^= flip
+        path = scratch_dir / "damaged.npz"
+        path.write_bytes(bytes(data))
+        try:
+            corpus = pm.load_corpus(path)
+        except PolymapError:
+            return
+        assert corpus_record(corpus) == record
+
+    @pytest.mark.parametrize("case", list(CHUNK_ORDER))
+    def test_chunked_text_reads_like_line_by_line(self, tmp_path, case):
+        path = tmp_path / "corpus.txt"
+        path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in CHUNK_ORDER[case]))
+        with chunked(lines=2, cpus=1):
+            assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("values", [
+        "1_0 1 1_5 -2", "+3 01 nan -Infinity", "0 1 1e400 -1e-400", "0 1 \u0661.\u0665 2",
+        "0 1 0.1000000000000000055511151231257827 -0",
+    ])
+    def test_values_read_as_int_and_float_read_them(self, tmp_path, values):
+        path = tmp_path / "corpus.txt"
+        path.write_text(CORPUS_HEAD + f"frame a {values}\n")
+        assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(None, id="several chunks per language"),
+        pytest.param(frame_lines("ab", 7), id="frames interleave, chunk ends inside a language"),
+        pytest.param(frame_lines("a", 7), id="a declared language has no frames"),
+    ])
+    def test_pool_reads_like_line_by_line(self, tmp_path, body):
+        path = tmp_path / "corpus.txt"
+        if body is None:
+            corpus = pm.split_corpus(
+                pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8)),
+                {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=1,
+            )
+            pm.save_corpus(corpus, path)
+        else:
+            path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in body))
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(ProcessPoolExecutor(*args, **kwargs))
+            return pools[-1]
+
+        with chunked(lines=3 if body else 40, cpus=2), mock.patch.object(
+            concurrent.futures, "ProcessPoolExecutor", counted_pool
+        ):
+            assert_reads_like_oracle(path)
+        assert len(pools) == 1
+
+    def test_one_chunk_file_starts_no_process(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in frame_lines("a", 4)))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk file started a process pool")
+
+        with chunked(lines=4, cpus=2), mock.patch.object(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        ):
+            assert_reads_like_oracle(path)
 
     def test_binary_save_is_byte_deterministic(self, tmp_path):
         corpus = pm.split_corpus(

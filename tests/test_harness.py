@@ -413,6 +413,20 @@ class TestCli:
         assert len(err) == 1
         return err[0]
 
+    @pytest.mark.parametrize("content", [
+        pytest.param("{bad", id="bad JSON"),
+        pytest.param("[1]", id="not an object"),
+        pytest.param('{"format": "polymap-result-row", "method": "baseline"}', id="row without target"),
+        pytest.param(None, id="missing file"),
+    ])
+    def test_report_on_a_bad_row_file_fails_cleanly(self, tmp_path, capsys, content):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        row = tmp_path / "row.json"
+        if content is not None:
+            row.write_text(content)
+        err = self.one_error_line(capsys, ["report", "--config", str(path), "--rows", str(row)])
+        assert err.startswith(f"ArtifactError: cannot read {row}: ")
+
     def test_pool_train_without_maps_fails_cleanly(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path, method="senone-map"))
         assert cli.main(["train-baseline", "--config", str(path)]) == 0
