@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,6 +57,10 @@ _ARRAYS = ("features", "labels", "utterances", "gtable")
 # worker: enough to keep the workers busy, few enough to bound the memory.
 _CHUNK_LINES = 2048
 _JOBS_PER_WORKER = 2
+# Pool workers at most.  The calling process's pass over the lines costs
+# about an eighth of the CPU time ``np.loadtxt`` does (0.4 s against 3.0 s
+# for a 115 MB file), so a ninth worker would mostly wait for it.
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -411,9 +416,10 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     One pass over the lines checks everything that depends on order (the
     header, declarations, line numbers) and collects each language's
     ``frame`` lines; :class:`_FrameChunks` converts those in chunks, on a
-    pool of the usable CPUs once a file fills a second chunk.  The text is
-    never held whole.  A malformed line raises ``ValueError`` naming its
-    number, the earliest such line's if there are several."""
+    pool of the usable CPUs (eight at most) once a file fills a second
+    chunk.  The text is never held whole.  A malformed line raises
+    ``ValueError`` naming its number, the earliest such line's if there
+    are several."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     gtables: dict[str, array] = {}
@@ -422,8 +428,8 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"not a {_CORPUS_FORMAT} {_CORPUS_VERSION} text file")
         for number, line in enumerate(lines, 2):
             head = line.split(None, 2)
-            if len(head) == 3 and head[0] == "frame" and head[1] in gtables:
-                frames.add(head[1], number, head[2])
+            if len(head) > 1 and head[0] == "frame" and head[1] in gtables:
+                frames.add(head[1], number, head[2] if len(head) == 3 else "")
                 continue
             parts = line.split()
             if not parts:
@@ -432,9 +438,7 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 key, lang = parts[0], parts[1]
                 if key in ("frame", "gtable") and lang not in gtables:
                     raise ValueError(f"{key} of undeclared language {lang!r}")
-                if key == "frame":  # a declared language's frame line without values
-                    _append_frame(_frame_columns(), parts, frames.dim)
-                elif key == "feature_dim":
+                if key == "feature_dim":
                     meta["feature_dim"] = frames.set_dim(int(lang))
                 elif key == "language":
                     meta["languages"].append(lang)
@@ -478,10 +482,6 @@ class _LineError(ValueError):
         self.number = number
 
 
-def _frame_columns() -> dict[str, array]:
-    return {"utterances": array("q"), "labels": array("q"), "features": array("d")}
-
-
 def _append_frame(columns: dict[str, array], parts: list[str], dim: int | None) -> None:
     """Convert one split ``frame`` line with ``int`` and ``float``."""
     if len(parts) - 4 != dim:
@@ -497,15 +497,19 @@ def _parse_chunk(rows: list[str], dim: int | None) -> tuple[np.ndarray, ...] | N
 
     One field per column makes a line of the wrong width fail.  ``loadtxt``
     rejects some values ``float`` takes (``1_0``), never the reverse, and
-    rounds the same way; the caller re-reads a rejected chunk line by line."""
+    rounds the same way; the caller re-reads a rejected chunk line by line.
+    So does a chunk on which ``loadtxt`` warns: numpy 1.x reads ``1.5`` into
+    an integer field as 1, with only a ``DeprecationWarning``."""
     # n values take at least 2n - 1 characters: no dtype wider than the line
     if dim is None or not 0 < dim <= len(rows[0]) // 2:
         return None
     fields = [("utterance", np.int64), ("label", np.int64)]
     dtype = np.dtype(fields + [(f"x{i}", np.float64) for i in range(dim)])
     try:
-        table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
         return None
     if len(table) != len(rows):
         return None
@@ -533,10 +537,18 @@ class _Chunk:
 
     def parse(self) -> tuple[np.ndarray, ...]:
         """The chunk's arrays; :class:`_LineError` at its first bad line."""
-        parsed = self.future.result() if self.future else _parse_chunk(self.rows, self.dim)
+        if self.future is None:
+            parsed = _parse_chunk(self.rows, self.dim)
+        else:
+            from concurrent.futures import BrokenExecutor  # imported with the pool
+
+            try:
+                parsed = self.future.result()
+            except BrokenExecutor:  # a worker died: the chunk is parsed here
+                parsed = _parse_chunk(self.rows, self.dim)
         if parsed is not None:
             return parsed
-        columns = _frame_columns()
+        columns = {"utterances": array("q"), "labels": array("q"), "features": array("d")}
         for number, values in zip(self.numbers, self.rows):
             try:
                 _append_frame(columns, ["frame", self.language, *values.split()], self.dim)
@@ -552,7 +564,8 @@ class _FrameChunks:
     second full chunk, and the machine has a second usable CPU, they go to
     a process pool of the platform's default start method, with at most
     ``_JOBS_PER_WORKER`` per worker in flight; until then, and for a
-    smaller file, they are parsed in the calling process.
+    smaller file, they are parsed in the calling process.  So is every
+    chunk of a pool that breaks (a worker killed, or one that cannot start).
     """
 
     def __init__(self) -> None:
@@ -560,7 +573,7 @@ class _FrameChunks:
         self.pending: dict[str, tuple[list[int], list[str]]] = {}
         self.parsed: dict[str, list[tuple[np.ndarray, ...]]] = {}
         self.chunks: deque[_Chunk] = deque()
-        self.workers = _usable_cpus()
+        self.workers = min(_usable_cpus(), _MAX_WORKERS)
         self.pool: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> _FrameChunks:
@@ -596,7 +609,7 @@ class _FrameChunks:
 
             self.pool = ProcessPoolExecutor(self.workers)
             for chunk in self.chunks:
-                chunk.future = self.pool.submit(_parse_chunk, chunk.rows, chunk.dim)
+                self._submit(chunk)
         self._cut(lang)
         while len(self.chunks) > _JOBS_PER_WORKER * self.workers:
             chunk = self.chunks.popleft()
@@ -634,5 +647,13 @@ class _FrameChunks:
         self.pending[lang] = ([], [])
         chunk = _Chunk(lang, self.parsed[lang], self.dim, numbers, rows)
         if self.pool is not None:
-            chunk.future = self.pool.submit(_parse_chunk, rows, self.dim)
+            self._submit(chunk)
         self.chunks.append(chunk)
+
+    def _submit(self, chunk: _Chunk) -> None:
+        from concurrent.futures import BrokenExecutor
+
+        try:
+            chunk.future = self.pool.submit(_parse_chunk, chunk.rows, chunk.dim)
+        except BrokenExecutor:  # left to :meth:`_Chunk.parse` in this process
+            pass

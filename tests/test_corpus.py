@@ -2,7 +2,9 @@ import concurrent.futures
 import dataclasses
 import functools
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -391,6 +393,7 @@ CHUNK_ORDER = {
     "bad frame line before a second declaration": [
         *frame_lines("a", 2), "frame a 0 1 x 1", "language a senones 2 phones 1"],
     "frame line without values": [*frame_lines("ab", 3), "frame a", *frame_lines("ab", 3)],
+    "frame line without values first in its chunk": ["frame b", *frame_lines("ab", 3)],
     "value float reads and loadtxt does not": [*frame_lines("ab", 3), "frame a 1_0 1 1_5 -2"],
 }
 
@@ -497,11 +500,25 @@ class TestCorpusFiles:
     @pytest.mark.parametrize("values", [
         "1_0 1 1_5 -2", "+3 01 nan -Infinity", "0 1 1e400 -1e-400", "0 1 \u0661.\u0665 2",
         "0 1 0.1000000000000000055511151231257827 -0",
+        # integer fields that numpy 1.x's loadtxt reads through float
+        "1.5 1 0 0", "0 1e3 0 0", "nan 1 0 0", "9223372036854775808 1 0 0",
     ])
     def test_values_read_as_int_and_float_read_them(self, tmp_path, values):
         path = tmp_path / "corpus.txt"
         path.write_text(CORPUS_HEAD + f"frame a {values}\n")
         assert_reads_like_oracle(path)
+
+    def test_chunk_on_which_loadtxt_warns_is_read_line_by_line(self, tmp_path):
+        # numpy 1.x reads "1.5" into an integer field as 1, with a DeprecationWarning
+        path = tmp_path / "corpus.txt"
+        path.write_text(CORPUS_HEAD + "frame a 1.5 1 0 0\n")
+
+        def lenient_loadtxt(rows, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+            return np.zeros(len(rows), dtype)
+
+        with mock.patch.object(corpus_module.np, "loadtxt", lenient_loadtxt):
+            assert_reads_like_oracle(path)
 
     @pytest.mark.parametrize("body", [
         pytest.param(None, id="several chunks per language"),
@@ -529,6 +546,44 @@ class TestCorpusFiles:
         ):
             assert_reads_like_oracle(path)
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(None, id="good corpus"),
+        pytest.param([*frame_lines("ab", 7), "frame a 0 1 x 1", *frame_lines("b", 4)],
+                     id="bad line after the pool broke"),
+    ])
+    def test_broken_pool_reads_like_line_by_line(self, tmp_path, body):
+        path = tmp_path / "corpus.txt"
+        if body is None:
+            pm.save_corpus(pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8)), path)
+        else:
+            path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in body))
+        pools = []
+
+        class BrokenPool:
+            """A process pool whose workers die at their first two jobs, after
+            which it refuses jobs, as a broken ``ProcessPoolExecutor`` does."""
+
+            def __init__(self, workers):
+                self.workers, self.jobs = workers, 0
+                pools.append(self)
+
+            def submit(self, *job):
+                self.jobs += 1
+                if self.jobs > 2:
+                    raise BrokenProcessPool("the pool is broken")
+                future = Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        with chunked(lines=3, cpus=64), mock.patch.object(
+            concurrent.futures, "ProcessPoolExecutor", BrokenPool
+        ):
+            assert_reads_like_oracle(path)
+        assert [(pool.workers, pool.jobs > 2) for pool in pools] == [(8, True)]
 
     def test_one_chunk_file_starts_no_process(self, tmp_path):
         path = tmp_path / "corpus.txt"
