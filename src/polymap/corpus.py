@@ -19,6 +19,7 @@ import os
 import warnings
 from array import array
 from collections import deque
+from itertools import groupby
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -414,12 +415,10 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Decode a text corpus into the binary file's metadata record and arrays.
 
     One pass over the lines checks everything that depends on order (the
-    header, declarations, line numbers) and collects each language's
-    ``frame`` lines; :class:`_FrameChunks` converts those in chunks, on a
-    pool of the usable CPUs (eight at most) once a file fills a second
-    chunk.  The text is never held whole.  A malformed line raises
-    ``ValueError`` naming its number, the earliest such line's if there
-    are several."""
+    header, declarations, line numbers) and hands the ``frame`` lines, in
+    file order, to :class:`_FrameChunks` to convert.  The text is never held
+    whole.  A malformed line raises ``ValueError`` naming its number, the
+    first such line's if there are several."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     gtables: dict[str, array] = {}
@@ -444,7 +443,7 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                     meta["languages"].append(lang)
                     senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
                     gtables[lang] = array("q")
-                    frames.declare(lang)
+                    frames.declare(lang, number)
                 elif key == "gtable":
                     gtables[lang] = array("q", map(int, parts[2:]))
                 elif key == "split":
@@ -457,7 +456,7 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, KeyError, OverflowError, ValueError) as exc:
                 frames.drain()  # an earlier frame line's error comes first
-                raise _LineError(number, parts[0], exc) from exc
+                raise ValueError(f"line {number} ({parts[0]}): {exc}") from exc
         frames.drain()
     dim = frames.dim
     if dim is None:
@@ -474,47 +473,41 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-class _LineError(ValueError):
-    """A malformed text-corpus line, by number."""
+def _parse_chunk(numbers: list[int], rows: list[str], dim: int | None) -> tuple[np.ndarray, ...]:
+    """Utterance ids, labels and flat features of the ``frame`` lines numbered
+    ``numbers`` whose values (the text after ``frame <language>``) are ``rows``.
 
-    def __init__(self, number: int, key: str, exc: Exception) -> None:
-        super().__init__(f"line {number} ({key}): {exc}")
-        self.number = number
-
-
-def _append_frame(columns: dict[str, array], parts: list[str], dim: int | None) -> None:
-    """Convert one split ``frame`` line with ``int`` and ``float``."""
-    if len(parts) - 4 != dim:
-        raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")
-    columns["utterances"].append(int(parts[2]))
-    columns["labels"].append(int(parts[3]))
-    columns["features"].extend(map(float, parts[4:]))
-
-
-def _parse_chunk(rows: list[str], dim: int | None) -> tuple[np.ndarray, ...] | None:
-    """Utterance ids, labels and flat features of ``frame`` lines' values (the
-    text after ``frame <language>``), or ``None`` if ``np.loadtxt`` rejects one.
-
-    One field per column makes a line of the wrong width fail.  ``loadtxt``
-    rejects some values ``float`` takes (``1_0``), never the reverse, and
-    rounds the same way; the caller re-reads a rejected chunk line by line.
-    So does a chunk on which ``loadtxt`` warns: numpy 1.x reads ``1.5`` into
-    an integer field as 1, with only a ``DeprecationWarning``."""
+    ``np.loadtxt`` reads the chunk in one call, one field per column, so a
+    line of the wrong width fails.  It rejects some values ``float`` takes
+    (``1_0``), never the reverse, and rounds the same way; numpy 1.x reads
+    ``1.5`` into an integer field as 1, with only a ``DeprecationWarning``.
+    A chunk it rejects or warns on is re-read line by line with ``int`` and
+    ``float``, which raises ``ValueError`` naming the first bad line."""
     # n values take at least 2n - 1 characters: no dtype wider than the line
-    if dim is None or not 0 < dim <= len(rows[0]) // 2:
-        return None
-    fields = [("utterance", np.int64), ("label", np.int64)]
-    dtype = np.dtype(fields + [(f"x{i}", np.float64) for i in range(dim)])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
-        return None
-    if len(table) != len(rows):
-        return None
-    features = table.view(np.float64).reshape(len(rows), dim + 2)[:, 2:]
-    return table["utterance"], table["label"], features.ravel()
+    if dim is not None and 0 < dim <= len(rows[0]) // 2:
+        fields = [("utterance", np.int64), ("label", np.int64)]
+        dtype = np.dtype(fields + [(f"x{i}", np.float64) for i in range(dim)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            table = None
+        if table is not None and len(table) == len(rows):
+            features = table.view(np.float64).reshape(len(rows), dim + 2)[:, 2:]
+            return table["utterance"], table["label"], features.ravel()
+    utterances, labels, features = array("q"), array("q"), array("d")
+    for number, values in zip(numbers, rows):
+        parts = values.split()
+        try:
+            if len(parts) - 2 != dim:
+                raise ValueError(f"{len(parts) - 2} frame values, feature_dim {dim}")
+            utterances.append(int(parts[0]))
+            labels.append(int(parts[1]))
+            features.extend(map(float, parts[2:]))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"line {number} (frame): {exc}") from exc
+    return np.array(utterances), np.array(labels), np.array(features)
 
 
 def _usable_cpus() -> int:
@@ -524,55 +517,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass
-class _Chunk:
-    """Up to ``_CHUNK_LINES`` frame lines of one language, in file order."""
-
-    language: str
-    out: list  # the language's parsed chunks when this one was cut
-    dim: int | None
-    numbers: list[int]
-    rows: list[str]
-    future: Future | None = None
-
-    def parse(self) -> tuple[np.ndarray, ...]:
-        """The chunk's arrays; :class:`_LineError` at its first bad line."""
-        if self.future is None:
-            parsed = _parse_chunk(self.rows, self.dim)
-        else:
-            from concurrent.futures import BrokenExecutor  # imported with the pool
-
-            try:
-                parsed = self.future.result()
-            except BrokenExecutor:  # a worker died: the chunk is parsed here
-                parsed = _parse_chunk(self.rows, self.dim)
-        if parsed is not None:
-            return parsed
-        columns = {"utterances": array("q"), "labels": array("q"), "features": array("d")}
-        for number, values in zip(self.numbers, self.rows):
-            try:
-                _append_frame(columns, ["frame", self.language, *values.split()], self.dim)
-            except (IndexError, KeyError, OverflowError, ValueError) as exc:
-                raise _LineError(number, "frame", exc) from exc
-        return tuple(np.array(columns[n]) for n in ("utterances", "labels", "features"))
-
-
 class _FrameChunks:
-    """A text corpus's ``frame`` lines, collected per language and parsed in chunks.
+    """A text corpus's ``frame`` lines, parsed in chunks cut in file order.
 
-    Chunks are parsed in the order they are cut.  Once a file reaches its
-    second full chunk, and the machine has a second usable CPU, they go to
-    a process pool of the platform's default start method, with at most
-    ``_JOBS_PER_WORKER`` per worker in flight; until then, and for a
-    smaller file, they are parsed in the calling process.  So is every
+    A chunk holds up to ``_CHUNK_LINES`` consecutive frame lines, of any
+    languages, under one ``feature_dim``.  Each line is tagged with its
+    language's current declaration (the line number of its ``language``
+    line), so a repeated declaration drops the frames before it, which are
+    still checked.  Chunks are parsed in the order they are cut, so the
+    first error raised is the file's first bad frame line.  Once a file
+    reaches its second full chunk, and the machine has a second usable CPU,
+    chunks go to a process pool of the platform's default start method,
+    with at most ``_JOBS_PER_WORKER`` per worker in flight; until then, and
+    for a smaller file, they are parsed in the calling process.  So is every
     chunk of a pool that breaks (a worker killed, or one that cannot start).
     """
 
     def __init__(self) -> None:
         self.dim: int | None = None
-        self.pending: dict[str, tuple[list[int], list[str]]] = {}
-        self.parsed: dict[str, list[tuple[np.ndarray, ...]]] = {}
-        self.chunks: deque[_Chunk] = deque()
+        self.declared: dict[str, int] = {}  # language -> its declaration's line number
+        # the chunk being filled: line numbers, values and declarations
+        self.numbers: list[int] = []
+        self.rows: list[str] = []
+        self.tags: list[int] = []
+        # cut chunks: tags, (numbers, rows, dim) and the pool's future, if any
+        self.chunks: deque[tuple[list[int], tuple, Future | None]] = deque()
+        self.parsed: dict[int, list[tuple[np.ndarray, ...]]] = {}  # declaration -> pieces
         self.workers = min(_usable_cpus(), _MAX_WORKERS)
         self.pool: ProcessPoolExecutor | None = None
 
@@ -583,77 +553,78 @@ class _FrameChunks:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
 
-    def declare(self, lang: str) -> None:
-        """Start (or, as a repeated ``language`` line does, restart) a language's
-        frames.  Lines collected before a restart are still checked."""
-        if lang in self.pending:
-            self._cut(lang)
-        self.pending[lang], self.parsed[lang] = ([], []), []
+    def declare(self, lang: str, number: int) -> None:
+        """Frame lines of ``lang`` from here on belong to its declaration on line ``number``."""
+        self.declared[lang] = number
 
     def set_dim(self, dim: int) -> int:
         """Values per frame line from here on."""
-        for lang in self.pending:
-            self._cut(lang)
+        self._cut()
         self.dim = dim
         return dim
 
     def add(self, lang: str, number: int, values: str) -> None:
-        numbers, rows = self.pending[lang]
-        numbers.append(number)
-        rows.append(values)
-        if len(rows) < _CHUNK_LINES:
+        self.numbers.append(number)
+        self.rows.append(values)
+        self.tags.append(self.declared[lang])
+        if len(self.rows) < _CHUNK_LINES:
             return
         if self.pool is None and self.workers > 1 and self.chunks:
             # imported here: it costs every process that imports polymap 25 ms
             from concurrent.futures import ProcessPoolExecutor
 
             self.pool = ProcessPoolExecutor(self.workers)
-            for chunk in self.chunks:
-                self._submit(chunk)
-        self._cut(lang)
+            self.chunks = deque((tags, job, self._submit(job)) for tags, job, _ in self.chunks)
+        self._cut()
         while len(self.chunks) > _JOBS_PER_WORKER * self.workers:
-            chunk = self.chunks.popleft()
-            try:
-                chunk.out.append(chunk.parse())
-            except _LineError as exc:
-                self.drain(exc)
+            self._parse_next()
 
-    def drain(self, error: _LineError | None = None) -> None:
-        """Parse every line collected so far; raise the earliest bad line's error."""
-        for lang in self.pending:
-            self._cut(lang)
+    def drain(self) -> None:
+        """Parse every line added so far; raise the first bad line's error."""
+        self._cut()
         while self.chunks:
-            chunk = self.chunks.popleft()
-            try:
-                chunk.out.append(chunk.parse())
-            except _LineError as exc:
-                if error is None or exc.number < error.number:
-                    error = exc
-        if error is not None:
-            raise error
+            self._parse_next()
 
     def columns(self, lang: str) -> tuple[np.ndarray, ...]:
         """A drained language's utterance ids, labels and flat features."""
-        pieces = self.parsed.pop(lang)
+        pieces = self.parsed.pop(self.declared[lang], [])
         return tuple(
             np.concatenate([np.empty(0, dtype), *(piece[i] for piece in pieces)])
             for i, dtype in enumerate((np.int64, np.int64, np.float64))
         )
 
-    def _cut(self, lang: str) -> None:
-        numbers, rows = self.pending[lang]
-        if not rows:
+    def _cut(self) -> None:
+        if not self.rows:
             return
-        self.pending[lang] = ([], [])
-        chunk = _Chunk(lang, self.parsed[lang], self.dim, numbers, rows)
-        if self.pool is not None:
-            self._submit(chunk)
-        self.chunks.append(chunk)
+        job = (self.numbers, self.rows, self.dim)
+        self.chunks.append((self.tags, job, self._submit(job)))
+        self.numbers, self.rows, self.tags = [], [], []
 
-    def _submit(self, chunk: _Chunk) -> None:
+    def _submit(self, job: tuple) -> Future | None:
+        if self.pool is None:
+            return None
         from concurrent.futures import BrokenExecutor
 
         try:
-            chunk.future = self.pool.submit(_parse_chunk, chunk.rows, chunk.dim)
-        except BrokenExecutor:  # left to :meth:`_Chunk.parse` in this process
-            pass
+            return self.pool.submit(_parse_chunk, *job)
+        except BrokenExecutor:  # left to :meth:`_parse_next` in this process
+            return None
+
+    def _parse_next(self) -> None:
+        """Parse the oldest cut chunk and file its lines under their declarations."""
+        tags, job, future = self.chunks.popleft()
+        if future is None:
+            utterances, labels, features = _parse_chunk(*job)
+        else:
+            from concurrent.futures import BrokenExecutor  # imported with the pool
+
+            try:
+                utterances, labels, features = future.result()
+            except BrokenExecutor:  # a worker died: the chunk is parsed here
+                utterances, labels, features = _parse_chunk(*job)
+        dim, start = job[2], 0
+        for tag, run in groupby(tags):  # views: a one-declaration chunk is not copied
+            stop = start + sum(1 for _ in run)
+            piece = utterances[start:stop], labels[start:stop], features[start * dim : stop * dim]
+            self.parsed.setdefault(tag, []).append(piece)
+            start = stop

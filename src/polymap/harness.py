@@ -268,47 +268,76 @@ class ExperimentConfig:
             raise ConfigError(f"finetune lr must be positive, got {self.finetune_lr}")
 
 
-def _check_keys(raw: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(raw) - allowed)
+# The JSON type a config or row value must have, by kind: a field annotation
+# (``int``, ``float``, ``bool``, ``str``, ``dict``, or one ``| None``), or
+# ``list[T]`` for an array of T and ``dict[T]`` for an object whose values are T.
+_JSON_TYPES = {
+    "int": "an integer", "float": "a number", "bool": "true or false", "str": "a string",
+    "dict": "an object", "int | None": "an integer or null",
+    "list[str]": "an array of strings", "list[int]": "an array of integers",
+    "dict[str]": "an object of strings", "dict[float]": "an object of numbers",
+}
+
+
+def _is(value, kind: str) -> bool:
+    """Whether a decoded JSON value has the type ``kind`` of :data:`_JSON_TYPES`."""
+    if kind.endswith(" | None"):
+        return value is None or _is(value, kind.removesuffix(" | None"))
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_is(item, kind[5:-1]) for item in value)
+    if kind.startswith("dict["):
+        return isinstance(value, dict) and all(_is(item, kind[5:-1]) for item in value.values())
+    types = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict}[kind]
+    # JSON's true and false are no numbers, though Python's bool is an int
+    return isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
+
+
+def _checked(raw, types: dict[str, str], context: str) -> dict:
+    """``raw`` if it is a JSON object whose keys are keys of ``types`` and whose
+    values have their key's type; otherwise :class:`ConfigError`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
+    for key, value in raw.items():
+        if not _is(value, types[key]):
+            want = _JSON_TYPES[types[key]]
+            raise ConfigError(f"{context} key {key!r} must be {want}, got {json.dumps(value)}")
+    return raw
 
 
-def _train_config_from(raw: dict, defaults: TrainConfig, context: str) -> TrainConfig:
-    _check_keys(raw, {"initial_lr", "epochs", "batch_size", "halve_every_epoch"}, context)
-    return dataclasses.replace(defaults, **raw)
+def _train_config_from(raw, defaults: TrainConfig, context: str) -> TrainConfig:
+    types = {"initial_lr": "float", "epochs": "int", "batch_size": "int",
+             "halve_every_epoch": "bool"}
+    return dataclasses.replace(defaults, **_checked(raw, types, context))
 
 
-def _synth_from(raw: dict, context: str) -> SynthSpec:
-    allowed = {f.name for f in dataclasses.fields(SynthSpec)}
-    _check_keys(raw, allowed, context)
+def _synth_from(raw, context: str) -> SynthSpec:
+    raw = _checked(raw, {f.name: f.type for f in dataclasses.fields(SynthSpec)}, context)
     if "seed" not in raw:
         raw = {**raw, "seed": None}
     return SynthSpec(**raw)
 
 
 def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
-    """Build and fully validate a config before any compute happens."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    """Build and fully validate a config before any compute happens.  A value
+    of the wrong JSON type raises :class:`ConfigError` naming its key."""
+    raw = _checked(raw, {
+        "version": "int", "method": "str", "target": "str", "sources": "list[str]", "seed": "int",
+        "output_dir": "str", "corpus": "dict", "split": "dict[float]", "hidden_dims": "list[int]",
+        "train": "dict", "mt_train": "dict", "finetune": "dict", "manual_maps": "dict[str]",
+    }, "config")
     base_dir = Path(base_dir)
-    _check_keys(
-        raw,
-        {
-            "version", "method", "target", "sources", "seed", "output_dir", "corpus",
-            "split", "hidden_dims", "train", "mt_train", "finetune", "manual_maps",
-        },
-        "config",
-    )
     if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
     for key in ("method", "target", "output_dir"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
     corpus = raw.get("corpus")
-    if not isinstance(corpus, dict) or not corpus:
+    if not corpus:
         raise ConfigError("config needs a 'corpus' object with 'path' or 'synth'")
-    _check_keys(corpus, {"path", "synth"}, "corpus")
+    _checked(corpus, {"path": "str", "synth": "dict"}, "corpus")
     corpus_path = None
     synth = None
     if "path" in corpus:
@@ -316,22 +345,21 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
     if "synth" in corpus:
         synth = _synth_from(corpus["synth"], "corpus.synth")
 
-    finetune_raw = raw.get("finetune", {})
-    _check_keys(finetune_raw, {"epochs", "lr"}, "finetune")
+    finetune_raw = _checked(raw.get("finetune", {}), {"epochs": "int", "lr": "float"}, "finetune")
 
     cfg = ExperimentConfig(
         method=raw["method"],
         target=raw["target"],
         output_dir=base_dir / raw["output_dir"],
         sources=list(raw.get("sources", [])),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         corpus_path=corpus_path,
         synth=synth,
         split_fractions=dict(raw.get("split", _DEFAULT_SPLIT)),
-        hidden_dims=[int(d) for d in raw.get("hidden_dims", _DEFAULT_HIDDEN)],
+        hidden_dims=list(raw.get("hidden_dims", _DEFAULT_HIDDEN)),
         train=_train_config_from(raw.get("train", {}), TrainConfig(), "train"),
         mt_train=_train_config_from(raw.get("mt_train", {}), MTTrainConfig(), "mt_train"),
-        finetune_epochs=int(finetune_raw.get("epochs", 5)),
+        finetune_epochs=finetune_raw.get("epochs", 5),
         finetune_lr=float(finetune_raw.get("lr", 0.0008)),
         manual_maps={
             lang: base_dir / p for lang, p in raw.get("manual_maps", {}).items()
@@ -694,11 +722,19 @@ def row_to_dict(row: ResultRow) -> dict:
 def row_from_dict(raw: dict) -> ResultRow:
     if raw.get("format") != ROW_FORMAT:
         raise ConfigError(f"not a {ROW_FORMAT} payload")
+    types = {
+        "method": "str", "target": "str", "sources": "list[str]", "seed": "int",
+        "config_hash": "str", "dev_frame_error": "float", "test_frame_error": "float",
+    }
+    _checked({key: raw[key] for key in types}, types, "row")
+    for key in ("dev_frame_error", "test_frame_error"):
+        if not 0 <= raw[key] <= 100:
+            raise ConfigError(f"row key {key!r} must be a percentage, got {raw[key]}")
     return ResultRow(
         method=raw["method"],
         target=raw["target"],
         sources=tuple(raw["sources"]),
-        seed=int(raw["seed"]),
+        seed=raw["seed"],
         config_hash=raw["config_hash"],
         dev_frame_error=float(raw["dev_frame_error"]),
         test_frame_error=float(raw["test_frame_error"]),

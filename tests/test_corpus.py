@@ -377,7 +377,8 @@ CORPUS_HEAD = (
 )
 # Case -> text corpus body after CORPUS_HEAD, to be read in chunks of two
 # frame lines: which error comes first across chunks and languages, dim and
-# declaration changes between chunks, and a chunk re-read line by line.
+# declaration changes between and within chunks, and a chunk re-read line
+# by line.
 CHUNK_ORDER = {
     "frames interleave": frame_lines("ab", 5),
     "bad line in a chunk cut after a later bad line's": [
@@ -390,6 +391,9 @@ CHUNK_ORDER = {
                                            *frame_lines("ab", 3, dim=3)],
     "language declared again after its frames": [
         *frame_lines("ab", 3), "language a senones 2 phones 1", "gtable a 0 0"],
+    "language declared again between its frames": [
+        *frame_lines("ab", 2), "frame a 9 1 0.5 0.5", "language a senones 2 phones 1",
+        "gtable a 0 0", *frame_lines("ab", 2)],
     "bad frame line before a second declaration": [
         *frame_lines("a", 2), "frame a 0 1 x 1", "language a senones 2 phones 1"],
     "frame line without values": [*frame_lines("ab", 3), "frame a", *frame_lines("ab", 3)],
@@ -524,6 +528,9 @@ class TestCorpusFiles:
         pytest.param(None, id="several chunks per language"),
         pytest.param(frame_lines("ab", 7), id="frames interleave, chunk ends inside a language"),
         pytest.param(frame_lines("a", 7), id="a declared language has no frames"),
+        pytest.param([*frame_lines("ab", 2), "frame a 9 1 0.5 0.5",
+                      "language a senones 2 phones 1", "gtable a 0 0", *frame_lines("ab", 2)],
+                     id="language declared again between its frames"),
     ])
     def test_pool_reads_like_line_by_line(self, tmp_path, body):
         path = tmp_path / "corpus.txt"

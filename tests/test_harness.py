@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.experiment_config_from_dict(raw, tmp_path)
 
+    def test_integers_in_number_fields_load_as_before(self):
+        raw = {
+            "method": "senone-map", "target": "lang0", "sources": ["lang1"], "seed": 3,
+            "output_dir": "run", "corpus": {"synth": {"shared_phone_fraction": 1}},
+            "split": {"train": 1, "dev": 0, "test": 0}, "hidden_dims": [16, 16],
+            "train": {"initial_lr": 1, "halve_every_epoch": False}, "mt_train": {"initial_lr": 1},
+            "finetune": {"lr": 1},
+        }
+        cfg = harness.experiment_config_from_dict(raw)
+        assert (cfg.finetune_lr, type(cfg.finetune_lr)) == (1.0, float)
+        assert (cfg.train.initial_lr, cfg.split_fractions["train"]) == (1, 1)
+        assert harness.config_hash(cfg) == "43b0c6d5def5d4c9"  # as before the type checks
+
     def test_config_hash_ignores_seed_and_output(self, tmp_path):
         a = harness.experiment_config_from_dict(tiny_config(tmp_path, seed=1), tmp_path)
         b = harness.experiment_config_from_dict(
@@ -149,6 +166,11 @@ def make_row(method, seed=0, dev=20.0, test=25.0):
         method=method, target="lang0", sources=("lang1",), seed=seed,
         config_hash="abc", dev_frame_error=dev, test_frame_error=test,
     )
+
+
+def row_json(**overrides):
+    """A result row file's text, with ``overrides`` replacing its values."""
+    return json.dumps({**harness.row_to_dict(make_row("baseline")), **overrides})
 
 
 class TestEmitTable:
@@ -413,11 +435,42 @@ class TestCli:
         assert len(err) == 1
         return err[0]
 
+    @pytest.mark.parametrize("override,key", [
+        ({"seed": "x"}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"hidden_dims": ["x"]}, "'hidden_dims'"),
+        ({"hidden_dims": [16.0]}, "'hidden_dims'"),
+        ({"train": {"epochs": "x"}}, "train key 'epochs'"),
+        ({"train": {"halve_every_epoch": 1}}, "train key 'halve_every_epoch'"),
+        ({"mt_train": {"batch_size": 2.5}}, "mt_train key 'batch_size'"),
+        ({"finetune": {"lr": "x"}}, "finetune key 'lr'"),
+        ({"finetune": []}, "'finetune'"),
+        ({"output_dir": 5}, "'output_dir'"),
+        ({"manual_maps": []}, "'manual_maps'"),
+        ({"sources": "lang1"}, "'sources'"),
+        ({"target": ["lang0"]}, "'target'"),
+        ({"split": {"train": "0.8", "dev": 0.1, "test": 0.1}}, "'split'"),
+        ({"corpus": {"path": 5}}, "corpus key 'path'"),
+        ({"corpus": {"synth": {"feature_dim": "6"}}}, "corpus.synth key 'feature_dim'"),
+        ({"corpus": {"synth": {"seed": 1.5}}}, "corpus.synth key 'seed'"),
+    ])
+    def test_config_value_of_the_wrong_type_fails_cleanly(self, tmp_path, capsys, override, key):
+        path = write_config(tmp_path, tiny_config(tmp_path, **override))
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err.startswith("ConfigError: ") and key in err
+
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),
         pytest.param("[1]", id="not an object"),
         pytest.param('{"format": "polymap-result-row", "method": "baseline"}', id="row without target"),
         pytest.param(None, id="missing file"),
+        pytest.param(row_json(sources="lang1"), id="sources a string"),
+        pytest.param(row_json(seed=True), id="seed a boolean"),
+        pytest.param(row_json(seed=1.5), id="seed a fraction"),
+        pytest.param(row_json(config_hash=5), id="config hash a number"),
+        pytest.param(row_json(test_frame_error="nan"), id="error rate a string"),
+        pytest.param(row_json(test_frame_error=float("nan")), id="error rate NaN"),
+        pytest.param(row_json(dev_frame_error=-5.0), id="error rate negative"),
     ])
     def test_report_on_a_bad_row_file_fails_cleanly(self, tmp_path, capsys, content):
         path = write_config(tmp_path, tiny_config(tmp_path))
@@ -492,3 +545,16 @@ class TestCli:
         err = self.one_error_line(capsys, ["experiment", "--config", str(path)])
         assert err.startswith("ArtifactError: ") and "corpus.txt" in err and "['lang1']" in err
         assert not harness.RunPaths(tmp_path / "run").models_dir.exists()
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # the pool that parses a large text corpus imports these when it starts
+    code = (
+        "import sys, polymap.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pm.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
