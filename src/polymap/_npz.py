@@ -8,7 +8,6 @@ sorts the members, making every artifact reproducible byte for byte.
 
 from __future__ import annotations
 
-import io
 import tokenize
 import zipfile
 from pathlib import Path
@@ -25,10 +24,14 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+            array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
-            zf.writestr(info, buf.getvalue())
+            # Streamed straight into the archive, not built in memory first.
+            # Like writestr, give a member too large for a plain zip header
+            # zip64 extensions.
+            large = array.nbytes * 1.05 > zipfile.ZIP64_LIMIT
+            with zf.open(info, "w", force_zip64=large) as dest:
+                np.lib.format.write_array(dest, array, allow_pickle=False)
 
 
 def read_npz(path: str | Path) -> dict[str, np.ndarray]:

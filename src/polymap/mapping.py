@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .nnet import Network, forward_batch, predict_batch
+from .nnet import Network, _score_blocks, forward_batch, predict_batch
 
 PROVENANCE_SENONE = "data-driven-senone"
 PROVENANCE_PHONE = "data-driven-phone"
@@ -287,6 +287,9 @@ def realign_with_phone_map(
     senone of that phone the target classifier scores highest for the
     frame.  This stands in for regenerating frame alignments after a
     phone-level relabeling of the transcripts.
+
+    Frames are scored by :func:`forward_batch` one scoring block at a
+    time, so no posterior matrix over all the frames is held.
     """
     if pm.source_inventory.kind != "phone" or pm.target_inventory.kind != "phone":
         raise InventoryError("realignment needs a phone-level map")
@@ -311,13 +314,17 @@ def realign_with_phone_map(
         raise LabelRangeError(f"frame labels must lie in 0..{g_source.num_senones - 1}")
 
     target_phones = pm.table[g_source.table[frames.labels]]
-    allowed = g_target.table[None, :] == target_phones[:, None]
-    if not allowed.any(axis=1).all():
-        bad = int(target_phones[~allowed.any(axis=1)][0])
+    has_senones = np.zeros(g_target.num_phones, dtype=bool)
+    has_senones[g_target.table] = True
+    if not has_senones[target_phones].all():
+        bad = int(target_phones[~has_senones[target_phones]][0])
         raise IncompleteTableError(f"target phone {bad} has no senones in the target table")
-    probs = forward_batch(net, frames.features)
-    scores = np.where(allowed, probs, -1.0)
-    new_labels = np.argmax(scores, axis=1).astype(np.int64)
+    new_labels = np.empty(len(frames), dtype=np.int64)
+    for rows in _score_blocks(len(frames)):
+        probs = forward_batch(net, frames.features[rows])
+        # Senones of other phones score -1, below every posterior.
+        np.putmask(probs, g_target.table[None, :] != target_phones[rows, None], -1.0)
+        new_labels[rows] = np.argmax(probs, axis=1)
     return FrameSet(g_target.task_id, frames.features, new_labels, frames.utterance_ids)
 
 

@@ -45,6 +45,8 @@ from .errors import (
 
 _MODEL_FORMAT = "polymap-network"
 _MODEL_VERSION = 1
+# Most rows scored in one call; see forward_batch.
+_SCORE_ROWS = 1024
 
 
 @dataclass
@@ -139,15 +141,49 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Posterior probabilities for a batch of feature rows."""
+def _score_blocks(n: int) -> list[slice]:
+    """Row blocks of a batch of ``n`` rows for scoring: the fewest that hold
+    at most :data:`_SCORE_ROWS` rows each, near-equal in size (they differ by
+    at most one row), so no block is a short tail."""
+    count = -(-n // _SCORE_ROWS)
+    return [slice(k * n // count, (k + 1) * n // count) for k in range(count)]
+
+
+def _features(net: Network, x: np.ndarray) -> np.ndarray:
+    """``x`` as float64 rows of the network's input width; :class:`ShapeError`
+    otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
-    h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = relu(h @ w.T + b)
-    return softmax(h @ net.weights[-1].T + net.biases[-1])
+    return x
+
+
+def _posteriors(net: Network, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of :func:`_score_blocks` over the checked rows ``x``, and
+    the posteriors of its rows, scored in one call per block."""
+    for rows in _score_blocks(len(x)):
+        h = x[rows]
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            h = relu(h @ w.T + b)
+        yield rows, softmax(h @ net.weights[-1].T + net.biases[-1])
+
+
+def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
+    """Posterior probabilities for a batch of feature rows.
+
+    Rows are scored in near-equal blocks of at most ``_SCORE_ROWS``, so this
+    holds the result plus one block's work, whatever the batch size.  BLAS
+    may round a matrix product's last bit differently for different row
+    counts, so a row's posteriors need not match one call over the whole
+    batch bit for bit.  Scoring is still deterministic, and a pruned head
+    and its multi-head network, or a saved model and its reload, are
+    compared through this one function.
+    """
+    x = _features(net, x)
+    probs = np.empty((len(x), net.output_dim))
+    for rows, block in _posteriors(net, x):
+        probs[rows] = block
+    return probs
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -159,8 +195,16 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Argmax labels for a batch; ties break toward the lowest label id."""
-    return np.argmax(forward_batch(net, x), axis=1).astype(np.int64)
+    """Argmax labels for a batch; ties break toward the lowest label id.
+
+    Equal to the argmax of :func:`forward_batch`, but only one block's
+    posteriors are held at a time, never the batch's.
+    """
+    x = _features(net, x)
+    labels = np.empty(len(x), dtype=np.int64)
+    for rows, probs in _posteriors(net, x):
+        labels[rows] = np.argmax(probs, axis=1)
+    return labels
 
 
 def predict(net: Network, x: np.ndarray) -> int:

@@ -1,5 +1,6 @@
-"""Per-frame multi-head target and loss oracles, a reference SGD step and
-a reference text-corpus reader, for the tests.
+"""Per-frame multi-head target and loss oracles, a reference SGD step, a
+one-call scorer, a reference text-corpus reader and an in-memory npz
+writer, for the tests.
 
 The package builds every frame's targets at once as one
 ``(n_frames, n_heads)`` label array; these one-frame-at-a-time versions
@@ -9,20 +10,26 @@ batched kernel against.  :func:`reference_backprop` and
 per-array code, which the package's fused step must match bit for bit.
 :func:`reference_read_text` converts a text corpus one line at a time
 with ``int`` and ``float``; the package's chunked reader must give the
-same arrays, dtypes and errors.
+same arrays, dtypes and errors.  :func:`reference_forward_batch` scores a
+whole batch in one call and :func:`reference_write_npz` builds each
+archive member in memory; the package's blocked scorer and streaming
+writer must give the same bytes.
 """
 
 from __future__ import annotations
 
+import io
+import zipfile
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from polymap._npz import _FIXED_DATE
 from polymap.corpus import _ARRAYS, _CORPUS_FORMAT, _CORPUS_VERSION
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet
-from polymap.nnet import lr_at_epoch, relu
+from polymap.nnet import lr_at_epoch, relu, softmax
 
 
 @dataclass(frozen=True)
@@ -229,3 +236,21 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays.update((f"{name}_{lang}", np.array(a)) for name, a in column.items())
         arrays[f"features_{lang}"] = arrays[f"features_{lang}"].reshape(len(column["labels"]), dim)
     return meta, arrays
+
+
+def reference_forward_batch(net, x: np.ndarray) -> np.ndarray:
+    """Posterior probabilities of every row of ``x``, scored in one call."""
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = relu(h @ w.T + b)
+    return softmax(h @ net.weights[-1].T + net.biases[-1])
+
+
+def reference_write_npz(path, arrays: dict[str, np.ndarray]) -> None:
+    """The package's archive layout, each member built in memory first."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name in sorted(arrays):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
+            zf.writestr(info, buf.getvalue())

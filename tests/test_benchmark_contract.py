@@ -1,8 +1,11 @@
-"""The names perfbench reaches into polymap by.
+"""The names perfbench reaches into polymap by, and the calls it expects.
 
 perfbench wraps polymap functions by module and attribute name, reads
-their arguments by parameter name and reads ``RunPaths`` attributes.  A
-rename in polymap would otherwise show only as a failed benchmark run.
+their arguments by parameter name and reads ``RunPaths`` attributes.  Its
+traced runs also check that each workload's pass calls every function
+the workload is known to reach.  A rename, or a refactor that stops one
+public function from calling another, would otherwise show only as a
+failed benchmark run.
 """
 
 import importlib
@@ -103,3 +106,27 @@ def test_benchmark_text_corpus_is_the_text_format(workloads, tmp_path):
     workloads.write_text_corpus(corpus, tmp_path / "bench.txt")
     pm.save_corpus(corpus, tmp_path / "x.txt")
     assert (tmp_path / "bench.txt").read_bytes() == (tmp_path / "x.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["pool-recipe", "mt-recipe"])
+def test_traced_pass_calls_every_required_function(workloads, layers, tmp_path, name):
+    # One pass of each method at one epoch per schedule, traced as the
+    # benchmark traces it; the benchmark fails a run whose pass misses one.
+    base = workloads.WORKLOADS[name]
+
+    class OneEpoch(base):
+        train = {**base.train, "epochs": 1}
+        mt_train = {**base.mt_train, "epochs": 1}
+        finetune = {**base.finetune, "epochs": 1}
+
+    workload = OneEpoch(tmp_path, 5, workloads.Ledger())
+    workload.make_inputs()
+    tracer = importlib.import_module("tracing").Tracer(layers.TARGETS)
+    tracer.run = "pass0"
+    tracer.install()
+    try:
+        workload.run_pass("pass0", tracer)
+    finally:
+        tracer.uninstall()
+    assert workload.ledger.failures == []
+    assert layers.missing_calls(tracer.spans, name) == []

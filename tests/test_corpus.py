@@ -1,7 +1,9 @@
 import concurrent.futures
 import dataclasses
 import functools
+import json
 import tempfile
+import tracemalloc
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import polymap as pm
 from polymap import corpus as corpus_module
+from polymap._npz import read_npz, write_npz
 from polymap.corpus import FRAMES_PER_UTTERANCE
 from polymap.errors import (
     ArtifactError,
@@ -23,7 +26,7 @@ from polymap.errors import (
     PolymapError,
     SynthSpecError,
 )
-from target_oracles import reference_read_text
+from target_oracles import reference_read_text, reference_write_npz
 
 SMALL = dict(
     num_languages=2,
@@ -649,3 +652,48 @@ class TestRecovery:
         recovered = pm.phone_map(counts, corpus.g_tables["lang1"], corpus.g_tables["lang0"])
         truth = corpus.phone_truth[("lang1", "lang0")]
         assert {s: int(t) for s, t in enumerate(recovered.table)} == truth
+
+
+class TestNpzWriter:
+    def test_corpus_archive_matches_in_memory_writer(self, tmp_path):
+        corpus = pm.split_corpus(
+            pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8)),
+            {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=1,
+        )
+        pm.save_corpus(corpus, tmp_path / "streamed.npz")
+        with mock.patch.object(corpus_module, "write_npz", reference_write_npz):
+            pm.save_corpus(corpus, tmp_path / "in_memory.npz")
+        expected = (tmp_path / "in_memory.npz").read_bytes()
+        assert (tmp_path / "streamed.npz").read_bytes() == expected
+
+    def test_member_kinds_match_in_memory_writer(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arrays = {
+            "meta": np.array(json.dumps({"language": "tamil \u0ba4\u0bae\u0bbf\u0bb4\u0bcd"},
+                                        ensure_ascii=False)),
+            "features": rng.normal(size=(300, 5)),
+            "fortran": np.asfortranarray(rng.normal(size=(7, 3))),
+            "empty": np.empty((0, 5)),
+            "labels": rng.integers(0, 9, size=300),
+            "flags": rng.random(11) < 0.5,
+            "scalar": np.int64(4),
+        }
+        write_npz(tmp_path / "streamed.npz", arrays)
+        reference_write_npz(tmp_path / "in_memory.npz", arrays)
+        expected = (tmp_path / "in_memory.npz").read_bytes()
+        assert (tmp_path / "streamed.npz").read_bytes() == expected
+        loaded = read_npz(tmp_path / "streamed.npz")
+        assert sorted(loaded) == sorted(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == np.asarray(array).dtype
+            np.testing.assert_array_equal(loaded[name], array)
+
+    def test_member_is_not_built_in_memory(self, tmp_path):
+        features = np.random.default_rng(1).normal(size=(110_000, 10))
+        tracemalloc.start()
+        try:
+            write_npz(tmp_path / "big.npz", {"features": features})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * features.nbytes

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from polymap.errors import (
     RangeError,
 )
 from polymap.mapping import UnmappedLabelWarning
+from target_oracles import reference_forward_batch
 
 SRC = pm.LabelInventory("src", 3, "senone")
 TGT = pm.LabelInventory("tgt", 3, "senone")
@@ -334,6 +336,45 @@ class TestRealign:
         frames = pm.FrameSet("src", rng.normal(size=(10, 2)), rng.integers(0, 2, 10), np.arange(10))
         out = pm.realign_with_phone_map(net, frames, pmap, g, g2)
         assert out.features.tobytes() == frames.features.tobytes()
+
+
+def recipe_realignment(n, seed):
+    """A recipe-sized net, frames of ``n`` rows, a random phone map and both
+    phone tables (12 phones of 3 senones each)."""
+    rng = np.random.default_rng(seed)
+    g_src = pm.SenoneToPhoneTable("src", np.repeat(np.arange(12), 3))
+    g_tgt = pm.SenoneToPhoneTable("tgt", rng.permutation(np.repeat(np.arange(12), 3)))
+    pmap = pm.LabelMap(
+        pm.LabelInventory("src", 12, "phone"), pm.LabelInventory("tgt", 12, "phone"),
+        rng.integers(0, 12, size=12), "data-driven-phone",
+    )
+    net = pm.init_network([20, 64, 64, 64, 64, 36], seed=seed)
+    frames = pm.FrameSet(
+        "src", rng.normal(size=(n, 20)), rng.integers(0, 36, size=n), np.arange(n)
+    )
+    return net, frames, pmap, g_src, g_tgt
+
+
+class TestBlockedRealign:
+    @pytest.mark.parametrize("n", [1, 1025, 2 * 1024 + 26, 8640])
+    def test_matches_one_call_formula(self, n):
+        net, frames, pmap, g_src, g_tgt = recipe_realignment(n, seed=n)
+        out = pm.realign_with_phone_map(net, frames, pmap, g_src, g_tgt)
+        target_phones = pmap.table[g_src.table[frames.labels]]
+        allowed = g_tgt.table[None, :] == target_phones[:, None]
+        scores = np.where(allowed, reference_forward_batch(net, frames.features), -1.0)
+        assert out.labels.tobytes() == np.argmax(scores, axis=1).astype(np.int64).tobytes()
+
+    def test_holds_no_posterior_matrix(self):
+        n = 50_000
+        net, frames, pmap, g_src, g_tgt = recipe_realignment(n, seed=3)
+        tracemalloc.start()
+        try:
+            pm.realign_with_phone_map(net, frames, pmap, g_src, g_tgt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 36 * 8 / 2
 
 
 def toy_language(lang, seed, n_labels=4, n=120):

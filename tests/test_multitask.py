@@ -459,6 +459,12 @@ class TestPrune:
         plain = pm.forward_batch(pruned, x)
         assert np.abs(head - plain).max() == 0.0
 
+    def test_outputs_byte_identical_over_several_scoring_blocks(self):
+        trained = self.make_trained()
+        x = np.random.default_rng(24).normal(size=(3000, 4))
+        head = pm.forward_head(trained, "a", x)
+        assert head.tobytes() == pm.forward_batch(pm.prune(trained, "a"), x).tobytes()
+
     def test_single_head_prune_copies_parameters(self):
         net = pm.init_multihead([4, 6], [3], ["only"], seed=1)
         pruned = pm.prune(net, "only")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from polymap.errors import (
     RangeError,
     ShapeError,
 )
-from polymap.nnet import _sgd
-from target_oracles import reference_sgd
+from polymap.nnet import _SCORE_ROWS, _score_blocks, _sgd
+from target_oracles import reference_forward_batch, reference_sgd
 
 
 def bias_only_net(log_probs):
@@ -109,6 +110,53 @@ class TestPredict:
         net = pm.init_network([2, 8, 2], seed=1)
         net, _ = pm.train(net, frames, pm.TrainConfig(initial_lr=0.08, epochs=16, shuffle_seed=2))
         assert (pm.predict_batch(net, x) == labels).all()
+
+
+def traced_peak(fn, *args) -> tuple[object, int]:
+    """``fn(*args)`` and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Batch sizes about and across block edges, and of the recipe's splits.
+SCORED_ROWS = [0, 1, 1023, 1024, 1025, 2 * 1024 + 26, 8640, 28800]
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("n", SCORED_ROWS + [2048, 3073, 50_000])
+    def test_blocks_are_near_equal_and_cover_the_rows(self, n):
+        blocks = _score_blocks(n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == -(-n // _SCORE_ROWS)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+        assert max(sizes, default=0) <= _SCORE_ROWS
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+    @pytest.mark.parametrize("n", SCORED_ROWS)
+    @pytest.mark.parametrize("input_dim", [20, 40])
+    def test_bit_identical_to_one_call(self, n, input_dim):
+        net = pm.init_network([input_dim, 64, 64, 64, 64, 36], seed=input_dim)
+        x = np.random.default_rng(n).normal(size=(n, input_dim))
+        probs = pm.forward_batch(net, x)
+        assert probs.shape == (n, 36) and probs.dtype == np.float64
+        assert probs.tobytes() == reference_forward_batch(net, x).tobytes()
+        expected = np.argmax(probs, axis=1)
+        assert (pm.predict_batch(net, x) == expected).all()
+
+    def test_scorers_hold_one_block_not_the_batch(self):
+        n, senones = 50_000, 36
+        net = pm.init_network([20, 64, 64, 64, 64, senones], seed=1)
+        x = np.random.default_rng(2).normal(size=(n, 20))
+        posteriors = n * senones * 8
+        probs, peak = traced_peak(pm.forward_batch, net, x)
+        assert peak <= probs.nbytes + 4_000_000
+        labels, peak = traced_peak(pm.predict_batch, net, x)
+        assert labels.tobytes() == np.argmax(probs, axis=1).tobytes()
+        assert peak < posteriors / 4
 
 
 class TestSchedule:
