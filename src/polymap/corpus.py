@@ -22,7 +22,7 @@ from collections import deque
 from itertools import groupby
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,10 +37,12 @@ from .errors import (
     ShapeError,
     SynthSpecError,
 )
-from .mapping import LabelMap, apply_map
+from .mapping import LabelMap, apply_map, realign_with_phone_map
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
+
+    from .nnet import Network
 
 SPLIT_NAMES = ("train", "dev", "test")
 
@@ -155,6 +157,10 @@ class MultiCorpus:
         return {k: LabelInventory(k, t.num_phones, "phone") for k, t in self.g_tables.items()}
 
     def subset(self, language: str, split: str) -> FrameSet:
+        return self.frames[language].take(self._split_rows(language, split))
+
+    def _split_rows(self, language: str, split: str) -> np.ndarray:
+        """Indices of ``language``'s frames in ``split``, in frame order."""
         if language not in self.frames:
             raise InventoryError(f"corpus has no language {language!r}")
         if split not in SPLIT_NAMES:
@@ -162,7 +168,7 @@ class MultiCorpus:
         if language not in self.splits:
             raise PolymapError(f"corpus has no split tags for {language!r}; run split_corpus")
         fs = self.frames[language]
-        return fs.take(np.flatnonzero(np.isin(fs.utterance_ids, self.splits[language][split])))
+        return np.flatnonzero(np.isin(fs.utterance_ids, self.splits[language][split]))
 
 
 def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
@@ -276,30 +282,51 @@ def split_corpus(
 
 
 def pool_and_relabel(
-    sources: list[tuple[FrameSet, LabelMap]], target_frames: FrameSet
+    corpus: MultiCorpus, split: str, target: str, maps: Sequence[LabelMap], mapper: Network
 ) -> FrameSet:
-    """Concatenate relabeled source frames with the target frames.
+    """``split``'s frames of each map's source language, relabeled into
+    ``target``'s senones, followed by ``target``'s own frames of ``split``.
 
-    Every map must write into the target frames' label inventory; the
-    output keeps source order followed by the target frames, with all
-    feature payloads bit-identical to the inputs.
+    The pooled arrays are allocated once, and each language's rows are
+    gathered from ``corpus.frames`` straight into its slice, so the pooled
+    set is held once.  Sources keep map order and the target comes last;
+    features are bit-identical to the corpus's.  A senone map relabels its
+    slice through :func:`apply_map`.  A phone map (learned or manual) cannot
+    give senone labels on its own, so its slice is realigned through
+    ``mapper`` by :func:`realign_with_phone_map`.  Every map must write into
+    ``target``'s inventory.
     """
-    if not sources:
-        return target_frames
-    pieces = []
-    for frames, label_map in sources:
-        if label_map.target_inventory.task_id != target_frames.language:
+    for label_map in maps:
+        if label_map.target_inventory.task_id != target:
             raise InventoryError(
                 f"map targets {label_map.target_inventory.task_id!r} but pooled data "
-                f"belongs to {target_frames.language!r}"
+                f"belongs to {target!r}"
             )
-        if frames.feature_dim != target_frames.feature_dim:
-            raise ShapeError(
-                f"feature dim {frames.feature_dim} != target {target_frames.feature_dim}"
-            )
-        pieces.append(apply_map(frames, label_map))
-    pieces.append(target_frames)
-    return FrameSet.concat(pieces, language=target_frames.language)
+    languages = [m.source_inventory.task_id for m in maps] + [target]
+    rows = [corpus._split_rows(lang, split) for lang in languages]
+    n = sum(map(len, rows))
+    pooled = FrameSet(
+        target, np.empty((n, corpus.feature_dim)), np.empty(n, np.int64), np.empty(n, np.int64)
+    )
+    columns = (pooled.features, pooled.labels, pooled.utterance_ids)
+    stop = 0
+    for lang, index, label_map in zip(languages, rows, [*maps, None]):
+        start, stop = stop, stop + len(index)
+        fs = corpus.frames[lang]
+        for column, out in zip((fs.features, fs.labels, fs.utterance_ids), columns):
+            # "clip" never meets an out-of-range index here, and unlike the
+            # default "raise" it writes into ``out`` without a buffered copy
+            np.take(column, index, axis=0, out=out[start:stop], mode="clip")
+        if label_map is None:
+            continue
+        piece = FrameSet(lang, *(column[start:stop] for column in columns))
+        if label_map.source_inventory.kind == "phone":
+            g_tables = corpus.g_tables[lang], corpus.g_tables[target]
+            piece = realign_with_phone_map(mapper, piece, label_map, *g_tables)
+        else:
+            piece = apply_map(piece, label_map)
+        pooled.labels[start:stop] = piece.labels
+    return pooled
 
 
 def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[Path]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -92,23 +91,4 @@ class FrameSet:
     def take(self, index: np.ndarray) -> "FrameSet":
         return FrameSet(
             self.language, self.features[index], self.labels[index], self.utterance_ids[index]
-        )
-
-    @classmethod
-    def concat(cls, sets: Sequence["FrameSet"], language: str | None = None) -> "FrameSet":
-        if not sets:
-            raise ShapeError("cannot concatenate zero frame sets")
-        if language is None:
-            languages = {s.language for s in sets}
-            if len(languages) != 1:
-                raise InventoryError(f"frame sets span multiple languages: {sorted(languages)}")
-            language = sets[0].language
-        dims = {s.feature_dim for s in sets}
-        if len(dims) != 1:
-            raise ShapeError(f"frame sets disagree on feature dim: {sorted(dims)}")
-        return cls(
-            language=language,
-            features=np.concatenate([s.features for s in sets], axis=0),
-            labels=np.concatenate([s.labels for s in sets]),
-            utterance_ids=np.concatenate([s.utterance_ids for s in sets]),
         )

@@ -59,11 +59,9 @@ from .mapping import (
     MapSet,
     accumulate_confusion,
     all_pairs_senone_maps,
-    identity_map,
     load_manual_map,
     load_map_set,
     phone_map,
-    realign_with_phone_map,
     save_map_set,
     senone_map,
 )
@@ -518,34 +516,6 @@ def build_source_maps(corpus: MultiCorpus, cfg: ExperimentConfig, mapper: Networ
     return MapSet({(source, cfg.target): m for source, m in maps.items()})
 
 
-def build_pooled_frames(
-    corpus: MultiCorpus,
-    cfg: ExperimentConfig,
-    mapper: Network,
-    maps: dict[str, LabelMap],
-) -> FrameSet:
-    """Pool relabeled source training data with the target training data.
-
-    Senone maps relabel directly.  Phone-level maps (learned or manual)
-    cannot produce senone labels on their own, so source frames are
-    realigned within their mapped phone first and pooled unchanged.
-    """
-    target_train = corpus.subset(cfg.target, "train")
-    pairs = []
-    for source in cfg.sources:
-        frames = corpus.subset(source, "train")
-        label_map = maps[source]
-        if label_map.source_inventory.kind == "phone":
-            realigned = realign_with_phone_map(
-                mapper, frames, label_map,
-                corpus.g_tables[source], corpus.g_tables[cfg.target],
-            )
-            pairs.append((realigned, identity_map(corpus.senone_inventories[cfg.target])))
-        else:
-            pairs.append((frames, label_map))
-    return pool_and_relabel(pairs, target_train)
-
-
 # ---------------------------------------------------------------------------
 # stages: each takes the config, paths, inputs (stage -> file) and corpus
 
@@ -597,8 +567,8 @@ def stage_pool_train(
     """Train a fresh network on pooled, relabeled data."""
     mapper = load_network(inputs["train-baseline"])
     map_set = load_map_set(paths.maps_dir)
-    maps = {src: map_set.get(src, cfg.target) for src in cfg.sources}
-    pooled = build_pooled_frames(corpus, cfg, mapper, maps)
+    maps = [map_set.get(src, cfg.target) for src in cfg.sources]
+    pooled = pool_and_relabel(corpus, "train", cfg.target, maps, mapper)
     trained, history = train_language_net(corpus, cfg, cfg.target, "pooled", pooled)
     save_network(trained, paths.pooled_model)
     _write_train_log(paths.logs_dir / "pooled_train.log", history)

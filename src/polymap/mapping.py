@@ -39,7 +39,13 @@ PROVENANCE_MANUAL = "manual"
 PROVENANCE_IDENTITY = "identity"
 
 _MAPSET_FORMAT = "polymap-mapset"
+_MAPSET_VERSION = 1
 MAPSET_MANIFEST = "mapset.json"
+# The fields of a map-set manifest entry and the JSON type of each.
+_MAPSET_FIELDS = {
+    "source": str, "target": str, "kind": str, "provenance": str, "file": str,
+    "source_size": int, "target_size": int,
+}
 
 
 class UnmappedLabelWarning(UserWarning):
@@ -386,13 +392,17 @@ def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
                 "file": filename,
             }
         )
-    manifest = {"format": _MAPSET_FORMAT, "version": 1, "maps": entries}
+    manifest = {"format": _MAPSET_FORMAT, "version": _MAPSET_VERSION, "maps": entries}
     manifest_path = directory / MAPSET_MANIFEST
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
 def load_map_set(directory: str | Path) -> MapSet:
+    """Read a map set written by :func:`save_map_set`.  A manifest whose
+    header, entry fields or (source, target) pairs are not as written
+    raises :class:`MapFormatError` naming the manifest and the key; text
+    fields must be JSON strings and sizes JSON integers."""
     directory = Path(directory)
     manifest_path = directory / MAPSET_MANIFEST
     try:
@@ -401,24 +411,30 @@ def load_map_set(directory: str | Path) -> MapSet:
         raise MapFormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MAPSET_FORMAT:
         raise MapFormatError(f"{manifest_path} is not a {_MAPSET_FORMAT} manifest")
-    try:
-        entries = [
-            (
-                LabelInventory(entry["source"], entry["source_size"], entry["kind"]),
-                LabelInventory(entry["target"], entry["target_size"], entry["kind"]),
-                entry["file"],
-                entry["provenance"],
-            )
-            for entry in manifest["maps"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise MapFormatError(f"{manifest_path} has a malformed map entry: {exc!r}") from exc
+    version, entries = manifest.get("version"), manifest.get("maps")
+    if type(version) is not int or version != _MAPSET_VERSION:
+        raise MapFormatError(f"{manifest_path} has version {version!r}, not {_MAPSET_VERSION}")
+    if not isinstance(entries, list):
+        raise MapFormatError(f"{manifest_path} has no list of maps")
     maps: dict[tuple[str, str], LabelMap] = {}
-    for source_inv, target_inv, name, provenance in entries:
-        if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
+    for entry in entries:
+        for key, kind in _MAPSET_FIELDS.items():
+            value = entry.get(key) if isinstance(entry, dict) else None
+            if type(value) is not kind:  # a bool is not an int here, nor a float
+                raise MapFormatError(
+                    f"{manifest_path} has a malformed map entry: {key} is {value!r}, "
+                    f"not a JSON {'string' if kind is str else 'integer'}"
+                )
+        pair, name = (entry["source"], entry["target"]), entry["file"]
+        if pair in maps:
+            raise MapFormatError(f"{manifest_path} has a second map entry for {pair}")
+        if Path(name).name != name or name in ("", ".."):
             raise MapFormatError(f"{manifest_path} names {name!r}, not a file in its directory")
+        try:
+            source_inv = LabelInventory(entry["source"], entry["source_size"], entry["kind"])
+            target_inv = LabelInventory(entry["target"], entry["target_size"], entry["kind"])
+        except InventoryError as exc:
+            raise MapFormatError(f"{manifest_path} has a malformed map entry: {exc}") from exc
         table = _parse_map_file(directory / name, source_inv, target_inv)
-        maps[(source_inv.task_id, target_inv.task_id)] = LabelMap(
-            source_inv, target_inv, table, provenance
-        )
+        maps[pair] = LabelMap(source_inv, target_inv, table, entry["provenance"])
     return MapSet(maps)

@@ -434,10 +434,10 @@ def _read_model(
     path: str | Path, model_format: str, version: int, lists: tuple[tuple[str, type], ...] = ()
 ) -> tuple[Network, dict]:
     """The network and metadata of a model file, checked to be of
-    ``model_format`` at ``version``, with a string ``activation``, an
-    integer ``seed``, each ``(key, kind)`` of ``lists`` a list of ``kind``
-    values in its metadata, and arrays that fit its layer sizes;
-    :class:`ShapeError` naming the file otherwise."""
+    ``model_format`` at ``version``, with ``activation`` ``"relu"`` (the
+    only one the scorers apply), an integer ``seed``, each ``(key, kind)``
+    of ``lists`` a list of ``kind`` values in its metadata, and arrays that
+    fit its layer sizes; :class:`ShapeError` naming the file otherwise."""
     arrays = read_npz(path)
     if "meta" not in arrays:
         raise ShapeError(f"{path} is not a model file (missing metadata)")
@@ -448,8 +448,8 @@ def _read_model(
     found = (meta.get("format"), meta.get("version")) if isinstance(meta, dict) else None
     if found != (model_format, version):
         raise ShapeError(f"{path} is not a {model_format} v{version} file: it holds {found}")
-    scalars = (("activation", str), ("seed", int))
-    bad = [k for k, kind in scalars if not isinstance(meta.get(k), kind)]
+    bad = [] if meta.get("activation") == "relu" else ["activation"]
+    bad += [] if isinstance(meta.get("seed"), int) else ["seed"]
     bad += [
         k for k, kind in lists
         if not (isinstance(meta.get(k), list) and all(isinstance(v, kind) for v in meta[k]))

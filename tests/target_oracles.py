@@ -1,6 +1,6 @@
 """Per-frame multi-head target and loss oracles, a reference SGD step, a
-one-call scorer, a reference text-corpus reader and an in-memory npz
-writer, for the tests.
+one-call scorer, a reference text-corpus reader, an in-memory npz
+writer and a copy-then-concatenate pooler, for the tests.
 
 The package builds every frame's targets at once as one
 ``(n_frames, n_heads)`` label array; these one-frame-at-a-time versions
@@ -13,7 +13,9 @@ with ``int`` and ``float``; the package's chunked reader must give the
 same arrays, dtypes and errors.  :func:`reference_forward_batch` scores a
 whole batch in one call and :func:`reference_write_npz` builds each
 archive member in memory; the package's blocked scorer and streaming
-writer must give the same bytes.
+writer must give the same bytes.  :func:`reference_pool_and_relabel`
+copies each language's split, relabels the sources and concatenates the
+copies; the package's one-buffer pooler must give the same arrays.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import numpy as np
 
 from polymap._npz import _FIXED_DATE
 from polymap.corpus import _ARRAYS, _CORPUS_FORMAT, _CORPUS_VERSION
+from polymap.data import FrameSet
 from polymap.errors import LabelRangeError, RangeError, ShapeError
-from polymap.mapping import MapSet
+from polymap.mapping import MapSet, apply_map, realign_with_phone_map
 from polymap.nnet import lr_at_epoch, relu, softmax
 
 
@@ -254,3 +257,25 @@ def reference_write_npz(path, arrays: dict[str, np.ndarray]) -> None:
             np.lib.format.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
             zf.writestr(info, buf.getvalue())
+
+
+def reference_pool_and_relabel(corpus, split, target, maps, mapper) -> FrameSet:
+    """Each map's source split copied out and relabeled (a phone map by
+    realignment), then concatenated with a copy of the target's split."""
+    pieces = []
+    for label_map in maps:
+        source = label_map.source_inventory.task_id
+        frames = corpus.subset(source, split)
+        if label_map.source_inventory.kind == "phone":
+            g_tables = corpus.g_tables[source], corpus.g_tables[target]
+            frames = realign_with_phone_map(mapper, frames, label_map, *g_tables)
+        else:
+            frames = apply_map(frames, label_map)
+        pieces.append(frames)
+    pieces.append(corpus.subset(target, split))
+    return FrameSet(
+        target,
+        np.concatenate([fs.features for fs in pieces], axis=0),
+        np.concatenate([fs.labels for fs in pieces]),
+        np.concatenate([fs.utterance_ids for fs in pieces]),
+    )

@@ -26,7 +26,11 @@ from polymap.errors import (
     PolymapError,
     SynthSpecError,
 )
-from target_oracles import reference_read_text, reference_write_npz
+from target_oracles import (
+    reference_pool_and_relabel,
+    reference_read_text,
+    reference_write_npz,
+)
 
 SMALL = dict(
     num_languages=2,
@@ -218,21 +222,43 @@ class TestSplit:
             tiny_corpus().subset("a", "train")
 
 
+def pooling_corpus(senones, **sets):
+    """A corpus of the frame sets ``sets``, keyed by language, with
+    ``senones[language]`` senones of one phone each and every utterance in
+    train."""
+    return pm.MultiCorpus(
+        languages=list(sets),
+        feature_dim=next(iter(sets.values())).feature_dim,
+        g_tables={lang: pm.SenoneToPhoneTable(lang, np.arange(senones[lang])) for lang in sets},
+        frames=sets,
+        splits={lang: {"train": np.unique(fs.utterance_ids).tolist()} for lang, fs in sets.items()},
+    )
+
+
+def untrained_mapper(corpus, target):
+    return pm.init_network([corpus.feature_dim, 8, corpus.senone_inventories[target].size], 0)
+
+
 class TestPooling:
     def test_no_sources_returns_target_unchanged(self):
-        target = tiny_corpus().frames["a"]
-        assert pm.pool_and_relabel([], target) is target
+        corpus = pm.split_corpus(tiny_corpus(), {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
+        pooled = pm.pool_and_relabel(corpus, "train", "a", [], untrained_mapper(corpus, "a"))
+        target = corpus.subset("a", "train")
+        assert pooled.language == "a"
+        for column in ("features", "labels", "utterance_ids"):
+            assert getattr(pooled, column).tobytes() == getattr(target, column).tobytes()
 
     def test_counts_and_ranges(self):
         rng = np.random.default_rng(0)
-        target = pm.FrameSet("tgt", rng.normal(size=(50, 3)), rng.integers(0, 5, 50), np.arange(50))
+        sets = {"tgt": pm.FrameSet("tgt", rng.normal(size=(50, 3)), rng.integers(0, 5, 50), np.arange(50))}
         tgt_inv = pm.LabelInventory("tgt", 5)
-        sources = []
-        for i, lang in enumerate(("s1", "s2")):
-            fs = pm.FrameSet(lang, rng.normal(size=(100, 3)), rng.integers(0, 4, 100), np.arange(100))
+        maps = []
+        for lang in ("s1", "s2"):
+            sets[lang] = pm.FrameSet(lang, rng.normal(size=(100, 3)), rng.integers(0, 4, 100), np.arange(100))
             table = rng.integers(0, 5, size=4)
-            sources.append((fs, pm.LabelMap(pm.LabelInventory(lang, 4), tgt_inv, table, "manual")))
-        pooled = pm.pool_and_relabel(sources, target)
+            maps.append(pm.LabelMap(pm.LabelInventory(lang, 4), tgt_inv, table, "manual"))
+        corpus = pooling_corpus({"tgt": 5, "s1": 4, "s2": 4}, **sets)
+        pooled = pm.pool_and_relabel(corpus, "train", "tgt", maps, untrained_mapper(corpus, "tgt"))
         assert len(pooled) == 250
         assert pooled.language == "tgt"
         assert pooled.labels.max() < 5
@@ -240,14 +266,16 @@ class TestPooling:
     def test_identity_maps_equal_concatenation(self):
         rng = np.random.default_rng(1)
         inv = pm.LabelInventory("tgt", 4)
-        mk = lambda: pm.FrameSet("tgt", rng.normal(size=(30, 3)), rng.integers(0, 4, 30), np.arange(30))
-        a, b, target = mk(), mk(), mk()
-        pooled = pm.pool_and_relabel(
-            [(a, pm.identity_map(inv)), (b, pm.identity_map(inv))], target
-        )
-        direct = pm.FrameSet.concat([a, b, target])
-        assert pooled.features.tobytes() == direct.features.tobytes()
-        assert (pooled.labels == direct.labels).all()
+        mk = lambda lang: pm.FrameSet(lang, rng.normal(size=(30, 3)), rng.integers(0, 4, 30), np.arange(30))
+        a, b, target = mk("a"), mk("b"), mk("tgt")
+        corpus = pooling_corpus({"a": 4, "b": 4, "tgt": 4}, a=a, b=b, tgt=target)
+        maps = [
+            pm.LabelMap(pm.LabelInventory(lang, 4), inv, np.arange(4), "identity") for lang in "ab"
+        ]
+        pooled = pm.pool_and_relabel(corpus, "train", "tgt", maps, untrained_mapper(corpus, "tgt"))
+        direct = [a, b, target]
+        assert pooled.features.tobytes() == np.concatenate([fs.features for fs in direct]).tobytes()
+        assert (pooled.labels == np.concatenate([fs.labels for fs in direct])).all()
 
     def test_features_byte_identical(self):
         rng = np.random.default_rng(2)
@@ -255,7 +283,9 @@ class TestPooling:
         src = pm.FrameSet("src", rng.normal(size=(20, 3)), rng.integers(0, 3, 20), np.arange(20))
         target = pm.FrameSet("tgt", rng.normal(size=(10, 3)), rng.integers(0, 3, 10), np.arange(10))
         label_map = pm.LabelMap(pm.LabelInventory("src", 3), inv, [2, 0, 1], "manual")
-        pooled = pm.pool_and_relabel([(src, label_map)], target)
+        corpus = pooling_corpus({"src": 3, "tgt": 3}, src=src, tgt=target)
+        mapper = untrained_mapper(corpus, "tgt")
+        pooled = pm.pool_and_relabel(corpus, "train", "tgt", [label_map], mapper)
         assert pooled.features[:20].tobytes() == src.features.tobytes()
         assert pooled.features[20:].tobytes() == target.features.tobytes()
 
@@ -264,8 +294,92 @@ class TestPooling:
         src = pm.FrameSet("src", rng.normal(size=(5, 3)), rng.integers(0, 3, 5), np.arange(5))
         target = pm.FrameSet("tgt", rng.normal(size=(5, 3)), rng.integers(0, 3, 5), np.arange(5))
         wrong = pm.LabelMap(pm.LabelInventory("src", 3), pm.LabelInventory("other", 3), [0, 1, 2], "manual")
+        corpus = pooling_corpus({"src": 3, "tgt": 3}, src=src, tgt=target)
         with pytest.raises(InventoryError):
-            pm.pool_and_relabel([(src, wrong)], target)
+            pm.pool_and_relabel(corpus, "train", "tgt", [wrong], untrained_mapper(corpus, "tgt"))
+
+    @pytest.mark.parametrize("sources", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["senone", "phone", "manual"])
+    def test_equals_copy_relabel_concatenate(self, pooling_world, kind, sources):
+        corpus, mapper, maps = pooling_world
+        chosen = maps[kind][:sources]
+        for split in ("train", "test"):
+            pooled = pm.pool_and_relabel(corpus, split, "lang0", chosen, mapper)
+            reference = reference_pool_and_relabel(corpus, split, "lang0", chosen, mapper)
+            assert pooled.language == reference.language == "lang0"
+            for column in ("features", "labels", "utterance_ids"):
+                got, want = getattr(pooled, column), getattr(reference, column)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["senone", "phone"])
+    def test_holds_the_pooled_set_once(self, kind):
+        # Two sources of 8,640 training frames each and the target's: the
+        # pooled arrays are 8.7 MB, and a copy of each split first would
+        # double that.  Only phone maps score frames, one block at a time.
+        spec = pm.SynthSpec(
+            num_languages=3, feature_dim=40, phones_per_language=12, senones_per_phone=3,
+            shared_phone_fraction=1.0, frames_per_senone=300, seed=11,
+        )
+        corpus = pm.split_corpus(
+            pm.generate_synthetic(spec), {"train": 0.8, "dev": 0.1, "test": 0.1}, seed=12
+        )
+        mapper = pm.init_network([40, 64, 64, 36], seed=13)
+        maps = [truth_map(corpus, kind, source, "lang0") for source in ("lang1", "lang2")]
+        n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
+        block = corpus.frames["lang0"].features[:1024]
+        scoring = traced_peak(pm.forward_batch, mapper, block)[1] if kind == "phone" else 0
+        bound = n * (40 + 2) * 8 + scoring + 1_000_000
+        for pool, fits in ((pm.pool_and_relabel, True), (reference_pool_and_relabel, False)):
+            pooled, peak = traced_peak(pool, corpus, "train", "lang0", maps, mapper)
+            assert len(pooled) == n
+            assert (peak <= bound) == fits, (pool, peak, bound)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def truth_map(corpus, kind, source, target):
+    """The generator's ``kind`` answer key as a hand-written (manual) map."""
+    truth = getattr(corpus, f"{kind}_truth")[(source, target)]
+    inventories = getattr(corpus, f"{kind}_inventories")
+    source_inv, target_inv = inventories[source], inventories[target]
+    return pm.LabelMap(source_inv, target_inv, [truth[p] for p in range(source_inv.size)], "manual")
+
+
+@pytest.fixture(scope="module")
+def pooling_world():
+    """A split corpus, a target mapper trained for two epochs, and two
+    source maps of each kind built from it: learned senone and phone maps,
+    and manual phone maps from the answer key."""
+    spec = pm.SynthSpec(
+        num_languages=3, feature_dim=8, phones_per_language=5, senones_per_phone=2,
+        shared_phone_fraction=1.0, frames_per_senone=60, seed=21,
+    )
+    corpus = pm.split_corpus(
+        pm.generate_synthetic(spec), {"train": 0.7, "dev": 0.15, "test": 0.15}, seed=22
+    )
+    target, sources = "lang0", ("lang1", "lang2")
+    mapper, _ = pm.train(
+        pm.init_network([8, 16, 10], seed=23), corpus.subset(target, "train"),
+        pm.TrainConfig(epochs=2, shuffle_seed=24),
+    )
+    maps = {"senone": [], "phone": [], "manual": []}
+    for source in sources:
+        counts = pm.accumulate_confusion(
+            mapper, corpus.subset(source, "train"),
+            corpus.senone_inventories[target], corpus.senone_inventories[source],
+        )
+        maps["senone"].append(pm.senone_map(counts))
+        maps["phone"].append(pm.phone_map(counts, corpus.g_tables[source], corpus.g_tables[target]))
+        maps["manual"].append(truth_map(corpus, "phone", source, target))
+    return corpus, mapper, maps
 
 
 HEAD = "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\ngtable a 0 0\n"

@@ -471,3 +471,41 @@ class TestMapSetFiles:
         manifest.unlink()
         with pytest.raises(ArtifactError, match="mapset.json"):
             pm.load_map_set(tmp_path / "maps")
+
+    @pytest.mark.parametrize(
+        "change,key",
+        [
+            (lambda m: m["maps"][0].update(source_size=8.0), "source_size"),
+            (lambda m: m["maps"][0].update(source=7), "source"),
+            (lambda m: m["maps"][0].update(source_size=True), "source_size"),
+            (lambda m: m["maps"][0].update(provenance=[1]), "provenance"),
+            (lambda m: m["maps"][0].update(target_size="3"), "target_size"),
+            (lambda m: m["maps"][0].update(target=None), "target"),
+            (lambda m: m["maps"][0].update(kind=0), "kind"),
+            (lambda m: m["maps"][0].update(file=["map_a_to_b.txt"]), "file"),
+            (lambda m: m["maps"][0].update(kind="word"), "word"),
+            (lambda m: m["maps"][0].update(source_size=0), "size"),
+            (lambda m: m.update(version=2), "version"),
+            (lambda m: m.update(version=True), "version"),
+            (lambda m: m.update(version=1.0), "version"),
+            (lambda m: m.pop("version"), "version"),
+            (lambda m: m.update(maps={}), "maps"),
+            (lambda m: m["maps"].append("a"), "source"),
+            (lambda m: m["maps"].append(dict(m["maps"][0])), r"\('a', 'b'\)"),
+        ],
+        ids=[
+            "size-float", "source-number", "size-bool", "provenance-list", "size-text",
+            "target-null", "kind-number", "file-list", "kind-unknown", "size-zero",
+            "version-2", "version-bool", "version-float", "version-missing", "maps-object",
+            "entry-not-object", "pair-repeated",
+        ],
+    )
+    def test_manifest_fields_are_type_checked(self, tmp_path, change, key):
+        inv_a, inv_b = pm.LabelInventory("a", 4), pm.LabelInventory("b", 3)
+        ms = pm.MapSet({("a", "b"): pm.LabelMap(inv_a, inv_b, [0, 1, 2, 0], "manual")})
+        manifest_path = pm.save_map_set(ms, tmp_path / "maps")
+        manifest = json.loads(manifest_path.read_text())
+        change(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(MapFormatError, match=rf"mapset\.json.*{key}"):
+            pm.load_map_set(tmp_path / "maps")

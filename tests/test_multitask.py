@@ -538,14 +538,14 @@ class TestFinetuneTransfer:
         tr = corpus.subset(target, "train")
         net = pm.init_network([8, 24, 24, 10], seed=33)
         mapper, _ = pm.train(net, tr, pm.TrainConfig(epochs=8, shuffle_seed=34))
-        pairs = []
+        maps = []
         for src in ("lang1", "lang2"):
             counts = pm.accumulate_confusion(
                 mapper, corpus.subset(src, "train"),
                 corpus.senone_inventories[target], corpus.senone_inventories[src],
             )
-            pairs.append((corpus.subset(src, "train"), pm.senone_map(counts)))
-        pooled = pm.pool_and_relabel(pairs, tr)
+            maps.append(pm.senone_map(counts))
+        pooled = pm.pool_and_relabel(corpus, "train", target, maps, mapper)
         pooled_net, _ = pm.train(
             pm.init_network([8, 24, 24, 10], seed=35), pooled, pm.TrainConfig(epochs=8, shuffle_seed=36)
         )

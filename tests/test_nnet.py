@@ -447,6 +447,8 @@ class TestModelFileDamage:
             (pm.load_network, without(MODEL_META, "activation"), {}),
             (pm.load_network, without(MODEL_META, "seed"), {}),
             (pm.load_network, {**MODEL_META, "seed": "one"}, {}),
+            (pm.load_network, {**MODEL_META, "activation": "tanh"}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "activation": "tanh"}, {}),
             (pm.load_multihead, without(MULTIHEAD_META, "languages"), {}),
             (pm.load_multihead, without(MULTIHEAD_META, "head_sizes"), {}),
             (pm.load_multihead, {**MULTIHEAD_META, "languages": "ab"}, {}),
@@ -465,6 +467,7 @@ class TestModelFileDamage:
         ],
         ids=[
             "meta-not-json", "meta-not-object", "no-activation", "no-seed", "seed-not-int",
+            "activation-not-relu", "multihead-activation-not-relu",
             "multihead-no-languages", "multihead-no-head-sizes", "multihead-languages-text",
             "multihead-head-sizes-text", "multihead-head-sizes-sum", "weight-shape", "bias-shape",
             "weight-dtype", "float-layer-dims", "scalar-layer-dims", "one-layer-dim",
