@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ._npz import read_npz, write_npz
-from .data import FrameSet, LabelInventory, SenoneToPhoneTable
+from .data import FrameSet, LabelInventory, SenoneToPhoneTable, join_rows
 from .errors import (
     ArtifactError,
     FractionError,
@@ -159,6 +159,25 @@ class MultiCorpus:
     def subset(self, language: str, split: str) -> FrameSet:
         return self.frames[language].take(self._split_rows(language, split))
 
+    def gather(self, languages: Sequence[str], split: str) -> list[FrameSet]:
+        """Each of ``languages``' ``split`` frames, equal to :meth:`subset`'s, as
+        consecutive row slices of one set of arrays, in ``languages`` order.  The
+        arrays are allocated once and each language's rows copied straight into its
+        slice, so :func:`~polymap.data.join_rows` joins the slices without a copy."""
+        rows = [self._split_rows(lang, split) for lang in languages]
+        n = sum(map(len, rows))
+        columns = (np.empty((n, self.feature_dim)), np.empty(n, np.int64), np.empty(n, np.int64))
+        sets, stop = [], 0
+        for lang, index in zip(languages, rows):
+            start, stop = stop, stop + len(index)
+            fs = self.frames[lang]
+            for column, out in zip((fs.features, fs.labels, fs.utterance_ids), columns):
+                # "clip" never meets an out-of-range index here, and unlike the
+                # default "raise" it writes into ``out`` without a buffered copy
+                np.take(column, index, axis=0, out=out[start:stop], mode="clip")
+            sets.append(FrameSet(lang, *(column[start:stop] for column in columns)))
+        return sets
+
     def _split_rows(self, language: str, split: str) -> np.ndarray:
         """Indices of ``language``'s frames in ``split``, in frame order."""
         if language not in self.frames:
@@ -287,14 +306,13 @@ def pool_and_relabel(
     """``split``'s frames of each map's source language, relabeled into
     ``target``'s senones, followed by ``target``'s own frames of ``split``.
 
-    The pooled arrays are allocated once, and each language's rows are
-    gathered from ``corpus.frames`` straight into its slice, so the pooled
-    set is held once.  Sources keep map order and the target comes last;
-    features are bit-identical to the corpus's.  A senone map relabels its
-    slice through :func:`apply_map`.  A phone map (learned or manual) cannot
-    give senone labels on its own, so its slice is realigned through
-    ``mapper`` by :func:`realign_with_phone_map`.  Every map must write into
-    ``target``'s inventory.
+    The languages are read by :meth:`MultiCorpus.gather` and relabeled in
+    place, so the pooled set is held once.  Sources keep map order and the
+    target comes last; features are bit-identical to the corpus's.  A senone
+    map relabels its slice through :func:`apply_map`.  A phone map (learned
+    or manual) cannot give senone labels on its own, so its slice is
+    realigned through ``mapper`` by :func:`realign_with_phone_map`.  Every
+    map must write into ``target``'s inventory.
     """
     for label_map in maps:
         if label_map.target_inventory.task_id != target:
@@ -302,31 +320,15 @@ def pool_and_relabel(
                 f"map targets {label_map.target_inventory.task_id!r} but pooled data "
                 f"belongs to {target!r}"
             )
-    languages = [m.source_inventory.task_id for m in maps] + [target]
-    rows = [corpus._split_rows(lang, split) for lang in languages]
-    n = sum(map(len, rows))
-    pooled = FrameSet(
-        target, np.empty((n, corpus.feature_dim)), np.empty(n, np.int64), np.empty(n, np.int64)
-    )
-    columns = (pooled.features, pooled.labels, pooled.utterance_ids)
-    stop = 0
-    for lang, index, label_map in zip(languages, rows, [*maps, None]):
-        start, stop = stop, stop + len(index)
-        fs = corpus.frames[lang]
-        for column, out in zip((fs.features, fs.labels, fs.utterance_ids), columns):
-            # "clip" never meets an out-of-range index here, and unlike the
-            # default "raise" it writes into ``out`` without a buffered copy
-            np.take(column, index, axis=0, out=out[start:stop], mode="clip")
-        if label_map is None:
-            continue
-        piece = FrameSet(lang, *(column[start:stop] for column in columns))
+    pieces = corpus.gather([m.source_inventory.task_id for m in maps] + [target], split)
+    for piece, label_map in zip(pieces, maps):
         if label_map.source_inventory.kind == "phone":
-            g_tables = corpus.g_tables[lang], corpus.g_tables[target]
-            piece = realign_with_phone_map(mapper, piece, label_map, *g_tables)
+            g_tables = corpus.g_tables[piece.language], corpus.g_tables[target]
+            piece.labels[:] = realign_with_phone_map(mapper, piece, label_map, *g_tables).labels
         else:
-            piece = apply_map(piece, label_map)
-        pooled.labels[start:stop] = piece.labels
-    return pooled
+            piece.labels[:] = apply_map(piece, label_map).labels
+    columns = zip(*((fs.features, fs.labels, fs.utterance_ids) for fs in pieces))
+    return FrameSet(target, *map(join_rows, columns))
 
 
 def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[Path]:

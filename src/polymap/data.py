@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,3 +93,23 @@ class FrameSet:
         return FrameSet(
             self.language, self.features[index], self.labels[index], self.utterance_ids[index]
         )
+
+
+def join_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``parts`` joined along their first axis.  Parts that are consecutive
+    row slices of one C-contiguous array, in order, join as a view of that
+    array; any others are concatenated into a new one."""
+    first, full = parts[0], [part for part in parts if part.size]
+    base = full[0].base if full else None
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return np.concatenate(parts)
+    start = end = full[0].ctypes.data
+    for part in parts:
+        fits = part.dtype == first.dtype and part.shape[1:] == first.shape[1:]
+        if fits and part.size:  # an empty slice may point anywhere
+            fits = part.base is base and part.flags.c_contiguous and part.ctypes.data == end
+            end += part.nbytes
+        if not fits:
+            return np.concatenate(parts)
+    shape = (sum(len(part) for part in parts), *first.shape[1:])
+    return np.ndarray(shape, first.dtype, base, start - base.ctypes.data)

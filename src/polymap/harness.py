@@ -547,7 +547,7 @@ def stage_build_map(
         map_set = build_source_maps(corpus, cfg, load_network(inputs["train-baseline"]))
     else:
         languages = [cfg.target, *cfg.sources]
-        frames = {lang: corpus.subset(lang, "train") for lang in languages}
+        frames = dict(zip(languages, corpus.gather(languages, "train")))
         nets: dict[str, Network] = {}
         for lang in languages:
             net, history = train_language_net(corpus, cfg, lang, f"mapper:{lang}", frames[lang])
@@ -589,7 +589,7 @@ def stage_mt_train(
         derive_seed(cfg.seed, "init:mtdnn"),
     )
     mt_cfg = dataclasses.replace(cfg.mt_train, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn"))
-    frames = {lang: corpus.subset(lang, "train") for lang in languages}
+    frames = dict(zip(languages, corpus.gather(languages, "train")))
     trained, history = train_multihead(net, frames, mt_cfg, map_set)
     save_multihead(trained, paths.mtdnn_model)
     _write_train_log(paths.logs_dir / "mtdnn_train.log", history)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FrameSet
+from .data import FrameSet, join_rows
 from .errors import (
     EmptyDataError,
     InvalidArchitectureError,
@@ -215,7 +215,10 @@ def train_multihead(
     language's head.  Given ``map_set``, it also takes on every other
     head its label mapped into that head's language; without one, the
     other heads take no loss from it, and a head whose language never
-    occurs in the data is returned bit-identical to its input.
+    occurs in the data is returned bit-identical to its input.  Sets that are
+    consecutive row slices of one buffer, in head order (as
+    :meth:`~polymap.corpus.MultiCorpus.gather` gives them), are trained on in
+    place; others are concatenated first.
     """
     unknown = [lang for lang in frames_by_language if lang not in net.languages]
     if unknown:
@@ -232,8 +235,8 @@ def train_multihead(
         if len(fs) and (fs.labels.min() < 0 or fs.labels.max() >= size):
             raise LabelRangeError(f"{lang} labels must lie in 0..{size - 1}")
 
-    x = np.concatenate([fs.features for fs in parts], axis=0)
-    labels = np.concatenate([fs.labels for fs in parts])
+    x = join_rows([fs.features for fs in parts])
+    labels = join_rows([fs.labels for fs in parts])
     owners = np.concatenate(
         [np.full(len(fs), net.head_index(lang), np.int64) for lang, fs in zip(present, parts)]
     )

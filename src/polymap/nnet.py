@@ -449,10 +449,10 @@ def _read_model(
     if found != (model_format, version):
         raise ShapeError(f"{path} is not a {model_format} v{version} file: it holds {found}")
     bad = [] if meta.get("activation") == "relu" else ["activation"]
-    bad += [] if isinstance(meta.get("seed"), int) else ["seed"]
+    bad += [] if type(meta.get("seed")) is int else ["seed"]  # JSON's true is no int here
     bad += [
         k for k, kind in lists
-        if not (isinstance(meta.get(k), list) and all(isinstance(v, kind) for v in meta[k]))
+        if not (isinstance(meta.get(k), list) and all(type(v) is kind for v in meta[k]))
     ]
     if bad:
         raise ShapeError(f"{path} model metadata lacks a valid {', '.join(bad)}")

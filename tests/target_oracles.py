@@ -16,11 +16,16 @@ archive member in memory; the package's blocked scorer and streaming
 writer must give the same bytes.  :func:`reference_pool_and_relabel`
 copies each language's split, relabels the sources and concatenates the
 copies; the package's one-buffer pooler must give the same arrays.
+:func:`reference_mt_train` feeds multi-head training a copy of each
+language's split, which it concatenates into a second copy; training on
+the package's one gathered buffer must give the same network in less
+memory, as :func:`traced_peak` measures it.
 """
 
 from __future__ import annotations
 
 import io
+import tracemalloc
 import zipfile
 from array import array
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ from polymap.corpus import _ARRAYS, _CORPUS_FORMAT, _CORPUS_VERSION
 from polymap.data import FrameSet
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet, apply_map, realign_with_phone_map
+from polymap.multitask import train_multihead
 from polymap.nnet import lr_at_epoch, relu, softmax
 
 
@@ -279,3 +285,20 @@ def reference_pool_and_relabel(corpus, split, target, maps, mapper) -> FrameSet:
         np.concatenate([fs.labels for fs in pieces]),
         np.concatenate([fs.utterance_ids for fs in pieces]),
     )
+
+
+def reference_mt_train(net, corpus, split, cfg, map_set=None):
+    """Multi-head training on a ``subset`` copy of each head's language's
+    ``split``, which :func:`train_multihead` concatenates into one more copy."""
+    frames = {lang: corpus.subset(lang, split) for lang in net.languages}
+    return train_multihead(net, frames, cfg, map_set)
+
+
+def traced_peak(fn, *args) -> tuple[object, int]:
+    """``fn(*args)`` and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

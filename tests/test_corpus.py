@@ -19,6 +19,7 @@ import polymap as pm
 from polymap import corpus as corpus_module
 from polymap._npz import read_npz, write_npz
 from polymap.corpus import FRAMES_PER_UTTERANCE
+from polymap.data import join_rows
 from polymap.errors import (
     ArtifactError,
     FractionError,
@@ -30,6 +31,7 @@ from target_oracles import (
     reference_pool_and_relabel,
     reference_read_text,
     reference_write_npz,
+    traced_peak,
 )
 
 SMALL = dict(
@@ -336,13 +338,51 @@ class TestPooling:
             assert (peak <= bound) == fits, (pool, peak, bound)
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak memory tracemalloc saw it allocate."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+class TestGather:
+    @pytest.mark.parametrize("split", corpus_module.SPLIT_NAMES)
+    @pytest.mark.parametrize("languages", [["b", "c", "a"], ["c", "b", "a"], ["c", "a", "b"]])
+    def test_equals_subset_in_one_buffer(self, split, languages):
+        # "b" has no dev frames: its empty set comes first, between or last
+        corpus = pm.split_corpus(
+            tiny_corpus(langs=("a", "b", "c")), {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0
+        )
+        b = corpus.splits["b"]
+        splits = {**corpus.splits, "b": {"train": b["train"] + b["dev"], "test": b["test"]}}
+        corpus = dataclasses.replace(corpus, splits=splits)
+        sets = corpus.gather(languages, split)
+        assert [fs.language for fs in sets] == languages
+        assert (len(sets[languages.index("b")]) == 0) == (split == "dev")
+        for lang, fs in zip(languages, sets):
+            want = corpus.subset(lang, split)
+            for column in ("features", "labels", "utterance_ids"):
+                got, expected = getattr(fs, column), getattr(want, column)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+        for column in ("features", "labels", "utterance_ids"):
+            assert_consecutive_slices([getattr(fs, column) for fs in sets])
+
+    def test_unknown_language_or_split(self):
+        corpus = pm.split_corpus(tiny_corpus(), {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
+        with pytest.raises(InventoryError):
+            corpus.gather(["a", "zz"], "train")
+        with pytest.raises(FractionError):
+            corpus.gather(["a"], "training")
+
+
+def assert_consecutive_slices(parts):
+    """``parts`` are consecutive row slices, in order, of one whole array,
+    which :func:`~polymap.data.join_rows` returns as a view.  (An empty
+    slice may point anywhere.)"""
+    base = parts[0].base
+    assert base.flags.owndata and base.flags.c_contiguous
+    end = base.ctypes.data
+    for part in parts:
+        assert part.base is base and part.flags.c_contiguous
+        assert part.ctypes.data == end or part.size == 0
+        end += part.nbytes
+    assert end == base.ctypes.data + base.nbytes
+    joined = join_rows(parts)
+    assert joined.ctypes.data == base.ctypes.data and joined.nbytes == base.nbytes
 
 
 def truth_map(corpus, kind, source, target):

@@ -19,7 +19,13 @@ from polymap.errors import (
     ShapeError,
     UnknownLanguageError,
 )
-from target_oracles import make_targets_mapped, make_targets_single, mt_loss
+from target_oracles import (
+    make_targets_mapped,
+    make_targets_single,
+    mt_loss,
+    reference_mt_train,
+    traced_peak,
+)
 
 
 def make_map_set(languages, sizes, tables):
@@ -442,6 +448,102 @@ class TestTrainMultihead:
             good = (np.argmax(pm.forward_head(trained, lang, fs.features), 1) != fs.labels).mean()
             bad = (np.argmax(pm.forward_head(garbled, lang, fs.features), 1) != fs.labels).mean()
             assert good < bad
+
+
+def laid_out(frames, layout):
+    """Copies of ``frames`` whose features and labels are row slices of one
+    buffer each, laid out as ``layout`` says, and the features buffer."""
+    order = list(frames)[::-1] if layout == "out of head order" else list(frames)
+    gap = 3 if layout == "gap" else 0
+    width = 2 if layout == "not contiguous" else 1  # a second, unused column
+    dim = next(iter(frames.values())).feature_dim
+    n = sum(len(fs) + gap for fs in frames.values())
+    features, labels = np.zeros((n, dim * width)), np.zeros((n, width), np.int64)
+    sets, stop = {}, 0
+    for lang in order:
+        fs = frames[lang]
+        start, stop = stop, stop + len(fs)
+        features[start:stop, :dim], labels[start:stop, 0] = fs.features, fs.labels
+        sets[lang] = pm.FrameSet(
+            lang, features[start:stop, :dim], labels[start:stop, 0], fs.utterance_ids
+        )
+        stop += gap
+    return {lang: sets[lang] for lang in frames}, features
+
+
+def assert_same_training(got, want):
+    (got_net, got_hist), (want_net, want_hist) = got, want
+    for a, b in zip(got_net.network.weights + got_net.network.biases,
+                    want_net.network.weights + want_net.network.biases):
+        assert a.tobytes() == b.tobytes()
+    assert got_hist == want_hist
+
+
+def mt_corpus(feature_dim=4, frames_per_senone=40):
+    spec = pm.SynthSpec(
+        num_languages=3, feature_dim=feature_dim, phones_per_language=12, senones_per_phone=3,
+        shared_phone_fraction=1.0, frames_per_senone=frames_per_senone, seed=11,
+    )
+    return pm.split_corpus(
+        pm.generate_synthetic(spec), {"train": 0.8, "dev": 0.1, "test": 0.1}, seed=12
+    )
+
+
+def senone_truth_maps(corpus):
+    """The generator's senone answer key between every pair, as a map set."""
+    inventories = corpus.senone_inventories
+    return make_map_set(
+        corpus.languages, [inventories[lang].size for lang in corpus.languages],
+        {pair: [truth[s] for s in range(len(truth))]
+         for pair, truth in corpus.senone_truth.items()},
+    )
+
+
+def gathered_mt_train(net, corpus, split, cfg, map_set=None):
+    """Multi-head training on every head's language's ``split``, gathered into one buffer."""
+    frames = dict(zip(net.languages, corpus.gather(net.languages, split)))
+    return pm.train_multihead(net, frames, cfg, map_set)
+
+
+class TestTrainInPlace:
+    @pytest.mark.parametrize("mode", ["masked", "mapped"])
+    def test_gathered_sets_train_like_copies(self, mode):
+        corpus = mt_corpus()
+        map_set = senone_truth_maps(corpus) if mode == "mapped" else None
+        net = pm.init_multihead([4, 8], [36, 36, 36], ["lang1", "lang0", "lang2"], seed=13)
+        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=14)
+        want = reference_mt_train(net, corpus, "train", cfg, map_set)
+        assert_same_training(gathered_mt_train(net, corpus, "train", cfg, map_set), want)
+
+    @pytest.mark.parametrize("layout", ["consecutive", "out of head order", "gap", "not contiguous"])
+    def test_sets_in_one_buffer_train_like_copies(self, layout):
+        net, frames, map_set = TestTrainMultihead.two_languages()
+        sets, features = laid_out(frames, layout)
+        x = multitask.join_rows([sets[lang].features for lang in net.languages])
+        assert np.shares_memory(x, features) == (layout == "consecutive")
+        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
+        for maps in (None, map_set):
+            want = pm.train_multihead(net, frames, cfg, maps)
+            assert_same_training(pm.train_multihead(net, sets, cfg, maps), want)
+
+    @pytest.mark.parametrize("mode", ["masked", "mapped"])
+    def test_holds_the_training_set_once(self, mode):
+        # Three languages of 8,640 training frames each: the gathered arrays
+        # are 8.7 MB, and a copy of each split first would nearly double that.
+        corpus = mt_corpus(feature_dim=40, frames_per_senone=300)
+        map_set = senone_truth_maps(corpus) if mode == "mapped" else None
+        net = pm.init_multihead([40, 64, 64], [36, 36, 36], corpus.languages, seed=13)
+        cfg = pm.MTTrainConfig(epochs=1, batch_size=64, shuffle_seed=14)
+        n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
+        heads = len(corpus.languages)
+        # features, labels and utterance ids; then targets, the epoch's two
+        # loss arrays, the owners and the shuffle order
+        bound = n * (40 + 2) * 8 + n * (3 * heads + 2) * 8 + 1_000_000
+        runs = {}
+        for train, fits in ((gathered_mt_train, True), (reference_mt_train, False)):
+            runs[train], peak = traced_peak(train, net, corpus, "train", cfg, map_set)
+            assert (peak <= bound) == fits, (train, peak, bound)
+        assert_same_training(*runs.values())
 
 
 class TestPrune:

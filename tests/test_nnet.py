@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from polymap.errors import (
     ShapeError,
 )
 from polymap.nnet import _SCORE_ROWS, _score_blocks, _sgd
-from target_oracles import reference_forward_batch, reference_sgd
+from target_oracles import reference_forward_batch, reference_sgd, traced_peak
 
 
 def bias_only_net(log_probs):
@@ -110,16 +109,6 @@ class TestPredict:
         net = pm.init_network([2, 8, 2], seed=1)
         net, _ = pm.train(net, frames, pm.TrainConfig(initial_lr=0.08, epochs=16, shuffle_seed=2))
         assert (pm.predict_batch(net, x) == labels).all()
-
-
-def traced_peak(fn, *args) -> tuple[object, int]:
-    """``fn(*args)`` and the most memory it held at once, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # Batch sizes about and across block edges, and of the recipe's splits.
@@ -447,6 +436,9 @@ class TestModelFileDamage:
             (pm.load_network, without(MODEL_META, "activation"), {}),
             (pm.load_network, without(MODEL_META, "seed"), {}),
             (pm.load_network, {**MODEL_META, "seed": "one"}, {}),
+            (pm.load_network, {**MODEL_META, "seed": True}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "seed": True}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": [True, True]}, {}),
             (pm.load_network, {**MODEL_META, "activation": "tanh"}, {}),
             (pm.load_multihead, {**MULTIHEAD_META, "activation": "tanh"}, {}),
             (pm.load_multihead, without(MULTIHEAD_META, "languages"), {}),
@@ -467,6 +459,7 @@ class TestModelFileDamage:
         ],
         ids=[
             "meta-not-json", "meta-not-object", "no-activation", "no-seed", "seed-not-int",
+            "seed-bool", "multihead-seed-bool", "multihead-head-sizes-bool",
             "activation-not-relu", "multihead-activation-not-relu",
             "multihead-no-languages", "multihead-no-head-sizes", "multihead-languages-text",
             "multihead-head-sizes-text", "multihead-head-sizes-sum", "weight-shape", "bias-shape",
