@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ._npz import read_npz, write_npz
+from ._schema import checked, decoded
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable, join_rows
 from .errors import (
     ArtifactError,
@@ -53,6 +54,12 @@ FRAMES_PER_UTTERANCE = 50
 
 _CORPUS_FORMAT = "polymap-corpus"
 _CORPUS_VERSION = 1
+# The metadata record of a binary corpus file, besides its header.
+_META_KINDS = {
+    "languages": "list[str]", "feature_dim": "int", "num_phones": "dict[int]",
+    "splits": "dict[dict[list[int]]]", "provenance": "dict",
+    "phone_truth": "list[[str, str, int, int]]", "senone_truth": "list[[str, str, int, int]]",
+}
 # Per-language arrays of a corpus file, named ``<name>_<language>``: the
 # frame set's three columns, then the collapse table.
 _ARRAYS = ("features", "labels", "utterances", "gtable")
@@ -386,28 +393,28 @@ def load_corpus(path: str | Path) -> MultiCorpus:
     try:
         if path.suffix == ".npz":
             arrays = read_npz(path)
-            meta = json.loads(str(arrays["meta"][()]))
-            if meta.get("format") != _CORPUS_FORMAT:
-                raise ValueError(f"not a {_CORPUS_FORMAT} file")
+            meta = decoded(str(arrays["meta"][()]), f"{path} metadata", ArtifactError)
+            meta = checked(meta, _META_KINDS, f"{path} metadata", ArtifactError,
+                           header=(_CORPUS_FORMAT, _CORPUS_VERSION))
         else:
             meta, arrays = _read_text(path)
-        langs, phones = list(meta["languages"]), meta["num_phones"]
+        langs, phones = meta["languages"], meta["num_phones"]
         truth: dict[str, dict[tuple[str, str], dict[int, int]]] = {"phone": {}, "senone": {}}
         for kind, pairs in truth.items():
-            for a, b, s, t in meta.get(f"{kind}_truth", []):
-                pairs.setdefault((a, b), {})[int(s)] = int(t)
+            for a, b, s, t in meta[f"{kind}_truth"]:
+                pairs.setdefault((a, b), {})[s] = t
         return MultiCorpus(
             languages=langs,
-            feature_dim=int(meta["feature_dim"]),
+            feature_dim=meta["feature_dim"],
             g_tables={
-                lang: SenoneToPhoneTable(lang, arrays[f"gtable_{lang}"], int(phones[lang]))
+                lang: SenoneToPhoneTable(lang, arrays[f"gtable_{lang}"], phones[lang])
                 for lang in langs
             },
             frames={
                 lang: FrameSet(lang, *(arrays[f"{name}_{lang}"] for name in _ARRAYS[:3]))
                 for lang in langs
             },
-            splits=meta.get("splits", {}),
+            splits=meta["splits"],
             phone_truth=truth["phone"],
             senone_truth=truth["senone"],
             provenance=meta.get("provenance", {}),

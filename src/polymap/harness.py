@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import checked, decoded
 from .corpus import (
     MultiCorpus,
     SynthSpec,
@@ -266,84 +267,36 @@ class ExperimentConfig:
             raise ConfigError(f"finetune lr must be positive, got {self.finetune_lr}")
 
 
-# The JSON type a config or row value must have, by kind: a field annotation
-# (``int``, ``float``, ``bool``, ``str``, ``dict``, or one ``| None``), or
-# ``list[T]`` for an array of T and ``dict[T]`` for an object whose values are T.
-_JSON_TYPES = {
-    "int": "an integer", "float": "a number", "bool": "true or false", "str": "a string",
-    "dict": "an object", "int | None": "an integer or null",
-    "list[str]": "an array of strings", "list[int]": "an array of integers",
-    "dict[str]": "an object of strings", "dict[float]": "an object of numbers",
-}
-
-
-def _is(value, kind: str) -> bool:
-    """Whether a decoded JSON value has the type ``kind`` of :data:`_JSON_TYPES`."""
-    if kind.endswith(" | None"):
-        return value is None or _is(value, kind.removesuffix(" | None"))
-    if kind.startswith("list["):
-        return isinstance(value, list) and all(_is(item, kind[5:-1]) for item in value)
-    if kind.startswith("dict["):
-        return isinstance(value, dict) and all(_is(item, kind[5:-1]) for item in value.values())
-    types = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict}[kind]
-    # JSON's true and false are no numbers, though Python's bool is an int
-    return isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
-
-
-def _checked(raw, types: dict[str, str], context: str) -> dict:
-    """``raw`` if it is a JSON object whose keys are keys of ``types`` and whose
-    values have their key's type; otherwise :class:`ConfigError`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context} must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {context}")
-    for key, value in raw.items():
-        if not _is(value, types[key]):
-            want = _JSON_TYPES[types[key]]
-            raise ConfigError(f"{context} key {key!r} must be {want}, got {json.dumps(value)}")
-    return raw
-
-
 def _train_config_from(raw, defaults: TrainConfig, context: str) -> TrainConfig:
-    types = {"initial_lr": "float", "epochs": "int", "batch_size": "int",
-             "halve_every_epoch": "bool"}
-    return dataclasses.replace(defaults, **_checked(raw, types, context))
+    kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig) if f.name != "shuffle_seed"}
+    return dataclasses.replace(defaults, **checked(raw, kinds, context, ConfigError, required=()))
 
 
 def _synth_from(raw, context: str) -> SynthSpec:
-    raw = _checked(raw, {f.name: f.type for f in dataclasses.fields(SynthSpec)}, context)
-    if "seed" not in raw:
-        raw = {**raw, "seed": None}
-    return SynthSpec(**raw)
+    kinds = {f.name: f.type for f in dataclasses.fields(SynthSpec)}
+    return SynthSpec(**{"seed": None, **checked(raw, kinds, context, ConfigError, required=())})
 
 
 def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
-    """Build and fully validate a config before any compute happens.  A value
-    of the wrong JSON type raises :class:`ConfigError` naming its key."""
-    raw = _checked(raw, {
+    """Build and fully validate a config before any compute happens.  A
+    wrong value raises :class:`ConfigError` naming its key."""
+    raw = checked(raw, {
         "version": "int", "method": "str", "target": "str", "sources": "list[str]", "seed": "int",
         "output_dir": "str", "corpus": "dict", "split": "dict[float]", "hidden_dims": "list[int]",
         "train": "dict", "mt_train": "dict", "finetune": "dict", "manual_maps": "dict[str]",
-    }, "config")
+    }, "config", ConfigError, required=("method", "target", "output_dir"))
     base_dir = Path(base_dir)
     if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
-    for key in ("method", "target", "output_dir"):
-        if key not in raw:
-            raise ConfigError(f"config is missing required key {key!r}")
     corpus = raw.get("corpus")
     if not corpus:
         raise ConfigError("config needs a 'corpus' object with 'path' or 'synth'")
-    _checked(corpus, {"path": "str", "synth": "dict"}, "corpus")
-    corpus_path = None
-    synth = None
-    if "path" in corpus:
-        corpus_path = base_dir / corpus["path"]
-    if "synth" in corpus:
-        synth = _synth_from(corpus["synth"], "corpus.synth")
+    checked(corpus, {"path": "str", "synth": "dict"}, "corpus", ConfigError, required=())
+    corpus_path = base_dir / corpus["path"] if "path" in corpus else None
+    synth = _synth_from(corpus["synth"], "corpus.synth") if "synth" in corpus else None
 
-    finetune_raw = _checked(raw.get("finetune", {}), {"epochs": "int", "lr": "float"}, "finetune")
+    finetune_raw = raw.get("finetune", {})
+    checked(finetune_raw, {"epochs": "int", "lr": "float"}, "finetune", ConfigError, required=())
 
     cfg = ExperimentConfig(
         method=raw["method"],
@@ -368,12 +321,14 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
 
 
 def load_experiment_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
+    """The config in the JSON file ``path``; :class:`ConfigError` naming the
+    file if it cannot be read or is not a valid config."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = experiment_config_from_dict(raw, path.resolve().parent)
+        raw = decoded(path.read_text(), "config", ConfigError)
+        cfg = experiment_config_from_dict(raw, path.resolve().parent)
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
     return cfg
@@ -676,38 +631,23 @@ class ResultRow:
 
 
 def row_to_dict(row: ResultRow) -> dict:
-    return {
-        "format": ROW_FORMAT,
-        "version": 1,
-        "method": row.method,
-        "target": row.target,
-        "sources": list(row.sources),
-        "seed": row.seed,
-        "config_hash": row.config_hash,
-        "dev_frame_error": row.dev_frame_error,
-        "test_frame_error": row.test_frame_error,
-    }
+    fields = {**dataclasses.asdict(row), "sources": list(row.sources)}
+    return {"format": ROW_FORMAT, "version": 1, **fields}
 
 
-def row_from_dict(raw: dict) -> ResultRow:
-    if raw.get("format") != ROW_FORMAT:
-        raise ConfigError(f"not a {ROW_FORMAT} payload")
-    types = {
+def row_from_dict(raw: dict, context: str = "row") -> ResultRow:
+    """A result row; :class:`ArtifactError` naming ``context`` and the key
+    unless ``raw`` is a :data:`ROW_FORMAT` v1 record of percentages."""
+    raw = checked(raw, {
         "method": "str", "target": "str", "sources": "list[str]", "seed": "int",
         "config_hash": "str", "dev_frame_error": "float", "test_frame_error": "float",
-    }
-    _checked({key: raw[key] for key in types}, types, "row")
+    }, context, ArtifactError, header=(ROW_FORMAT, 1))
     for key in ("dev_frame_error", "test_frame_error"):
         if not 0 <= raw[key] <= 100:
-            raise ConfigError(f"row key {key!r} must be a percentage, got {raw[key]}")
+            raise ArtifactError(f"{context} key {key!r} must be a percentage, got {raw[key]}")
     return ResultRow(
-        method=raw["method"],
-        target=raw["target"],
-        sources=tuple(raw["sources"]),
-        seed=raw["seed"],
-        config_hash=raw["config_hash"],
-        dev_frame_error=float(raw["dev_frame_error"]),
-        test_frame_error=float(raw["test_frame_error"]),
+        raw["method"], raw["target"], tuple(raw["sources"]), raw["seed"], raw["config_hash"],
+        float(raw["dev_frame_error"]), float(raw["test_frame_error"]),
     )
 
 
@@ -719,11 +659,11 @@ def write_row(row: ResultRow, path: Path) -> None:
 def read_row(path: str | Path) -> ResultRow:
     """A result row file; :class:`ArtifactError` naming it if it is missing or not a row."""
     try:
-        return row_from_dict(json.loads(Path(path).read_text()))
-    except KeyError as exc:
-        raise ArtifactError(f"cannot read {path}: no entry {exc}") from exc
-    except (OSError, AttributeError, ConfigError, TypeError, ValueError) as exc:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
+    context = f"cannot read {path}: row"
+    return row_from_dict(decoded(text, context, ArtifactError), context)
 
 
 def relative_improvement(baseline: float, value: float) -> float:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import checked, decoded
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .errors import (
     ArtifactError,
@@ -41,10 +42,10 @@ PROVENANCE_IDENTITY = "identity"
 _MAPSET_FORMAT = "polymap-mapset"
 _MAPSET_VERSION = 1
 MAPSET_MANIFEST = "mapset.json"
-# The fields of a map-set manifest entry and the JSON type of each.
+# The fields of a map-set manifest entry and the JSON kind of each.
 _MAPSET_FIELDS = {
-    "source": str, "target": str, "kind": str, "provenance": str, "file": str,
-    "source_size": int, "target_size": int,
+    "source": "str", "target": "str", "kind": "str", "provenance": "str", "file": "str",
+    "source_size": "int", "target_size": "int",
 }
 
 
@@ -401,30 +402,15 @@ def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
 def load_map_set(directory: str | Path) -> MapSet:
     """Read a map set written by :func:`save_map_set`.  A manifest whose
     header, entry fields or (source, target) pairs are not as written
-    raises :class:`MapFormatError` naming the manifest and the key; text
-    fields must be JSON strings and sizes JSON integers."""
-    directory = Path(directory)
-    manifest_path = directory / MAPSET_MANIFEST
-    try:
-        manifest = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise MapFormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != _MAPSET_FORMAT:
-        raise MapFormatError(f"{manifest_path} is not a {_MAPSET_FORMAT} manifest")
-    version, entries = manifest.get("version"), manifest.get("maps")
-    if type(version) is not int or version != _MAPSET_VERSION:
-        raise MapFormatError(f"{manifest_path} has version {version!r}, not {_MAPSET_VERSION}")
-    if not isinstance(entries, list):
-        raise MapFormatError(f"{manifest_path} has no list of maps")
+    raises :class:`MapFormatError` naming the manifest and the key."""
+    manifest_path = Path(directory) / MAPSET_MANIFEST
+    manifest = decoded(_read_text(manifest_path), str(manifest_path), MapFormatError)
+    manifest = checked(manifest, {"maps": "list"}, str(manifest_path), MapFormatError,
+                       header=(_MAPSET_FORMAT, _MAPSET_VERSION))
     maps: dict[tuple[str, str], LabelMap] = {}
-    for entry in entries:
-        for key, kind in _MAPSET_FIELDS.items():
-            value = entry.get(key) if isinstance(entry, dict) else None
-            if type(value) is not kind:  # a bool is not an int here, nor a float
-                raise MapFormatError(
-                    f"{manifest_path} has a malformed map entry: {key} is {value!r}, "
-                    f"not a JSON {'string' if kind is str else 'integer'}"
-                )
+    for i, entry in enumerate(manifest["maps"]):
+        context = f"{manifest_path}: malformed map entry {i}"
+        entry = checked(entry, _MAPSET_FIELDS, context, MapFormatError)
         pair, name = (entry["source"], entry["target"]), entry["file"]
         if pair in maps:
             raise MapFormatError(f"{manifest_path} has a second map entry for {pair}")
@@ -434,7 +420,7 @@ def load_map_set(directory: str | Path) -> MapSet:
             source_inv = LabelInventory(entry["source"], entry["source_size"], entry["kind"])
             target_inv = LabelInventory(entry["target"], entry["target_size"], entry["kind"])
         except InventoryError as exc:
-            raise MapFormatError(f"{manifest_path} has a malformed map entry: {exc}") from exc
-        table = _parse_map_file(directory / name, source_inv, target_inv)
+            raise MapFormatError(f"{context}: {exc}") from exc
+        table = _parse_map_file(manifest_path.parent / name, source_inv, target_inv)
         maps[pair] = LabelMap(source_inv, target_inv, table, entry["provenance"])
     return MapSet(maps)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import is_kind
 from .data import FrameSet, join_rows
 from .errors import (
     EmptyDataError,
@@ -87,8 +88,7 @@ class MultiHeadNetwork:
 
 
 def _check_heads(langs: list[str], sizes: list[int]) -> None:
-    typed = (isinstance(langs, list) and all(isinstance(l, str) for l in langs)
-             and isinstance(sizes, list) and all(type(s) is int for s in sizes))
+    typed = is_kind(langs, "list[str]") and is_kind(sizes, "list[int]")
     if not (typed and langs and len(set(langs)) == len(langs) == len(sizes) and min(sizes) >= 1):
         raise InvalidArchitectureError(
             "need a list of distinct str language ids and a list of as many int head sizes"
@@ -254,7 +254,7 @@ def train_multihead(
         history.append(
             MTEpochStats(epoch=epoch, lr=lr, mean_loss=mean_loss, per_language=per_language)
         )
-    trained = Network(list(src.layer_dims), weights, biases, src.activation, src.seed)
+    trained = Network(list(src.layer_dims), weights, biases, src.seed)
     return MultiHeadNetwork(trained, list(net.languages), list(net.head_sizes)), history
 
 
@@ -271,7 +271,6 @@ def prune(net: MultiHeadNetwork, language: str) -> Network:
         [*src.layer_dims[:-1], hi - lo],
         [w.copy() for w in src.weights[:-1]] + [src.weights[-1][lo:hi].copy()],
         [b.copy() for b in src.biases[:-1]] + [src.biases[-1][lo:hi].copy()],
-        src.activation,
         src.seed,
     )
 
@@ -289,8 +288,8 @@ def save_multihead(net: MultiHeadNetwork, path: str | Path) -> None:
 
 
 def load_multihead(path: str | Path) -> MultiHeadNetwork:
-    lists = (("languages", str), ("head_sizes", int))
-    network, meta = _read_model(path, _MODEL_FORMAT, _MODEL_VERSION, lists)
+    kinds = {"languages": "list[str]", "head_sizes": "list[int]"}
+    network, meta = _read_model(path, _MODEL_FORMAT, _MODEL_VERSION, kinds)
     try:
         return MultiHeadNetwork(network, meta["languages"], meta["head_sizes"])
     except InvalidArchitectureError as exc:

@@ -32,6 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from ._npz import read_npz, write_npz
+from ._schema import checked, decoded
 from .data import FrameSet
 from .errors import (
     ConfigError,
@@ -61,7 +62,6 @@ class Network:
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     seed: int = 0
 
     @property
@@ -77,7 +77,6 @@ class Network:
             list(self.layer_dims),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.activation,
             self.seed,
         )
 
@@ -127,7 +126,7 @@ def init_network(layer_dims: list[int], seed: int = 0) -> Network:
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases, activation="relu", seed=int(seed))
+    return Network(dims, weights, biases, seed=int(seed))
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -380,7 +379,7 @@ def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, li
         EpochStats(epoch=epoch, lr=lr, mean_loss=loss)
         for epoch, lr, loss, _ in _sgd(weights, biases, [0, net.output_dim], x, y[:, None], cfg)
     ]
-    trained = Network(list(net.layer_dims), weights, biases, net.activation, net.seed)
+    trained = Network(list(net.layer_dims), weights, biases, net.seed)
     return trained, history
 
 
@@ -418,8 +417,9 @@ def save_network(net: Network, path: str | Path) -> None:
 
 def _write_model(net: Network, path: str | Path, meta: dict) -> None:
     """Write the one model layout: a JSON ``meta`` (the given keys plus
-    activation and seed), ``layer_dims`` and ``weight_k``/``bias_k``."""
-    meta = {**meta, "activation": net.activation, "seed": net.seed}
+    the seed and a fixed ``"relu"`` activation marker), ``layer_dims`` and
+    ``weight_k``/``bias_k``."""
+    meta = {**meta, "activation": "relu", "seed": net.seed}
     arrays: dict[str, np.ndarray] = {
         "meta": np.array(json.dumps(meta, sort_keys=True)),
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
@@ -431,31 +431,21 @@ def _write_model(net: Network, path: str | Path, meta: dict) -> None:
 
 
 def _read_model(
-    path: str | Path, model_format: str, version: int, lists: tuple[tuple[str, type], ...] = ()
+    path: str | Path, model_format: str, version: int, kinds: dict[str, str] | None = None
 ) -> tuple[Network, dict]:
-    """The network and metadata of a model file, checked to be of
-    ``model_format`` at ``version``, with ``activation`` ``"relu"`` (the
-    only one the scorers apply), an integer ``seed``, each ``(key, kind)``
-    of ``lists`` a list of ``kind`` values in its metadata, and arrays that
-    fit its layer sizes; :class:`ShapeError` naming the file otherwise."""
+    """The network and metadata of a model file, whose metadata is a
+    ``model_format`` v``version`` record of activation ``"relu"`` (the one the
+    scorers apply), an int ``seed`` and ``kinds``, and whose arrays fit its
+    layer sizes; :class:`ShapeError` naming the file otherwise."""
     arrays = read_npz(path)
     if "meta" not in arrays:
         raise ShapeError(f"{path} is not a model file (missing metadata)")
-    try:
-        meta = json.loads(str(arrays["meta"][()]))
-    except json.JSONDecodeError as exc:
-        raise ShapeError(f"{path} has unreadable model metadata: {exc}") from exc
-    found = (meta.get("format"), meta.get("version")) if isinstance(meta, dict) else None
-    if found != (model_format, version):
-        raise ShapeError(f"{path} is not a {model_format} v{version} file: it holds {found}")
-    bad = [] if meta.get("activation") == "relu" else ["activation"]
-    bad += [] if type(meta.get("seed")) is int else ["seed"]  # JSON's true is no int here
-    bad += [
-        k for k, kind in lists
-        if not (isinstance(meta.get(k), list) and all(type(v) is kind for v in meta[k]))
-    ]
-    if bad:
-        raise ShapeError(f"{path} model metadata lacks a valid {', '.join(bad)}")
+    context = f"{path} model metadata"
+    meta = checked(decoded(str(arrays["meta"][()]), context, ShapeError),
+                   {"activation": "str", "seed": "int", **(kinds or {})}, context, ShapeError,
+                   header=(model_format, version))
+    if meta["activation"] != "relu":
+        raise ShapeError(f"{path} model metadata has activation {meta['activation']!r}, not 'relu'")
     try:
         layer_dims = arrays["layer_dims"]
         is_list = layer_dims.ndim == 1 and layer_dims.dtype.kind in "iu"
@@ -470,7 +460,7 @@ def _read_model(
     ]
     if len(dims) < 2 or min(dims) < 1 or not all(fits):
         raise ShapeError(f"{path} holds model arrays that do not fit its layer_dims {dims}")
-    return Network(dims, weights, biases, meta["activation"], meta["seed"]), meta
+    return Network(dims, weights, biases, meta["seed"]), meta
 
 
 def load_network(path: str | Path) -> Network:

@@ -424,6 +424,24 @@ def pooling_world():
 
 HEAD = "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\ngtable a 0 0\n"
 
+# The metadata record of a valid binary corpus of one frame of each of two languages.
+NPZ_META = {
+    "format": "polymap-corpus", "version": 1, "languages": ["lang0", "lang1"], "feature_dim": 20,
+    "num_phones": {"lang0": 12, "lang1": 12}, "provenance": {},
+    "splits": {lang: {"train": [0], "dev": [], "test": []} for lang in ("lang0", "lang1")},
+    "phone_truth": [["lang0", "lang1", 0, 0]], "senone_truth": [["lang0", "lang1", 3, 0]],
+}
+
+
+def npz_corpus(**changes):
+    """(suffix, arrays) of that corpus, its metadata changed by ``changes``."""
+    arrays = {"meta": np.array(json.dumps({**NPZ_META, **changes}))}
+    for lang in NPZ_META["languages"]:
+        arrays.update({f"features_{lang}": np.zeros((1, 20)), f"labels_{lang}": np.zeros(1, int),
+                       f"utterances_{lang}": np.zeros(1, int), f"gtable_{lang}": np.arange(4)})
+    return ".npz", arrays
+
+
 # Case -> (file suffix, content): a string is written as text, a dict of
 # arrays with np.savez, None leaves the file missing.
 MALFORMED = {
@@ -449,6 +467,12 @@ MALFORMED = {
     "utterance in two splits": (".txt", HEAD + "split a train 0\nsplit a test 0\n"),
     "split of undeclared language": (".txt", HEAD + "split b train 0\n"),
     "unknown line key": (".txt", HEAD + "speaker a 0\n"),
+    "fractional feature_dim": npz_corpus(feature_dim=20.9),
+    "feature_dim a string": npz_corpus(feature_dim="20"),
+    "fractional num_phones": npz_corpus(num_phones={"lang0": 12.5, "lang1": 12}),
+    "fractional truth entry": npz_corpus(senone_truth=[["lang0", "lang1", 3.7, 0]]),
+    "split ids strings": npz_corpus(splits={"lang0": {"train": ["0"]}, "lang1": {"train": ["0"]}}),
+    "languages a string": npz_corpus(languages="lang0"),
 }
 
 
@@ -581,6 +605,12 @@ class TestCorpusFiles:
             assert loaded.senone_inventories[lang] == corpus.senone_inventories[lang]
         assert loaded.phone_truth == corpus.phone_truth
         assert loaded.senone_truth == corpus.senone_truth
+
+    def test_unchanged_npz_metadata_loads(self, tmp_path):
+        np.savez(tmp_path / "corpus.npz", **npz_corpus()[1])
+        corpus = pm.load_corpus(tmp_path / "corpus.npz")
+        assert len(corpus.subset("lang0", "train")) == 1
+        assert corpus.senone_truth == {("lang0", "lang1"): {3: 0}}
 
     def test_declared_language_without_frames_loads_empty(self, tmp_path):
         path = tmp_path / "corpus.txt"

@@ -15,6 +15,7 @@ from polymap.errors import (
     InventoryError,
     LabelRangeError,
     MapFormatError,
+    PolymapError,
     RangeError,
 )
 from polymap.mapping import UnmappedLabelWarning
@@ -509,3 +510,38 @@ class TestMapSetFiles:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(MapFormatError, match=rf"mapset\.json.*{key}"):
             pm.load_map_set(tmp_path / "maps")
+
+    @given(
+        in_manifest=st.booleans(),
+        position=st.integers(0, 10**6),
+        flip=st.one_of(st.none(), st.integers(1, 255)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_map_set_loads_or_raises_polymap_error(
+        self, tmp_path_factory, in_manifest, position, flip
+    ):
+        # flip None cuts the file at ``position``; otherwise one byte is XORed
+        directory = tmp_path_factory.mktemp("maps")
+        inv_a, inv_b = pm.LabelInventory("a", 4), pm.LabelInventory("b", 3)
+        ms = pm.MapSet({
+            ("a", "b"): pm.LabelMap(inv_a, inv_b, [0, 1, 2, 0], "manual"),
+            ("b", "b"): pm.identity_map(inv_b),
+        })
+        manifest = pm.save_map_set(ms, directory)
+        path = manifest if in_manifest else directory / "map_a_to_b.txt"
+        data = bytearray(path.read_bytes())
+        if flip is None:
+            del data[position % (len(data) + 1) :]
+        else:
+            data[position % len(data)] ^= flip
+        path.write_bytes(bytes(data))
+        try:
+            loaded = pm.load_map_set(directory)
+        except PolymapError:
+            return
+        assert isinstance(loaded, pm.MapSet)
+        for (source, target), label_map in loaded.maps.items():
+            assert isinstance(label_map, pm.LabelMap)
+            assert (label_map.source_inventory.task_id, label_map.target_inventory.task_id) == (
+                source, target
+            )

@@ -371,7 +371,6 @@ class TestPersistence:
         pm.save_network(net, path)
         loaded = pm.load_network(path)
         assert loaded.layer_dims == net.layer_dims
-        assert loaded.activation == net.activation
         assert loaded.seed == net.seed
         before = pm.forward_batch(net, frames)
         after = pm.forward_batch(loaded, frames)
