@@ -53,6 +53,7 @@ from .errors import (
     EmptyDataError,
     MissingBaselineError,
     StaleArtifactError,
+    SynthSpecError,
 )
 from .mapping import (
     MAPSET_MANIFEST,
@@ -274,7 +275,11 @@ def _train_config_from(raw, defaults: TrainConfig, context: str) -> TrainConfig:
 
 def _synth_from(raw, context: str) -> SynthSpec:
     kinds = {f.name: f.type for f in dataclasses.fields(SynthSpec)}
-    return SynthSpec(**{"seed": None, **checked(raw, kinds, context, ConfigError, required=())})
+    values = checked(raw, kinds, context, ConfigError, required=())
+    try:
+        return SynthSpec(**{"seed": None, **values})
+    except SynthSpecError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:

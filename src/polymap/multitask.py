@@ -42,8 +42,7 @@ from .nnet import (
     EpochStats,
     Network,
     TrainConfig,
-    _backprop,
-    _heads,
+    _batch_gradients,
     _read_model,
     _sgd,
     _write_model,
@@ -189,17 +188,16 @@ def multihead_loss_and_gradients(
     if (labels < 0).any() or (labels >= sizes[owners]).any():
         raise LabelRangeError("some frame labels exceed their owner head's size")
     targets = _target_array(net, labels, owners, map_set)
-    weights, biases, bounds = net.network.weights, net.network.biases, net.bounds
-    grads_w = [np.empty_like(w) for w in weights]
-    grads_b = [np.empty_like(b) for b in biases]
-    losses = _backprop(weights, biases, _heads(bounds), x, targets, grads_w, grads_b)
-    n = x.shape[0]
+    bounds = net.bounds
+    loss, grads_w, grads_b = _batch_gradients(
+        net.network.weights, net.network.biases, bounds, x, targets
+    )
     return (
-        float(losses.sum()) / n,
-        [g / n for g in grads_w[:-1]],
-        [g / n for g in grads_b[:-1]],
-        [g / n for g in np.split(grads_w[-1], bounds[1:-1])],
-        [g / n for g in np.split(grads_b[-1], bounds[1:-1])],
+        loss,
+        grads_w[:-1],
+        grads_b[:-1],
+        np.split(grads_w[-1], bounds[1:-1]),
+        np.split(grads_b[-1], bounds[1:-1]),
     )
 
 

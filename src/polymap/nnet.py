@@ -18,7 +18,11 @@ trained network's arrays are views of that buffer.  Each SGD step writes
 the gradient into a buffer of the same layout and updates all parameters
 with two operations over the flat buffers; the result is bit-identical
 to updating each array on its own, and to computing each head's softmax
-on its own.
+on its own.  The work that needs no parameters (gathering the shuffled
+rows, finding each target's logit, masking the heads that take no loss)
+is done once per block of up to 256 rows, not once per batch, and the
+kernel writes every activation, error and gradient into arrays made once
+per training call.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ _MODEL_FORMAT = "polymap-network"
 _MODEL_VERSION = 1
 # Most rows scored in one call; see forward_batch.
 _SCORE_ROWS = 1024
+# Most rows of a training block, unless one batch is larger; see _sgd.
+_STEP_ROWS = 256
 
 
 @dataclass
@@ -227,63 +233,108 @@ def _flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, [v.reshape(a.shape) for v, a in zip(np.split(flat, ends), arrays)]
 
 
-def _heads(bounds: list[int]) -> tuple[list[int], np.ndarray]:
-    """``bounds`` (head ``l`` owns output columns ``bounds[l]:bounds[l + 1]``)
-    and each output column's head."""
-    return list(bounds), np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+def _plan(weights: list, biases: list, grads_w: list, grads_b: list, bounds: list[int], rows: int):
+    """Work arrays for :func:`_backprop` on batches of ``rows`` frames, made
+    once: per layer ``(w, w.T, b, grad_w, grad_b, out, relu_mask)``; the
+    heads' first columns and each column's head (head ``l`` owns output
+    columns ``bounds[l]:bounds[l + 1]``); the per-(frame, head) buffers
+    ``norm`` and ``picked`` and the per-column ``spread``; and each head's
+    columns of the output buffer with its column of ``norm``."""
+    layers = [
+        (w, w.T, b, gw, gb, np.empty((rows, w.shape[0])), np.empty((rows, w.shape[0])))
+        for w, b, gw, gb in zip(weights, biases, grads_w, grads_b)
+    ]
+    logits = layers[-1][5]
+    norm = np.empty((rows, len(bounds) - 1))
+    heads = [(logits[:, lo:hi], norm[:, l]) for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    column_head = np.repeat(np.arange(len(heads)), np.diff(bounds))
+    return layers, bounds[:-1], column_head, norm, np.empty_like(norm), np.empty_like(logits), heads
+
+
+def _target_slots(targets: np.ndarray, plan: tuple, batch: int) -> tuple:
+    """For rows that form consecutive batches of ``batch``: the flat index of
+    each (frame, head) target logit within its batch's logits, and, if some
+    target is -1, the no-loss masks per (frame, head) and per (frame, column),
+    else None.  A -1 target points at its head's first column."""
+    _, starts, column_head = plan[:3]
+    hot = np.maximum(targets, 0)
+    hot += starts
+    hot += (np.arange(len(targets)) % batch * column_head.size)[:, None]
+    if targets.min() >= 0:
+        return hot, None
+    off = targets < 0
+    return hot, (off, off.take(column_head, axis=1))
 
 
 def _backprop(
-    weights: list, biases: list, heads: tuple, x: np.ndarray, targets: np.ndarray,
-    grads_w: list, grads_b: list,
-) -> np.ndarray:
-    """Per-(frame, head) cross-entropies; the gradients of their sum are
-    written into ``grads_w`` and ``grads_b`` (arrays of the parameters' shapes).
+    plan: tuple, x: np.ndarray, hot: np.ndarray, masks: tuple | None, losses: np.ndarray
+) -> None:
+    """Per-(frame, head) cross-entropies of the rows ``x`` into ``losses``;
+    the gradients of their sum go into the plan's ``grad_w`` and ``grad_b``.
 
-    ``targets[i, l]`` is frame ``i``'s label on head ``l``, or -1 for no loss
-    (and no error) there.  Every head's softmax is computed over the whole
-    output row at once, bit-identical to one head at a time.
+    ``plan`` is :func:`_plan` for ``len(x)`` rows, and ``hot`` and ``masks``
+    are :func:`_target_slots` of the rows' targets, where ``targets[i, l]``
+    is frame ``i``'s label on head ``l``, or -1 for no loss (and no error)
+    there.  Every head's softmax is computed over the whole output row at
+    once, bit-identical to one head at a time.  ``np.dot`` into the plan's
+    arrays is the same BLAS product as ``@``.
     """
-    acts = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = acts[-1] @ w.T
-        h += b
-        acts.append(np.maximum(h, 0.0, out=h))
+    layers, starts, column_head, norm, picked, spread, heads = plan
+    h = x
+    for _, wt, b, _, _, out, mask in layers[:-1]:
+        np.dot(h, wt, out=out)
+        out += b
+        h = np.maximum(out, 0.0, out=out)
+        # ReLU outputs are >= 0, so their sign is ``h > 0`` as floats, which
+        # multiply the error faster than bools.  Only a NaN unit differs (a
+        # NaN, not 0.0), and its activation makes the gradients NaN anyway.
+        np.sign(h, out=mask)
 
     # ``delta`` goes from logits to the softmax error in place.
-    delta = acts[-1] @ weights[-1].T
-    delta += biases[-1]
-    bounds, column_head = heads
-    starts = bounds[:-1]
-    delta -= np.maximum.reduceat(delta, starts, axis=1).take(column_head, axis=1)
-    # Flat indices of the target logits; a -1 target points at its head's
-    # first column, and its row of that head is zeroed below.
-    hot = np.maximum(targets, 0)
-    hot += starts
-    hot += np.arange(0, delta.size, delta.shape[1])[:, None]
+    _, wt, b, _, _, delta, _ = layers[-1]
+    np.dot(h, wt, out=delta)
+    delta += b
+    np.maximum.reduceat(delta, starts, axis=1, out=norm)
+    # Every index is in range; mode "clip" only skips take's output copy.
+    delta -= norm.take(column_head, axis=1, out=spread, mode="clip")
     flat = delta.reshape(-1)
-    picked = flat.take(hot)
+    flat.take(hot, out=picked, mode="clip")
     np.exp(delta, out=delta)
     # Not np.add.reduceat: its sums differ from sum(axis=1) in the last bit.
-    norm = np.empty(targets.shape)
-    for l, (lo, hi) in enumerate(zip(starts, bounds[1:])):
-        np.add.reduce(delta[:, lo:hi], axis=1, out=norm[:, l])
-    losses = np.log(norm)
+    for columns, head_norm in heads:
+        np.add.reduce(columns, axis=1, out=head_norm)
+    np.log(norm, out=losses)
     losses -= picked
-    delta /= norm.take(column_head, axis=1)
+    delta /= norm.take(column_head, axis=1, out=spread, mode="clip")
     flat[hot] -= 1.0
-    if targets.min() < 0:
-        off = targets < 0
-        np.putmask(losses, off, 0.0)
-        np.putmask(delta, off.take(column_head, axis=1), 0.0)
+    if masks is not None:
+        np.putmask(losses, masks[0], 0.0)
+        np.putmask(delta, masks[1], 0.0)
 
-    for k in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[k], out=grads_w[k])
-        np.add.reduce(delta, axis=0, out=grads_b[k])
-        if k > 0:
-            delta = delta @ weights[k]
-            delta *= acts[k] > 0.0
-    return losses
+    # Each layer's input is spent once its gradient is written, so its
+    # buffer takes the next layer's error.
+    for (w, _, _, grad_w, grad_b, _, _), (*_, h, mask) in zip(layers[:0:-1], layers[-2::-1]):
+        np.dot(delta.T, h, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
+        delta = np.dot(delta, w, out=h)
+        delta *= mask
+    _, _, _, grad_w, grad_b, _, _ = layers[0]
+    np.dot(delta.T, x, out=grad_w)
+    np.add.reduce(delta, axis=0, out=grad_b)
+
+
+def _batch_gradients(
+    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """The mean of :func:`_backprop`'s losses over one batch, and the mean
+    gradients of ``weights`` and ``biases``."""
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    n = x.shape[0]
+    plan = _plan(weights, biases, grads_w, grads_b, bounds, n)
+    losses = np.empty(targets.shape)
+    _backprop(plan, x, *_target_slots(targets, plan, n), losses)
+    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
 
 
 def loss_and_gradients(
@@ -293,13 +344,7 @@ def loss_and_gradients(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_labeled_batch(net, x, y)
-    grads_w = [np.empty_like(w) for w in net.weights]
-    grads_b = [np.empty_like(b) for b in net.biases]
-    losses = _backprop(
-        net.weights, net.biases, _heads([0, net.output_dim]), x, y[:, None], grads_w, grads_b
-    )
-    n = x.shape[0]
-    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
+    return _batch_gradients(net.weights, net.biases, [0, net.output_dim], x, y[:, None])
 
 
 def _check_labeled_batch(net: Network, x: np.ndarray, y: np.ndarray) -> None:
@@ -326,6 +371,13 @@ def _sgd(
     parameters with two operations over the flat buffers.  The result is
     bit-identical to updating each array on its own.
 
+    Each epoch's shuffled rows are taken in blocks of whole batches, at most
+    :data:`_STEP_ROWS` rows (or one batch, if larger).  A block gathers its
+    features and target slots once; its steps work on slices of them, in
+    work arrays made once per call, and write their losses into one
+    block-sized buffer.  The epoch's loss is still the sum of each batch's
+    total in batch order, so the results are those of one step at a time.
+
     Yields ``(epoch, lr, mean_loss, frame_losses)`` after each epoch, where
     ``frame_losses`` (reused) holds the epoch's per-(frame, head) losses.
     """
@@ -333,28 +385,42 @@ def _sgd(
     weights[:], biases[:] = views[: len(weights)], views[len(weights) :]
     grad, grad_views = _flatten(views)
     grads_w, grads_b = grad_views[: len(weights)], grad_views[len(weights) :]
-    heads = _heads(bounds)
     rng = np.random.default_rng(cfg.shuffle_seed)
-    n = x.shape[0]
+    n, batch = x.shape[0], cfg.batch_size
+    # One plan for the full batches and one for a shorter last batch.
+    plans = {
+        size: _plan(weights, biases, grads_w, grads_b, bounds, size)
+        for size in {min(batch, n), n % batch or batch}
+    }
+    block = max(batch, _STEP_ROWS // batch * batch)
+    losses = np.empty((min(block, n), targets.shape[1]))
+    batch_values = batch * targets.shape[1]
     frame_losses = np.empty(targets.shape)
-    shuffled_losses = np.empty(targets.shape)
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
         order = rng.permutation(n)
         loss_total = 0.0
         # Overflow or NaN leaves a non-finite loss or weight, raised below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                losses = _backprop(
-                    weights, biases, heads, x.take(idx, axis=0), targets.take(idx, axis=0),
-                    grads_w, grads_b,
-                )
-                grad *= lr / idx.size
-                params -= grad
-                shuffled_losses[start : start + cfg.batch_size] = losses
-                loss_total += float(losses.sum())
-        frame_losses[order] = shuffled_losses
+            for first in range(0, n, block):
+                rows = order[first : first + block]
+                xs = x.take(rows, axis=0)
+                hot, masks = _target_slots(targets.take(rows, axis=0), plans[min(batch, n)], batch)
+                for start in range(0, rows.size, batch):
+                    size = min(batch, rows.size - start)
+                    step = slice(start, start + size)
+                    _backprop(
+                        plans[size], xs[step], hot[step],
+                        masks and (masks[0][step], masks[1][step]), losses[step],
+                    )
+                    grad *= lr / size
+                    params -= grad
+                full = rows.size // batch * batch
+                for total in losses[:full].reshape(-1, batch_values).sum(axis=1).tolist():
+                    loss_total += total
+                if full < rows.size:
+                    loss_total += float(losses[full : rows.size].sum())
+                frame_losses[rows] = losses[: rows.size]
         mean_loss = loss_total / n
         if not (math.isfinite(mean_loss) and np.isfinite(params).all()):
             raise NonFiniteLossError(

@@ -311,6 +311,7 @@ def multitask_rows(tmp_path_factory, pooling_rows):
     return rows, time.monotonic() - started
 
 
+@pytest.mark.slow
 def test_directional_transfer_pooling(pooling_rows):
     rows, elapsed = pooling_rows
     mean = {m: np.mean([r.test_frame_error for r in rs]) for m, rs in rows.items()}
@@ -328,6 +329,7 @@ def test_directional_transfer_pooling(pooling_rows):
     )
 
 
+@pytest.mark.slow
 def test_directional_transfer_multitask(multitask_rows):
     rows, elapsed = multitask_rows
     mean = {m: np.mean([r.test_frame_error for r in rs]) for m, rs in rows.items()}

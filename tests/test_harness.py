@@ -459,6 +459,13 @@ class TestCli:
         err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
         assert err.startswith("ConfigError: ") and key in err
 
+    @pytest.mark.parametrize("value", [{"frames_per_senone": 0}, {"shared_phone_fraction": 1.5}])
+    def test_synth_value_out_of_range_names_the_file_and_section(self, tmp_path, capsys, value):
+        raw = tiny_config(tmp_path, corpus={"synth": {**TINY_SYNTH, **value}})
+        path = write_config(tmp_path, raw)
+        err = self.one_error_line(capsys, ["synth", "--config", str(path)])
+        assert err.startswith(f"ConfigError: {path}: corpus.synth: {next(iter(value))} ")
+
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),
         pytest.param("[1]", id="not an object"),

@@ -536,9 +536,9 @@ class TestTrainInPlace:
         cfg = pm.MTTrainConfig(epochs=1, batch_size=64, shuffle_seed=14)
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         heads = len(corpus.languages)
-        # features, labels and utterance ids; then targets, the epoch's two
-        # loss arrays, the owners and the shuffle order
-        bound = n * (40 + 2) * 8 + n * (3 * heads + 2) * 8 + 1_000_000
+        # features, labels and utterance ids; then targets, the epoch's one
+        # loss array, the owners and the shuffle order
+        bound = n * (40 + 2) * 8 + n * (2 * heads + 2) * 8 + 1_000_000
         runs = {}
         for train, fits in ((gathered_mt_train, True), (reference_mt_train, False)):
             runs[train], peak = traced_peak(train, net, corpus, "train", cfg, map_set)

@@ -241,12 +241,16 @@ class TestTrain:
 
 
 def step_targets(mode, sizes, n, seed, absent=None):
-    """Masked (owner column only, -1 elsewhere) or mapped (every column)
+    """Masked (owner column only, -1 elsewhere), mapped (every column) or
+    mapped but for one -1 in each of the frames 5, 600 and n - 1 ("few-off")
     targets of ``n`` frames on heads of ``sizes``; no frame is owned by
     head ``absent``."""
     rng = np.random.default_rng(seed)
     labels = np.stack([rng.integers(0, s, n) for s in sizes], axis=1)
     if mode == "mapped":
+        return labels
+    if mode == "few-off":
+        labels[[5, 600, n - 1], [0, 1, 2]] = -1
         return labels
     owners = rng.integers(0, len(sizes), n)
     if absent is not None:
@@ -268,8 +272,16 @@ class TestFusedStep:
             ([8, 16, 16], [36, 36, 36], 150, 4, "mapped", None),
             ([5, 12], [7, 100, 3], 103, 5, "masked", None),  # last batch holds 3 frames
             ([5, 12], [7, 100, 3], 103, 5, "masked", 1),  # head 1 owns no frame
+            ([8, 16, 16], [36, 36, 36], 1030, 4, "masked", None),  # several blocks, 2-row tail
+            ([5, 12], [7, 100, 3], 400, 7, "mapped", None),  # 7 does not divide a block
+            ([5, 12], [7, 100, 3], 650, 300, "masked", None),  # a batch larger than a block
+            ([5, 12], [7, 100, 3], 1, 4, "masked", None),  # one frame
+            ([8, 16, 16], [36, 36, 36], 1030, 4, "few-off", None),  # most batches hold no -1
         ],
-        ids=["plain-32", "masked-4", "mapped-4", "unequal-partial", "absent-head"],
+        ids=[
+            "plain-32", "masked-4", "mapped-4", "unequal-partial", "absent-head", "blocks-4",
+            "batch-7", "batch-300", "one-frame", "few-off",
+        ],
     )
     def test_bit_identical_to_reference(self, trunk, sizes, n, batch_size, mode, absent):
         bounds = [0, *np.cumsum(sizes).tolist()]
