@@ -42,7 +42,7 @@ def recovery(spread, seed, args):
     )
     corpus = pm.generate_synthetic(spec)
     target, source = "lang0", "lang1"
-    net = pm.init_network([10, 32, 32, spec.senones_per_language], seed=seed + 7)
+    net = pm.init_network([10, 32, 32], [("lang0", spec.senones_per_language)], seed=seed + 7)
     net, _ = pm.train(net, corpus.frames[target], pm.TrainConfig(epochs=8, shuffle_seed=seed))
     counts = pm.accumulate_confusion(
         net, corpus.frames[source],

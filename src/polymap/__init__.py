@@ -38,12 +38,8 @@ from .mapping import (
 )
 from .multitask import (
     MTTrainConfig,
-    MultiHeadNetwork,
     forward_head,
-    forward_heads,
-    init_multihead,
     load_multihead,
-    multihead_loss_and_gradients,
     prune,
     save_multihead,
     train_multihead,
@@ -53,13 +49,11 @@ from .nnet import (
     Network,
     TrainConfig,
     finetune,
-    forward,
     forward_batch,
     init_network,
     load_network,
     loss_and_gradients,
     lr_at_epoch,
-    predict,
     predict_batch,
     save_network,
     train,

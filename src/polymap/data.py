@@ -96,9 +96,12 @@ class FrameSet:
 
 
 def join_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``parts`` joined along their first axis.  Parts that are consecutive
-    row slices of one C-contiguous array, in order, join as a view of that
-    array; any others are concatenated into a new one."""
+    """``parts`` joined along their first axis.  One part is returned as it
+    is, and parts that are consecutive row slices of one C-contiguous array,
+    in order, join as a view of that array; any others are concatenated into
+    a new one."""
+    if len(parts) == 1:
+        return parts[0]
     first, full = parts[0], [part for part in parts if part.size]
     base = full[0].base if full else None
     if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):

@@ -70,8 +70,6 @@ from .mapping import (
 from .multitask import (
     MTEpochStats,
     MTTrainConfig,
-    MultiHeadNetwork,
-    init_multihead,
     load_multihead,
     prune,
     save_multihead,
@@ -423,8 +421,23 @@ def frame_error_rate(net: Network, frames: FrameSet) -> float:
     return 100.0 * float(np.mean(preds != frames.labels))
 
 
-def _arch(corpus: MultiCorpus, cfg: ExperimentConfig, language: str) -> list[int]:
-    return [corpus.feature_dim, *cfg.hidden_dims, corpus.senone_inventories[language].size]
+def _new_network(
+    corpus: MultiCorpus, cfg: ExperimentConfig, languages: list[str], stage: str
+) -> Network:
+    """A fresh network of the configured hidden stack with a head per language."""
+    heads = [(lang, corpus.senone_inventories[lang].size) for lang in languages]
+    return init_network([corpus.feature_dim, *cfg.hidden_dims], heads, derive_seed(cfg.seed, stage))
+
+
+def _load_model(load, path: Path, languages: list[str]) -> Network:
+    """The model ``load`` reads from ``path``, if its heads name ``languages``
+    in order; :class:`ArtifactError` naming the file otherwise, so no stage
+    scores, tunes, maps through or prunes a model of other languages."""
+    net = load(path)
+    found = [lang for lang, _ in net.heads]
+    if found != languages:
+        raise ArtifactError(f"{path} holds a model of language(s) {found}, not {languages}")
+    return net
 
 
 def _write_train_log(path: Path, history: list) -> None:
@@ -445,7 +458,7 @@ def train_language_net(
     corpus: MultiCorpus, cfg: ExperimentConfig, language: str, stage: str, frames: FrameSet
 ) -> tuple[Network, list[EpochStats]]:
     """Train a fresh classifier for ``language`` on ``frames`` with the baseline recipe."""
-    net = init_network(_arch(corpus, cfg, language), derive_seed(cfg.seed, f"init:{stage}"))
+    net = _new_network(corpus, cfg, [language], f"init:{stage}")
     tcfg = dataclasses.replace(cfg.train, shuffle_seed=derive_seed(cfg.seed, f"shuffle:{stage}"))
     return train(net, frames, tcfg)
 
@@ -504,7 +517,8 @@ def stage_build_map(
     """Build and persist source-to-target maps through the target baseline if
     the pipeline trains one, else senone maps between all language pairs."""
     if "train-baseline" in inputs:
-        map_set = build_source_maps(corpus, cfg, load_network(inputs["train-baseline"]))
+        mapper = _load_model(load_network, inputs["train-baseline"], [cfg.target])
+        map_set = build_source_maps(corpus, cfg, mapper)
     else:
         languages = [cfg.target, *cfg.sources]
         frames = dict(zip(languages, corpus.gather(languages, "train")))
@@ -525,7 +539,7 @@ def stage_pool_train(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
 ) -> Network:
     """Train a fresh network on pooled, relabeled data."""
-    mapper = load_network(inputs["train-baseline"])
+    mapper = _load_model(load_network, inputs["train-baseline"], [cfg.target])
     map_set = load_map_set(paths.maps_dir)
     maps = [map_set.get(src, cfg.target) for src in cfg.sources]
     pooled = pool_and_relabel(corpus, "train", cfg.target, maps, mapper)
@@ -537,17 +551,12 @@ def stage_pool_train(
 
 def stage_mt_train(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> MultiHeadNetwork:
+) -> Network:
     """Multi-head training: every head takes a target through the maps
     when the pipeline built maps, only the frame's own head otherwise."""
     languages = [cfg.target, *cfg.sources]
     map_set = load_map_set(paths.maps_dir) if "build-map" in inputs else None
-    net = init_multihead(
-        [corpus.feature_dim, *cfg.hidden_dims],
-        [corpus.senone_inventories[lang].size for lang in languages],
-        languages,
-        derive_seed(cfg.seed, "init:mtdnn"),
-    )
+    net = _new_network(corpus, cfg, languages, "init:mtdnn")
     mt_cfg = dataclasses.replace(cfg.mt_train, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn"))
     frames = dict(zip(languages, corpus.gather(languages, "train")))
     trained, history = train_multihead(net, frames, mt_cfg, map_set)
@@ -559,7 +568,8 @@ def stage_mt_train(
 def stage_prune(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus | None
 ) -> Network:
-    net = prune(load_multihead(inputs["mt-train"]), cfg.target)
+    languages = [cfg.target, *cfg.sources]
+    net = prune(_load_model(load_multihead, inputs["mt-train"], languages), cfg.target)
     save_network(net, paths.pruned_model)
     return net
 
@@ -570,7 +580,7 @@ def stage_finetune(
     """Fine-tune the one input model on target training data at a constant rate."""
     (model_path,) = inputs.values()
     tuned, history = finetune(
-        load_network(model_path),
+        _load_model(load_network, model_path, [cfg.target]),
         corpus.subset(cfg.target, "train"),
         epochs=cfg.finetune_epochs,
         lr=cfg.finetune_lr,
@@ -583,7 +593,8 @@ def stage_finetune(
 
 
 def stage_evaluate(cfg: ExperimentConfig, corpus: MultiCorpus, model: Path, split: str) -> float:
-    return frame_error_rate(load_network(model), corpus.subset(cfg.target, split))
+    net = _load_model(load_network, model, [cfg.target])
+    return frame_error_rate(net, corpus.subset(cfg.target, split))
 
 
 def _output(paths: RunPaths, stage: str) -> Path:

@@ -1,17 +1,15 @@
 """Dense feed-forward softmax classifiers and the package's one SGD loop.
 
-Hidden layers use ReLU; the output layer is a softmax over the label
-inventory.  Weights are initialized from a seeded uniform distribution
-scaled by 1/sqrt(fan-in) with zero biases, so a (layer_dims, seed) pair
-fully determines the starting point and training is reproducible end to
-end.  Cross-entropy is evaluated in log-sum-exp form so it stays finite
-for extreme logits.
-
-:class:`Network` is the package's only parameter container.  A multi-head
-network (:mod:`polymap.multitask`) is a ``Network`` whose output rows are
-split into per-language heads with one softmax each; the private kernel,
-SGD loop and model file layout here serve both, and a plain network is
-the one-head case.
+Hidden layers use ReLU.  The output layer stacks one softmax head per
+language: head ``l`` owns output rows ``bounds[l]:bounds[l + 1]`` and
+classifies into that language's label inventory.  A plain classifier is
+the one-head case; a multitask network (:mod:`polymap.multitask`) shares
+its hidden stack between several heads.  One type, kernel, SGD loop and
+model record serve both.  Weights are initialized from a seeded uniform
+distribution scaled by 1/sqrt(fan-in) with zero biases, so the layer
+sizes and a seed fully determine the starting point and training is
+reproducible end to end.  Cross-entropy is evaluated in log-sum-exp form
+so it stays finite for extreme logits.
 
 Training packs every weight and bias into one contiguous buffer, so a
 trained network's arrays are views of that buffer.  Each SGD step writes
@@ -31,13 +29,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ._npz import read_npz, write_npz
-from ._schema import checked, decoded
-from .data import FrameSet
+from ._schema import checked, decoded, is_kind
+from .data import FrameSet, join_rows
 from .errors import (
     ConfigError,
     EmptyDataError,
@@ -46,9 +44,13 @@ from .errors import (
     NonFiniteLossError,
     RangeError,
     ShapeError,
+    UnknownLanguageError,
 )
 
-_MODEL_FORMAT = "polymap-network"
+if TYPE_CHECKING:
+    from .mapping import MapSet
+
+_MODEL_FORMAT = "polymap-model"
 _MODEL_VERSION = 1
 # Most rows scored in one call; see forward_batch.
 _SCORE_ROWS = 1024
@@ -58,17 +60,27 @@ _STEP_ROWS = 256
 
 @dataclass
 class Network:
-    """A dense classifier: ReLU hidden layers, softmax output.
+    """A dense classifier: ReLU hidden layers, one softmax head per language.
 
     ``weights[k]`` has shape ``(layer_dims[k+1], layer_dims[k])`` and
-    ``biases[k]`` has length ``layer_dims[k+1]``.  Instances are treated
-    as immutable once trained; :func:`train` returns a new network.
+    ``biases[k]`` has length ``layer_dims[k+1]``.  ``heads`` lists each
+    head's ``(language, size)`` in output-row order; the sizes add up to
+    the output width.  Instances are treated as immutable once trained;
+    :func:`train` returns a new network.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    heads: list[tuple[str, int]]
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_heads(self.heads)
+        if sum(size for _, size in self.heads) != self.output_dim:
+            raise InvalidArchitectureError(
+                f"heads {self.heads!r} do not add up to the network's {self.output_dim} outputs"
+            )
 
     @property
     def input_dim(self) -> int:
@@ -78,12 +90,35 @@ class Network:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
+    @property
+    def bounds(self) -> list[int]:
+        """Head ``l`` owns output rows ``bounds[l]:bounds[l + 1]``."""
+        return [0, *np.cumsum([size for _, size in self.heads]).tolist()]
+
+    def head_index(self, language: str) -> int:
+        for index, (lang, _) in enumerate(self.heads):
+            if lang == language:
+                return index
+        raise RangeError(f"network has no head for language {language!r}")
+
     def copy(self) -> "Network":
         return Network(
             list(self.layer_dims),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
+            list(self.heads),
             self.seed,
+        )
+
+
+def _check_heads(heads: list[tuple[str, int]]) -> None:
+    pairs = isinstance(heads, list) and all(isinstance(head, tuple) for head in heads)
+    if not (
+        pairs and heads and is_kind([list(head) for head in heads], "list[[str, int]]")
+        and len({lang for lang, _ in heads}) == len(heads) and min(s for _, s in heads) >= 1
+    ):
+        raise InvalidArchitectureError(
+            f"need a list of (str language, int size >= 1) pairs, languages distinct; got {heads!r}"
         )
 
 
@@ -119,9 +154,11 @@ class EpochStats:
     mean_loss: float
 
 
-def init_network(layer_dims: list[int], seed: int = 0) -> Network:
-    """Deterministically initialize a network for the given layer sizes."""
-    dims = [int(d) for d in layer_dims]
+def init_network(trunk_dims: list[int], heads: list[tuple[str, int]], seed: int = 0) -> Network:
+    """Deterministically initialize the hidden stack ``trunk_dims`` (input
+    width first) and every head; a head's size is its language's label count."""
+    _check_heads(heads)
+    dims = [*(int(d) for d in trunk_dims), sum(size for _, size in heads)]
     if len(dims) < 2:
         raise InvalidArchitectureError(f"need at least input and output layers, got {dims}")
     if any(d < 1 for d in dims):
@@ -132,7 +169,7 @@ def init_network(layer_dims: list[int], seed: int = 0) -> Network:
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases, seed=int(seed))
+    return Network(dims, weights, biases, list(heads), int(seed))
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -156,7 +193,10 @@ def _score_blocks(n: int) -> list[slice]:
 
 def _features(net: Network, x: np.ndarray) -> np.ndarray:
     """``x`` as float64 rows of the network's input width; :class:`ShapeError`
-    otherwise."""
+    otherwise, or if the network has several heads, whose outputs are no one
+    distribution."""
+    if len(net.heads) != 1:
+        raise ShapeError(f"cannot score the heads {net.heads!r} as one softmax; prune to one head")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
@@ -174,7 +214,7 @@ def _posteriors(net: Network, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Posterior probabilities for a batch of feature rows.
+    """Posterior probabilities of a one-head network for a batch of feature rows.
 
     Rows are scored in near-equal blocks of at most ``_SCORE_ROWS``, so this
     holds the result plus one block's work, whatever the batch size.  BLAS
@@ -191,14 +231,6 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Posterior probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d feature vector, got shape {x.shape}")
-    return forward_batch(net, x[None, :])[0]
-
-
 def predict_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Argmax labels for a batch; ties break toward the lowest label id.
 
@@ -210,10 +242,6 @@ def predict_batch(net: Network, x: np.ndarray) -> np.ndarray:
     for rows, probs in _posteriors(net, x):
         labels[rows] = np.argmax(probs, axis=1)
     return labels
-
-
-def predict(net: Network, x: np.ndarray) -> int:
-    return int(np.argmax(forward(net, x)))
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -323,40 +351,63 @@ def _backprop(
     np.add.reduce(delta, axis=0, out=grad_b)
 
 
-def _batch_gradients(
-    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """The mean of :func:`_backprop`'s losses over one batch, and the mean
-    gradients of ``weights`` and ``biases``."""
-    grads_w = [np.empty_like(w) for w in weights]
-    grads_b = [np.empty_like(b) for b in biases]
-    n = x.shape[0]
-    plan = _plan(weights, biases, grads_w, grads_b, bounds, n)
-    losses = np.empty(targets.shape)
-    _backprop(plan, x, *_target_slots(targets, plan, n), losses)
-    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
+def _target_array(
+    net: Network, labels: np.ndarray, owners: np.ndarray, map_set: MapSet | None
+) -> np.ndarray:
+    """Every frame's label on every head, -1 where the head takes no loss:
+    its own head takes its label, and with a map set every other head the
+    label mapped from the frame's language to the head's."""
+    targets = np.full((labels.size, len(net.heads)), -1, dtype=np.int64)
+    targets[np.arange(labels.size), owners] = labels
+    if map_set is None:
+        return targets
+    for m in np.unique(owners):
+        rows = np.flatnonzero(owners == m)
+        source, source_size = net.heads[m]
+        for l, (language, size) in enumerate(net.heads):
+            if l == m:
+                continue
+            label_map = map_set.get(source, language)
+            sizes = (label_map.source_inventory.size, label_map.target_inventory.size)
+            if sizes != (source_size, size):
+                raise ShapeError(f"map {source!r}->{language!r} does not fit the head sizes")
+            targets[rows, l] = label_map.table[labels[rows]]
+    return targets
 
 
 def loss_and_gradients(
-    net: Network, x: np.ndarray, y: np.ndarray
+    net: Network,
+    x: np.ndarray,
+    labels: np.ndarray,
+    owners: np.ndarray,
+    map_set: MapSet | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy over (x, y) and its gradient w.r.t. every parameter."""
+    """Mean loss over a batch and its gradient w.r.t. every weight and bias.
+
+    ``owners`` gives each frame's own head, whose target is the frame's
+    label.  With ``map_set`` every other head takes the mapped label as
+    its target too; without it, the gradients of heads owning no frame
+    in the batch are exactly zero.
+    """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _check_labeled_batch(net, x, y)
-    return _batch_gradients(net.weights, net.biases, [0, net.output_dim], x, y[:, None])
-
-
-def _check_labeled_batch(net: Network, x: np.ndarray, y: np.ndarray) -> None:
+    labels = np.asarray(labels, dtype=np.int64)
+    owners = np.asarray(owners, dtype=np.int64)
     if x.shape[0] == 0:
-        raise EmptyDataError("no frames to train on")
+        raise EmptyDataError("no frames")
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
-    if y.min() < 0 or y.max() >= net.output_dim:
-        raise LabelRangeError(
-            f"labels must lie in 0..{net.output_dim - 1}, got range "
-            f"[{int(y.min())}, {int(y.max())}]"
-        )
+    if owners.min() < 0 or owners.max() >= len(net.heads):
+        raise UnknownLanguageError(f"owner head indices must lie in 0..{len(net.heads) - 1}")
+    if (labels < 0).any() or (labels >= np.diff(net.bounds)[owners]).any():
+        raise LabelRangeError("some frame labels exceed their owner head's size")
+    targets = _target_array(net, labels, owners, map_set)
+    grads_w = [np.empty_like(w) for w in net.weights]
+    grads_b = [np.empty_like(b) for b in net.biases]
+    n = x.shape[0]
+    plan = _plan(net.weights, net.biases, grads_w, grads_b, net.bounds, n)
+    losses = np.empty(targets.shape)
+    _backprop(plan, x, *_target_slots(targets, plan, n), losses)
+    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
 
 
 def _sgd(
@@ -429,24 +480,65 @@ def _sgd(
         yield epoch, lr, mean_loss, frame_losses
 
 
+def _train(
+    net: Network, frames_by_language: dict[str, FrameSet], cfg: TrainConfig,
+    map_set: MapSet | None,
+) -> tuple[Network, list[tuple[int, float, float, dict[str, float]]]]:
+    """:func:`_sgd` over the pooled frames of the heads' languages, with the
+    targets of :func:`_target_array`; the trained network and, per epoch,
+    ``(epoch, lr, mean loss, mean loss per language)``.
+
+    Each set is checked against its language's head.  One set, or sets that
+    are consecutive row slices of one buffer in head order (as
+    :meth:`~polymap.corpus.MultiCorpus.gather` gives them), are trained on
+    in place; others are concatenated first.
+    """
+    sizes = dict(net.heads)
+    unknown = [lang for lang in frames_by_language if lang not in sizes]
+    if unknown:
+        raise UnknownLanguageError(f"no head for language(s) {unknown}")
+    present = [lang for lang in sizes if lang in frames_by_language]
+    parts = [frames_by_language[lang] for lang in present]
+    if sum(len(fs) for fs in parts) == 0:
+        raise EmptyDataError("no frames to train on")
+    for lang, fs in zip(present, parts):
+        if fs.feature_dim != net.input_dim:
+            raise ShapeError(
+                f"{lang} features have dim {fs.feature_dim}, network expects {net.input_dim}"
+            )
+        if len(fs) and (fs.labels.min() < 0 or fs.labels.max() >= sizes[lang]):
+            raise LabelRangeError(f"{lang} labels must lie in 0..{sizes[lang] - 1}")
+
+    x = join_rows([fs.features for fs in parts])
+    labels = join_rows([fs.labels for fs in parts])
+    owners = np.concatenate(
+        [np.full(len(fs), net.head_index(lang), np.int64) for lang, fs in zip(present, parts)]
+    )
+    targets = _target_array(net, labels, owners, map_set)
+    weights, biases = list(net.weights), list(net.biases)
+    counts = np.bincount(owners, minlength=len(net.heads))
+    history = []
+    for epoch, lr, mean_loss, frame_losses in _sgd(weights, biases, net.bounds, x, targets, cfg):
+        sums = np.bincount(owners, weights=frame_losses.sum(axis=1), minlength=len(counts))
+        per_language = {
+            lang: float(sums[l] / counts[l]) for l, (lang, _) in enumerate(net.heads) if counts[l]
+        }
+        history.append((epoch, lr, mean_loss, per_language))
+    return Network(list(net.layer_dims), weights, biases, list(net.heads), net.seed), history
+
+
 def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, list[EpochStats]]:
-    """Shuffled mini-batch SGD on cross-entropy; returns a new network.
+    """Shuffled mini-batch SGD of a one-head network on cross-entropy over
+    ``frames``; returns a new network.
 
     Deterministic for a fixed (net, frames, cfg): the shuffle order is
     drawn from ``cfg.shuffle_seed`` alone.  Raises
     :class:`~polymap.errors.NonFiniteLossError` if training diverges.
     """
-    x = frames.features
-    y = frames.labels
-    _check_labeled_batch(net, x, y)
-
-    weights, biases = list(net.weights), list(net.biases)
-    history = [
-        EpochStats(epoch=epoch, lr=lr, mean_loss=loss)
-        for epoch, lr, loss, _ in _sgd(weights, biases, [0, net.output_dim], x, y[:, None], cfg)
-    ]
-    trained = Network(list(net.layer_dims), weights, biases, net.seed)
-    return trained, history
+    if len(net.heads) != 1:
+        raise ShapeError(f"train takes a one-head network, not the heads {net.heads!r}")
+    trained, history = _train(net, {net.heads[0][0]: frames}, cfg, None)
+    return trained, [EpochStats(epoch, lr, loss) for epoch, lr, loss, _ in history]
 
 
 def finetune(
@@ -478,14 +570,17 @@ def finetune(
 def save_network(net: Network, path: str | Path) -> None:
     """Write a self-describing model file; loading reproduces forward
     outputs bit for bit."""
-    _write_model(net, path, {"format": _MODEL_FORMAT, "version": _MODEL_VERSION})
+    _write_model(net, path)
 
 
-def _write_model(net: Network, path: str | Path, meta: dict) -> None:
-    """Write the one model layout: a JSON ``meta`` (the given keys plus
-    the seed and a fixed ``"relu"`` activation marker), ``layer_dims`` and
-    ``weight_k``/``bias_k``."""
-    meta = {**meta, "activation": "relu", "seed": net.seed}
+def _write_model(net: Network, path: str | Path) -> None:
+    """Write the one model record: a JSON ``meta`` (format, version, a fixed
+    ``"relu"`` activation marker, the seed and the heads), ``layer_dims``
+    and ``weight_k``/``bias_k``."""
+    meta = {
+        "format": _MODEL_FORMAT, "version": _MODEL_VERSION, "activation": "relu",
+        "seed": net.seed, "heads": net.heads,
+    }
     arrays: dict[str, np.ndarray] = {
         "meta": np.array(json.dumps(meta, sort_keys=True)),
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
@@ -496,20 +591,18 @@ def _write_model(net: Network, path: str | Path, meta: dict) -> None:
     write_npz(path, arrays)
 
 
-def _read_model(
-    path: str | Path, model_format: str, version: int, kinds: dict[str, str] | None = None
-) -> tuple[Network, dict]:
-    """The network and metadata of a model file, whose metadata is a
-    ``model_format`` v``version`` record of activation ``"relu"`` (the one the
-    scorers apply), an int ``seed`` and ``kinds``, and whose arrays fit its
-    layer sizes; :class:`ShapeError` naming the file otherwise."""
+def _read_model(path: str | Path) -> Network:
+    """The network of a model file, whose metadata is a :data:`_MODEL_FORMAT`
+    record of activation ``"relu"`` (the one the scorers apply), an int
+    ``seed`` and ``heads``, and whose arrays fit its layer sizes and heads;
+    :class:`ShapeError` naming the file otherwise."""
     arrays = read_npz(path)
     if "meta" not in arrays:
         raise ShapeError(f"{path} is not a model file (missing metadata)")
     context = f"{path} model metadata"
-    meta = checked(decoded(str(arrays["meta"][()]), context, ShapeError),
-                   {"activation": "str", "seed": "int", **(kinds or {})}, context, ShapeError,
-                   header=(model_format, version))
+    kinds = {"activation": "str", "seed": "int", "heads": "list[[str, int]]"}
+    meta = checked(decoded(str(arrays["meta"][()]), context, ShapeError), kinds, context,
+                   ShapeError, header=(_MODEL_FORMAT, _MODEL_VERSION))
     if meta["activation"] != "relu":
         raise ShapeError(f"{path} model metadata has activation {meta['activation']!r}, not 'relu'")
     try:
@@ -526,8 +619,12 @@ def _read_model(
     ]
     if len(dims) < 2 or min(dims) < 1 or not all(fits):
         raise ShapeError(f"{path} holds model arrays that do not fit its layer_dims {dims}")
-    return Network(dims, weights, biases, meta["seed"]), meta
+    try:
+        return Network(dims, weights, biases, [tuple(h) for h in meta["heads"]], meta["seed"])
+    except InvalidArchitectureError as exc:
+        raise ShapeError(f"{path} holds heads that do not fit its network: {exc}") from exc
 
 
 def load_network(path: str | Path) -> Network:
-    return _read_model(path, _MODEL_FORMAT, _MODEL_VERSION)[0]
+    """The network :func:`save_network` wrote to ``path``."""
+    return _read_model(path)

@@ -38,7 +38,24 @@ from polymap.data import FrameSet
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet, apply_map, realign_with_phone_map
 from polymap.multitask import train_multihead
+from polymap.nnet import loss_and_gradients
 from polymap.nnet import lr_at_epoch, relu, softmax
+
+
+def head_languages(net) -> list[str]:
+    return [lang for lang, _ in net.heads]
+
+
+def head_sizes(net) -> list[int]:
+    return [size for _, size in net.heads]
+
+
+def head_gradients(net, x, labels, owners, map_set=None) -> tuple:
+    """:func:`~polymap.nnet.loss_and_gradients` as ``(loss, hidden_w,
+    hidden_b, head_w, head_b)``: the output layer's gradients split by head."""
+    loss, grads_w, grads_b = loss_and_gradients(net, x, labels, owners, map_set)
+    cut = net.bounds[1:-1]
+    return loss, grads_w[:-1], grads_b[:-1], np.split(grads_w[-1], cut), np.split(grads_b[-1], cut)
 
 
 @dataclass(frozen=True)
@@ -290,7 +307,7 @@ def reference_pool_and_relabel(corpus, split, target, maps, mapper) -> FrameSet:
 def reference_mt_train(net, corpus, split, cfg, map_set=None):
     """Multi-head training on a ``subset`` copy of each head's language's
     ``split``, which :func:`train_multihead` concatenates into one more copy."""
-    frames = {lang: corpus.subset(lang, split) for lang in net.languages}
+    frames = {lang: corpus.subset(lang, split) for lang in head_languages(net)}
     return train_multihead(net, frames, cfg, map_set)
 
 

@@ -14,7 +14,14 @@ import pytest
 
 import polymap as pm
 from polymap import harness
-from target_oracles import make_targets_mapped, make_targets_single, mt_loss
+from target_oracles import (
+    head_gradients,
+    head_languages,
+    head_sizes,
+    make_targets_mapped,
+    make_targets_single,
+    mt_loss,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -48,7 +55,7 @@ def test_mapping_oracle_equivalence():
         n_tgt = int(rng.integers(2, 11))
         n_frames = int(rng.integers(1, 1001))
         dim = int(rng.integers(2, 6))
-        net = pm.init_network([dim, n_tgt], seed=int(rng.integers(0, 2**31)))
+        net = pm.init_network([dim], [("tgt", n_tgt)], seed=int(rng.integers(0, 2**31)))
         labels = rng.integers(0, n_src, size=n_frames)
         feats = rng.normal(size=(n_frames, dim))
         frames = pm.FrameSet("src", feats, labels, np.arange(n_frames))
@@ -75,7 +82,7 @@ def test_mapping_oracle_equivalence():
         senone_tally = [[0] * n_tgt for _ in range(n_src)]
         phone_tally = [[0] * pt for _ in range(ps)]
         for i in range(n_frames):
-            pred = pm.predict(net, feats[i])
+            pred = int(pm.predict_batch(net, feats[i : i + 1])[0])
             senone_tally[labels[i]][pred] += 1
             phone_tally[g_src[labels[i]]][g_tgt[pred]] += 1
         assert list(got_senone) == oracle_argmax_rows(senone_tally)
@@ -120,10 +127,10 @@ def test_gradient_checks():
 
     # plain networks: up to 3 weight layers, at most 10 units per layer
     for dims, seed in [([3, 7], 0), ([5, 8, 4], 1), ([4, 9, 6, 3], 2)]:
-        net = pm.init_network(dims, seed=seed)
+        net = pm.init_network(dims[:-1], [("x", dims[-1])], seed=seed)
         x = rng.normal(size=(8, dims[0]))
         y = rng.integers(0, dims[-1], size=8)
-        _, gw, gb = pm.loss_and_gradients(net, x, y)
+        _, gw, gb = pm.loss_and_gradients(net, x, y, np.zeros(8, int))
 
         def loss_of():
             probs = pm.forward_batch(net, x)
@@ -145,29 +152,29 @@ def test_gradient_checks():
             ),
         }
     )
-    mt = pm.init_multihead([4, 8], [5, 3], ["a", "b"], seed=3)
+    mt = pm.init_network([4, 8], [("a", 5), ("b", 3)], seed=3)
     x = rng.normal(size=(10, 4))
     owners = rng.integers(0, 2, size=10)
-    labels = np.array([rng.integers(0, mt.head_sizes[o]) for o in owners])
+    labels = np.array([rng.integers(0, head_sizes(mt)[o]) for o in owners])
     for mode in ("masked", "mapped"):
-        _, gsw, gsb, ghw, ghb = pm.multihead_loss_and_gradients(
+        _, gsw, gsb, ghw, ghb = head_gradients(
             mt, x, labels, owners, ms if mode == "mapped" else None
         )
 
         def mt_loss_of():
-            outputs = pm.forward_heads(mt, x)
+            outputs = [pm.forward_head(mt, lang, x) for lang in ("a", "b")]
             total = 0.0
             for i in range(x.shape[0]):
                 if mode == "masked":
-                    t = make_targets_single(int(labels[i]), int(owners[i]), mt.head_sizes)
+                    t = make_targets_single(int(labels[i]), int(owners[i]), head_sizes(mt))
                 else:
                     t = make_targets_mapped(
-                        int(labels[i]), int(owners[i]), ms, mt.languages, mt.head_sizes
+                        int(labels[i]), int(owners[i]), ms, head_languages(mt), head_sizes(mt)
                     )
                 total += mt_loss([out[i] for out in outputs], t)
             return total / x.shape[0]
 
-        w, b, heads = mt.network.weights, mt.network.biases, mt.bounds[1:-1]
+        w, b, heads = mt.weights, mt.biases, mt.bounds[1:-1]
         numeric = central_difference(  # np.split views write through to the network
             mt_loss_of, w[:-1] + b[:-1] + np.split(w[-1], heads) + np.split(b[-1], heads)
         )
@@ -177,8 +184,8 @@ def test_gradient_checks():
     for i in range(100):
         xi = rng.normal(size=(1, 4))
         owner = int(rng.integers(0, 2))
-        label = int(rng.integers(0, mt.head_sizes[owner]))
-        _, _, _, ghw, ghb = pm.multihead_loss_and_gradients(
+        label = int(rng.integers(0, head_sizes(mt)[owner]))
+        _, _, _, ghw, ghb = head_gradients(
             mt, xi, np.array([label]), np.array([owner])
         )
         other = 1 - owner
@@ -201,7 +208,7 @@ def test_pruning_equivalence():
         )
         for lang in ("a", "b", "c")
     }
-    net = pm.init_multihead([5, 12, 9], [4, 4, 4], ["a", "b", "c"], seed=8)
+    net = pm.init_network([5, 12, 9], [("a", 4), ("b", 4), ("c", 4)], seed=8)
     trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=9))
     x = rng.normal(size=(100, 5))
     for lang in ("a", "b", "c"):
@@ -223,7 +230,7 @@ def test_schedule_reproduction():
     frames = pm.FrameSet(
         "x", np.random.default_rng(0).normal(size=(40, 3)), np.zeros(40, int), np.arange(40)
     )
-    net = pm.init_network([3, 4, 2], seed=0)
+    net = pm.init_network([3, 4], [("x", 2)], seed=0)
     _, history = pm.finetune(net, frames)
     assert len(history) == 5
     assert all(h.lr == 0.0008 for h in history)
@@ -249,7 +256,7 @@ def test_ground_truth_map_recovery():
         )
         corpus = pm.generate_synthetic(spec)
         target, source = "lang0", "lang1"
-        net = pm.init_network([10, 32, 32, 16], seed=seed + 100)
+        net = pm.init_network([10, 32, 32], [(target, 16)], seed=seed + 100)
         net, _ = pm.train(
             net, corpus.frames[target], pm.TrainConfig(epochs=8, shuffle_seed=seed)
         )

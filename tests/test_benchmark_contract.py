@@ -76,6 +76,15 @@ def test_every_target_resolves(layers):
         assert callable(resolve(module_name, attr)), span
 
 
+def test_no_two_targets_are_one_function(layers):
+    # The tracer wraps a target in every module that holds it, so a name that
+    # aliases another target would be wrapped twice and its calls counted twice.
+    names = {}
+    for span, module_name, attr, _hook in layers.TARGETS:
+        names.setdefault(id(resolve(module_name, attr)), []).append(span)
+    assert [spans for spans in names.values() if len(spans) > 1] == []
+
+
 def test_hooks_read_only_parameters_of_the_wrapped_function(layers):
     read = set()
     for span, module_name, attr, hook in targets(layers):

@@ -238,7 +238,8 @@ def pooling_corpus(senones, **sets):
 
 
 def untrained_mapper(corpus, target):
-    return pm.init_network([corpus.feature_dim, 8, corpus.senone_inventories[target].size], 0)
+    heads = [(target, corpus.senone_inventories[target].size)]
+    return pm.init_network([corpus.feature_dim, 8], heads, 0)
 
 
 class TestPooling:
@@ -326,7 +327,7 @@ class TestPooling:
         corpus = pm.split_corpus(
             pm.generate_synthetic(spec), {"train": 0.8, "dev": 0.1, "test": 0.1}, seed=12
         )
-        mapper = pm.init_network([40, 64, 64, 36], seed=13)
+        mapper = pm.init_network([40, 64, 64], [("lang0", 36)], seed=13)
         maps = [truth_map(corpus, kind, source, "lang0") for source in ("lang1", "lang2")]
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         block = corpus.frames["lang0"].features[:1024]
@@ -407,7 +408,7 @@ def pooling_world():
     )
     target, sources = "lang0", ("lang1", "lang2")
     mapper, _ = pm.train(
-        pm.init_network([8, 16, 10], seed=23), corpus.subset(target, "train"),
+        pm.init_network([8, 16], [(target, 10)], seed=23), corpus.subset(target, "train"),
         pm.TrainConfig(epochs=2, shuffle_seed=24),
     )
     maps = {"senone": [], "phone": [], "manual": []}
@@ -827,7 +828,7 @@ class TestRecovery:
             shared_phone_fraction=1.0, frames_per_senone=60, cluster_spread=0.05, seed=12,
         )
         corpus = pm.generate_synthetic(spec)
-        net = pm.init_network([8, 24, 10], seed=1)
+        net = pm.init_network([8, 24], [("lang0", 10)], seed=1)
         net, _ = pm.train(net, corpus.frames["lang0"], pm.TrainConfig(epochs=8, shuffle_seed=2))
         counts = pm.accumulate_confusion(
             net, corpus.frames["lang1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -124,7 +125,10 @@ class TestConfig:
 
 class TestFrameErrorRate:
     def fixed_net(self, log_probs):
-        return pm.Network([1, len(log_probs)], [np.zeros((len(log_probs), 1))], [np.log(log_probs)])
+        return pm.Network(
+            [1, len(log_probs)], [np.zeros((len(log_probs), 1))], [np.log(log_probs)],
+            [("x", len(log_probs))],
+        )
 
     def test_all_correct(self):
         net = self.fixed_net(np.array([0.6, 0.4]))
@@ -425,9 +429,44 @@ class TestCli:
         paths = harness.RunPaths(tmp_path / "run")
         expected = paths.final_model.read_bytes()
         # left behind by an earlier multitask run in the same directory
-        pm.save_network(pm.init_network([6, 16, 16, 8], seed=99), paths.pruned_model)
+        pm.save_network(pm.init_network([6, 16, 16], [("lang0", 8)], seed=99), paths.pruned_model)
         assert cli.main(["finetune", "--config", str(path)]) == 0
         assert paths.final_model.read_bytes() == expected
+
+    def test_evaluate_refuses_a_model_of_other_languages(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path, method="mtdnn-mapped"))
+        for command in ("synth", "build-map", "mt-train"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        paths = harness.RunPaths(tmp_path / "run")
+        evaluate = ["evaluate", "--config", str(path), "--model"]
+        assert cli.main([*evaluate, str(paths.mapper_model("lang0"))]) == 0
+        capsys.readouterr()
+        for model, heads in ((paths.mapper_model("lang1"), ["lang1"]),
+                             (paths.mtdnn_model, ["lang0", "lang1"])):
+            err = self.one_error_line(capsys, [*evaluate, str(model)])
+            expected = f"{model} holds a model of language(s) {heads}, not ['lang0']"
+            assert err == f"ArtifactError: {expected}"
+
+    @pytest.mark.parametrize("method,stage,reads", [
+        ("senone-map", "build-map", "train-baseline"),
+        ("senone-map", "pool-train", "train-baseline"),
+        ("mtdnn-masked", "prune", "mt-train"),
+        ("mtdnn-masked", "finetune", "prune"),
+    ])
+    def test_stage_refuses_a_model_of_other_languages(
+        self, tmp_path, capsys, method, stage, reads
+    ):
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method))
+        pipeline = harness.PIPELINES[method]
+        for command in ("synth", *pipeline[: pipeline.index(stage)]):
+            assert cli.main([command, "--config", str(path)]) == 0
+        # the input model with the languages of its heads swapped
+        model = getattr(harness.RunPaths(tmp_path / "run"), harness.STAGES[reads].writes)
+        net, swap = pm.load_multihead(model), {"lang0": "lang1", "lang1": "lang0"}
+        heads = [(swap[lang], size) for lang, size in net.heads]
+        pm.save_multihead(dataclasses.replace(net, heads=heads), model)
+        err = self.one_error_line(capsys, [stage, "--config", str(path)])
+        assert err.startswith(f"ArtifactError: {model} holds a model of language(s) ")
 
     def one_error_line(self, capsys, argv):
         assert cli.main(argv) == 1

@@ -27,7 +27,7 @@ TGT = pm.LabelInventory("tgt", 3, "senone")
 
 def identity_logit_net(dim):
     """Single-layer net whose prediction is the argmax input coordinate."""
-    return pm.Network([dim, dim], [np.eye(dim)], [np.zeros(dim)])
+    return pm.Network([dim, dim], [np.eye(dim)], [np.zeros(dim)], [("tgt", dim)])
 
 
 def oracle_senone_table(labels, preds, n_source, n_target):
@@ -67,7 +67,7 @@ class TestAccumulate:
 
     def test_row_sums_are_label_counts(self):
         rng = np.random.default_rng(0)
-        net = pm.init_network([4, 5], seed=1)
+        net = pm.init_network([4], [("tgt", 5)], seed=1)
         labels = rng.integers(0, 6, size=200)
         frames = pm.FrameSet("src", rng.normal(size=(200, 4)), labels, np.arange(200))
         counts = pm.accumulate_confusion(
@@ -77,14 +77,14 @@ class TestAccumulate:
 
     def test_matches_per_frame_oracle(self):
         rng = np.random.default_rng(7)
-        net = pm.init_network([4, 3], seed=2)
+        net = pm.init_network([4], [("tgt", 3)], seed=2)
         labels = rng.integers(0, 3, size=200)
         feats = rng.normal(size=(200, 4))
         frames = pm.FrameSet("src", feats, labels, np.arange(200))
         counts = pm.accumulate_confusion(net, frames, TGT, SRC)
         tally = np.zeros((3, 3), int)
         for i in range(200):
-            tally[labels[i], pm.predict(net, feats[i])] += 1
+            tally[labels[i], pm.predict_batch(net, feats[i : i + 1])[0]] += 1
         np.testing.assert_array_equal(counts.counts, tally)
 
     def test_wrong_output_dim(self):
@@ -96,7 +96,7 @@ class TestAccumulate:
     def test_sharding_independent(self):
         # accumulating shards of the frame set and summing matches one pass
         rng = np.random.default_rng(11)
-        net = pm.init_network([4, 3], seed=6)
+        net = pm.init_network([4], [("tgt", 3)], seed=6)
         frames = pm.FrameSet(
             "src", rng.normal(size=(90, 4)), rng.integers(0, 3, size=90), np.arange(90)
         )
@@ -304,7 +304,7 @@ class TestRealign:
             pm.LabelInventory("src", 2, "phone"), pm.LabelInventory("tgt", 2, "phone"),
             [1, 0], "data-driven-phone",
         )
-        net = pm.init_network([3, 4], seed=0)
+        net = pm.init_network([3], [("tgt", 4)], seed=0)
         frames = pm.FrameSet("src", rng.normal(size=(50, 3)), rng.integers(0, 4, size=50), np.arange(50))
         out = pm.realign_with_phone_map(net, frames, pmap, g_src, g_tgt)
         assert out.language == "tgt"
@@ -314,7 +314,7 @@ class TestRealign:
     def test_picks_best_senone_within_phone(self):
         # Bias-only posteriors [.1,.4,.3,.2]; phone 0 holds senones {1,2} of
         # the target, so every frame mapped to phone 0 must get senone 1.
-        net = pm.Network([1, 4], [np.zeros((4, 1))], [np.log([0.1, 0.4, 0.3, 0.2])])
+        net = pm.Network([1, 4], [np.zeros((4, 1))], [np.log([0.1, 0.4, 0.3, 0.2])], [("tgt", 4)])
         g_src = pm.SenoneToPhoneTable("src", [0])
         g_tgt = pm.SenoneToPhoneTable("tgt", [1, 0, 0, 1])
         pmap = pm.LabelMap(
@@ -333,7 +333,7 @@ class TestRealign:
             pm.LabelInventory("src", 2, "phone"), pm.LabelInventory("tgt", 2, "phone"),
             [0, 1], "manual",
         )
-        net = pm.init_network([2, 2], seed=1)
+        net = pm.init_network([2], [("tgt", 2)], seed=1)
         frames = pm.FrameSet("src", rng.normal(size=(10, 2)), rng.integers(0, 2, 10), np.arange(10))
         out = pm.realign_with_phone_map(net, frames, pmap, g, g2)
         assert out.features.tobytes() == frames.features.tobytes()
@@ -349,7 +349,7 @@ def recipe_realignment(n, seed):
         pm.LabelInventory("src", 12, "phone"), pm.LabelInventory("tgt", 12, "phone"),
         rng.integers(0, 12, size=12), "data-driven-phone",
     )
-    net = pm.init_network([20, 64, 64, 64, 64, 36], seed=seed)
+    net = pm.init_network([20, 64, 64, 64, 64], [("tgt", 36)], seed=seed)
     frames = pm.FrameSet(
         "src", rng.normal(size=(n, 20)), rng.integers(0, 36, size=n), np.arange(n)
     )
@@ -392,7 +392,7 @@ class TestAllPairs:
         for i, lang in enumerate(languages):
             frames[lang] = toy_language(lang, seed=i)
             invs[lang] = pm.LabelInventory(lang, 4)
-            net = pm.init_network([3, 8, 4], seed=10 + i)
+            net = pm.init_network([3, 8], [(lang, 4)], seed=10 + i)
             nets[lang], _ = pm.train(
                 net, frames[lang], pm.TrainConfig(epochs=6, shuffle_seed=i)
             )

@@ -1,13 +1,14 @@
 import copy
 import json
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 import polymap as pm
-from polymap import multitask
 from polymap._npz import write_npz
+from polymap.data import join_rows
 from polymap.errors import (
     EmptyDataError,
     IncompleteMapSetError,
@@ -20,6 +21,9 @@ from polymap.errors import (
     UnknownLanguageError,
 )
 from target_oracles import (
+    head_gradients,
+    head_languages,
+    head_sizes,
     make_targets_mapped,
     make_targets_single,
     mt_loss,
@@ -55,55 +59,64 @@ def lang_frames(lang, seed, dim=4, n_labels=3, n=60):
 
 class TestInit:
     def test_deterministic(self):
-        a = pm.init_multihead([4, 8], [3, 5], ["x", "y"], seed=7)
-        b = pm.init_multihead([4, 8], [3, 5], ["x", "y"], seed=7)
-        for wa, wb in zip(a.network.weights, b.network.weights):
+        a = pm.init_network([4, 8], [("x", 3), ("y", 5)], seed=7)
+        b = pm.init_network([4, 8], [("x", 3), ("y", 5)], seed=7)
+        for wa, wb in zip(a.weights, b.weights):
             assert wa.tobytes() == wb.tobytes()
 
     def test_weights_are_init_network_over_stacked_heads(self):
-        mt = pm.init_multihead([20, 64, 64, 64, 64], [36, 36, 36], ["a", "b", "c"], seed=5)
-        plain = pm.init_network([20, 64, 64, 64, 64, 108], seed=5)
-        assert mt.bounds == [0, 36, 72, 108]
-        for a, b in zip(mt.network.weights + mt.network.biases, plain.weights + plain.biases):
+        mt = pm.init_network([20, 64, 64, 64, 64], [("a", 36), ("b", 36), ("c", 36)], seed=5)
+        plain = pm.init_network([20, 64, 64, 64, 64], [("all", 108)], seed=5)
+        assert mt.bounds == [0, 36, 72, 108] and mt.layer_dims == plain.layer_dims
+        for a, b in zip(mt.weights + mt.biases, plain.weights + plain.biases):
             assert a.tobytes() == b.tobytes()
+        # the first layer is the seed's first uniform draw, scaled by 1/sqrt(fan-in)
+        first = np.random.default_rng(5).uniform(-20**-0.5, 20**-0.5, size=(64, 20))
+        assert mt.weights[0].tobytes() == first.tobytes()
 
     def test_no_heads_rejected(self):
         with pytest.raises(InvalidArchitectureError):
-            pm.init_multihead([4, 8], [], [], seed=0)
+            pm.init_network([4, 8], [], seed=0)
 
     @pytest.mark.parametrize(
         "shared,heads,langs",
         [([4, 0], [3], ["x"]), ([4, 8], [0], ["x"]), ([4, 8], [3, 3], ["x"]), ([4, 8], [3], ["x", "y"]), ([4, 8], [2, 2], ["x", "x"])],
     )
     def test_bad_architectures(self, shared, heads, langs):
+        # a size without a language, or a language without a size, pairs with None
         with pytest.raises(InvalidArchitectureError):
-            pm.init_multihead(shared, heads, langs, seed=0)
+            pm.init_network(shared, list(zip_longest(langs, heads)), seed=0)
 
     @pytest.mark.parametrize(
-        "languages,head_sizes",
+        "heads",
         [
-            ("ab", [1, 1]), (5, [2]), (["a", 1], [1, 1]), (["a", "b"], "11"),
-            (["a", "b"], [True, True]), (["a"], [2.0]), (["a", "b"], (1, 1)),
-            ("ab", "11"), (["a", "b"], [1.5, 2]),
+            "ab", 5, [("a", 1), (1, 1)], [("a", "1"), ("b", "1")], [("a", True), ("b", True)],
+            [("a", 2.0)], (("a", 1), ("b", 1)), [["a", 1], ["b", 1]], [("a", 1.5), ("b", 2)],
+        ],
+        ids=[
+            "text", "number", "language-number", "size-text", "size-bool", "size-float",
+            "tuple-of-pairs", "pairs-as-lists", "size-fraction",
         ],
     )
-    def test_argument_types_checked(self, languages, head_sizes, monkeypatch):
+    def test_argument_types_checked(self, heads, monkeypatch):
+        net = pm.init_network([3, 4], [("a", 2)])
         with pytest.raises(InvalidArchitectureError):
-            pm.MultiHeadNetwork(pm.init_network([3, 4, 2]), languages, head_sizes)
+            pm.Network(net.layer_dims, net.weights, net.biases, heads)
 
         def no_network(*args):
-            raise AssertionError("init_network ran on unchecked arguments")
+            raise AssertionError("init_network drew weights for unchecked arguments")
 
-        monkeypatch.setattr(multitask, "init_network", no_network)
+        monkeypatch.setattr(np.random, "default_rng", no_network)
         with pytest.raises(InvalidArchitectureError):
-            pm.init_multihead([3, 4], head_sizes, languages)
+            pm.init_network([3, 4], heads)
 
     def test_single_head_equals_plain_network(self):
-        mt = pm.init_multihead([4, 8, 6], [5], ["only"], seed=3)
+        mt = pm.init_network([4, 8, 6], [("only", 5)], seed=3)
         net = pm.Network(
             [4, 8, 6, 5],
-            [w.copy() for w in mt.network.weights],
-            [b.copy() for b in mt.network.biases],
+            [w.copy() for w in mt.weights],
+            [b.copy() for b in mt.biases],
+            [("only", 5)],
         )
         x = np.random.default_rng(0).normal(size=(30, 4))
         head = pm.forward_head(mt, "only", x)
@@ -111,9 +124,9 @@ class TestInit:
         assert head.tobytes() == plain.tobytes()
 
     def test_head_softmax_sums_to_one(self):
-        mt = pm.init_multihead([4, 8], [3, 5], ["x", "y"], seed=1)
+        mt = pm.init_network([4, 8], [("x", 3), ("y", 5)], seed=1)
         x = np.random.default_rng(1).normal(size=(20, 4))
-        for probs in pm.forward_heads(mt, x):
+        for probs in (pm.forward_head(mt, lang, x) for lang in ("x", "y")):
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -201,11 +214,11 @@ class TestLoss:
 
 def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
     """Central differences of the mean multi-head loss, via forward only."""
-    languages = net.languages
-    sizes = net.head_sizes
+    languages = head_languages(net)
+    sizes = head_sizes(net)
 
     def loss_of(candidate):
-        outputs = pm.forward_heads(candidate, x)
+        outputs = [pm.forward_head(candidate, lang, x) for lang in languages]
         total = 0.0
         for i in range(x.shape[0]):
             if mode == "masked":
@@ -230,10 +243,10 @@ def fd_multihead_gradients(net, x, labels, owners, mode, map_set=None, h=1e-5):
 
     heads = net.bounds[1:-1]  # np.split gives views, so perturbations reach the network
     return (
-        grad_of(lambda n: n.network.weights[:-1]),
-        grad_of(lambda n: n.network.biases[:-1]),
-        grad_of(lambda n: np.split(n.network.weights[-1], heads)),
-        grad_of(lambda n: np.split(n.network.biases[-1], heads)),
+        grad_of(lambda n: n.weights[:-1]),
+        grad_of(lambda n: n.biases[:-1]),
+        grad_of(lambda n: np.split(n.weights[-1], heads)),
+        grad_of(lambda n: np.split(n.biases[-1], heads)),
     )
 
 
@@ -245,12 +258,12 @@ class TestGradients:
     @pytest.mark.parametrize("mode", ["masked", "mapped"])
     def test_matches_finite_differences(self, mode):
         rng = np.random.default_rng(0)
-        net = pm.init_multihead([3, 6], [4, 3], ["a", "b"], seed=1)
+        net = pm.init_network([3, 6], [("a", 4), ("b", 3)], seed=1)
         ms = make_map_set(["a", "b"], [4, 3], {("a", "b"): [0, 2, 1, 0], ("b", "a"): [3, 1, 0]})
         x = rng.normal(size=(10, 3))
         owners = rng.integers(0, 2, size=10)
-        labels = np.array([rng.integers(0, net.head_sizes[o]) for o in owners])
-        loss, gsw, gsb, ghw, ghb = pm.multihead_loss_and_gradients(
+        labels = np.array([rng.integers(0, head_sizes(net)[o]) for o in owners])
+        loss, gsw, gsb, ghw, ghb = head_gradients(
             net, x, labels, owners, ms if mode == "mapped" else None
         )
         fsw, fsb, fhw, fhb = fd_multihead_gradients(net, x, labels, owners, mode, ms)
@@ -259,11 +272,11 @@ class TestGradients:
 
     def test_masked_non_owner_gradients_exactly_zero(self):
         rng = np.random.default_rng(1)
-        net = pm.init_multihead([3, 5], [4, 3, 2], ["a", "b", "c"], seed=2)
+        net = pm.init_network([3, 5], [("a", 4), ("b", 3), ("c", 2)], seed=2)
         x = rng.normal(size=(20, 3))
         owners = np.zeros(20, dtype=int)  # all frames belong to head 0
         labels = rng.integers(0, 4, size=20)
-        _, _, _, ghw, ghb = pm.multihead_loss_and_gradients(net, x, labels, owners)
+        _, _, _, ghw, ghb = head_gradients(net, x, labels, owners)
         for l in (1, 2):
             assert (ghw[l] == 0.0).all()
             assert (ghb[l] == 0.0).all()
@@ -273,26 +286,26 @@ class TestGradients:
         # shared-layer update for a frame equals the gradient of a network
         # that never had the other heads at all
         rng = np.random.default_rng(2)
-        big = pm.init_multihead([3, 6], [4, 3], ["a", "b"], seed=3)
-        small = pm.MultiHeadNetwork(pm.prune(big, "a"), ["a"], [4])
+        big = pm.init_network([3, 6], [("a", 4), ("b", 3)], seed=3)
+        small = pm.prune(big, "a")
         x = rng.normal(size=(8, 3))
         labels = rng.integers(0, 4, size=8)
         owners = np.zeros(8, dtype=int)
-        _, gsw_big, gsb_big, _, _ = pm.multihead_loss_and_gradients(big, x, labels, owners)
-        _, gsw_small, gsb_small, _, _ = pm.multihead_loss_and_gradients(small, x, labels, owners)
+        _, gsw_big, gsb_big, _, _ = head_gradients(big, x, labels, owners)
+        _, gsw_small, gsb_small, _, _ = head_gradients(small, x, labels, owners)
         for a, b in zip(gsw_big + gsb_big, gsw_small + gsb_small):
             assert (a == b).all()
 
     def test_second_call_keeps_first_results(self):
         rng = np.random.default_rng(4)
-        net = pm.init_multihead([3, 5], [3, 4], ["a", "b"], seed=5)
+        net = pm.init_network([3, 5], [("a", 3), ("b", 4)], seed=5)
         owners = np.array([0, 1, 1, 0])
-        first = pm.multihead_loss_and_gradients(
+        first = pm.loss_and_gradients(
             net, rng.normal(size=(4, 3)), np.array([2, 3, 0, 1]), owners
         )
         grads = [g for part in first[1:] for g in part]
         kept = [g.copy() for g in grads]
-        pm.multihead_loss_and_gradients(
+        pm.loss_and_gradients(
             net, rng.normal(size=(4, 3)), np.array([0, 1, 2, 0]), owners
         )
         for g, k in zip(grads, kept):
@@ -300,23 +313,23 @@ class TestGradients:
 
     def test_batch_loss_matches_per_frame_api(self):
         rng = np.random.default_rng(3)
-        net = pm.init_multihead([3, 5], [3, 4], ["a", "b"], seed=4)
+        net = pm.init_network([3, 5], [("a", 3), ("b", 4)], seed=4)
         ms = make_map_set(["a", "b"], [3, 4], {("a", "b"): [1, 3, 0], ("b", "a"): [2, 0, 1, 1]})
         x = rng.normal(size=(12, 3))
         owners = rng.integers(0, 2, size=12)
-        labels = np.array([rng.integers(0, net.head_sizes[o]) for o in owners])
+        labels = np.array([rng.integers(0, head_sizes(net)[o]) for o in owners])
         for mode in ("masked", "mapped"):
-            batch_loss, *_ = pm.multihead_loss_and_gradients(
+            batch_loss, *_ = head_gradients(
                 net, x, labels, owners, ms if mode == "mapped" else None
             )
-            outputs = pm.forward_heads(net, x)
+            outputs = [pm.forward_head(net, lang, x) for lang in ("a", "b")]
             per_frame = []
             for i in range(12):
                 if mode == "masked":
-                    t = make_targets_single(int(labels[i]), int(owners[i]), net.head_sizes)
+                    t = make_targets_single(int(labels[i]), int(owners[i]), head_sizes(net))
                 else:
                     t = make_targets_mapped(
-                        int(labels[i]), int(owners[i]), ms, net.languages, net.head_sizes
+                        int(labels[i]), int(owners[i]), ms, head_languages(net), head_sizes(net)
                     )
                 per_frame.append(mt_loss([out[i] for out in outputs], t))
             assert abs(batch_loss - np.mean(per_frame)) < 1e-12
@@ -325,32 +338,32 @@ class TestGradients:
 class TestTrainMultihead:
     def test_deterministic(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=5)
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=5)
         cfg = pm.MTTrainConfig(epochs=3, shuffle_seed=6)
         m1, h1 = pm.train_multihead(net, frames, cfg)
         m2, h2 = pm.train_multihead(net, frames, cfg)
         assert [h.mean_loss for h in h1] == [h.mean_loss for h in h2]
-        for wa, wb in zip(m1.network.weights, m2.network.weights):
+        for wa, wb in zip(m1.weights, m2.weights):
             assert wa.tobytes() == wb.tobytes()
 
     @pytest.mark.parametrize("mode", ["masked", "mapped"])
     def test_input_net_unchanged(self, mode):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=5)
-        before = [a.copy() for a in net.network.weights + net.network.biases]
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=5)
+        before = [a.copy() for a in net.weights + net.biases]
         map_set = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
         cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=6)
         trained, _ = pm.train_multihead(net, frames, cfg, map_set if mode == "mapped" else None)
-        for a, orig in zip(net.network.weights + net.network.biases, before):
+        for a, orig in zip(net.weights + net.biases, before):
             assert a.tobytes() == orig.tobytes()
-        assert trained.network.weights[0].tobytes() != before[0].tobytes()
+        assert trained.weights[0].tobytes() != before[0].tobytes()
 
     def test_absent_language_head_untouched(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        net = pm.init_multihead([4, 6], [3, 3, 3], ["a", "b", "c"], seed=7)
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3), ("c", 3)], seed=7)
         trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=8))
-        w, w0 = trained.network.weights[-1], net.network.weights[-1]
-        b, b0 = trained.network.biases[-1], net.network.biases[-1]
+        w, w0 = trained.weights[-1], net.weights[-1]
+        b, b0 = trained.biases[-1], net.biases[-1]
         lo, hi = net.bounds[2], net.bounds[3]
         assert w[lo:hi].tobytes() == w0[lo:hi].tobytes()
         assert b[lo:hi].tobytes() == b0[lo:hi].tobytes()
@@ -358,21 +371,21 @@ class TestTrainMultihead:
 
     def test_per_language_losses_logged(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=9)
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=9)
         _, hist = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=1))
         assert [h.epoch for h in hist] == [0, 1]
         assert hist[0].lr == 0.008 and hist[1].lr == 0.004
         assert set(hist[0].per_language) == {"a", "b"}
 
     def test_unknown_language(self):
-        net = pm.init_multihead([4, 6], [3], ["a"], seed=0)
+        net = pm.init_network([4, 6], [("a", 3)], seed=0)
         with pytest.raises(UnknownLanguageError):
             pm.train_multihead(net, {"zz": lang_frames("zz", 0)}, pm.MTTrainConfig(epochs=1))
 
     @staticmethod
     def two_languages():
         """A two-head network, its frames, and a complete map set between them."""
-        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=0)
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=0)
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         ms = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
         return net, frames, ms
@@ -399,17 +412,17 @@ class TestTrainMultihead:
         cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
         masked, masked_hist = pm.train_multihead(net, frames, cfg)
         mapped, mapped_hist = pm.train_multihead(net, frames, cfg, ms)
-        for a, b in zip(masked.network.weights, mapped.network.weights):
+        for a, b in zip(masked.weights, mapped.weights):
             assert a.tobytes() != b.tobytes()
         assert [h.mean_loss for h in masked_hist] != [h.mean_loss for h in mapped_hist]
 
     def test_empty_frames(self):
-        net = pm.init_multihead([4, 6], [3], ["a"], seed=0)
+        net = pm.init_network([4, 6], [("a", 3)], seed=0)
         with pytest.raises(EmptyDataError):
             pm.train_multihead(net, {}, pm.MTTrainConfig(epochs=1))
 
     def test_divergence_raises(self):
-        net = pm.init_multihead([4, 6], [3, 3], ["a", "b"], seed=0)
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=0)
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
             pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=3, initial_lr=1e12))
@@ -417,12 +430,11 @@ class TestTrainMultihead:
     def test_one_head_is_plain_training(self):
         # plain training is the one-head case of masked multi-head training
         frames = lang_frames("a", 2, n=150)
-        net = pm.init_network([4, 8, 6, 3], seed=3)
-        mt = pm.MultiHeadNetwork(net, ["a"], [3])
+        net = pm.init_network([4, 8, 6], [("a", 3)], seed=3)
         schedule = dict(initial_lr=0.05, epochs=3, batch_size=5, shuffle_seed=4)
         plain, plain_hist = pm.train(net, frames, pm.TrainConfig(**schedule))
         multi, multi_hist = pm.train_multihead(
-            mt, {"a": frames}, pm.MTTrainConfig(**schedule)
+            net, {"a": frames}, pm.MTTrainConfig(**schedule)
         )
         pruned = pm.prune(multi, "a")
         assert pruned.layer_dims == plain.layer_dims
@@ -433,7 +445,7 @@ class TestTrainMultihead:
     def test_owner_heads_learn_their_language(self):
         # each head must beat the same architecture trained on shuffled labels
         frames = {lang: lang_frames(lang, seed, n=150) for seed, lang in enumerate(("a", "b", "c"))}
-        net = pm.init_multihead([4, 8, 8], [3, 3, 3], ["a", "b", "c"], seed=11)
+        net = pm.init_network([4, 8, 8], [("a", 3), ("b", 3), ("c", 3)], seed=11)
         cfg = pm.MTTrainConfig(epochs=8, initial_lr=0.1, shuffle_seed=12)
         trained, _ = pm.train_multihead(net, frames, cfg)
 
@@ -473,8 +485,8 @@ def laid_out(frames, layout):
 
 def assert_same_training(got, want):
     (got_net, got_hist), (want_net, want_hist) = got, want
-    for a, b in zip(got_net.network.weights + got_net.network.biases,
-                    want_net.network.weights + want_net.network.biases):
+    for a, b in zip(got_net.weights + got_net.biases,
+                    want_net.weights + want_net.biases):
         assert a.tobytes() == b.tobytes()
     assert got_hist == want_hist
 
@@ -501,7 +513,8 @@ def senone_truth_maps(corpus):
 
 def gathered_mt_train(net, corpus, split, cfg, map_set=None):
     """Multi-head training on every head's language's ``split``, gathered into one buffer."""
-    frames = dict(zip(net.languages, corpus.gather(net.languages, split)))
+    languages = head_languages(net)
+    frames = dict(zip(languages, corpus.gather(languages, split)))
     return pm.train_multihead(net, frames, cfg, map_set)
 
 
@@ -510,7 +523,7 @@ class TestTrainInPlace:
     def test_gathered_sets_train_like_copies(self, mode):
         corpus = mt_corpus()
         map_set = senone_truth_maps(corpus) if mode == "mapped" else None
-        net = pm.init_multihead([4, 8], [36, 36, 36], ["lang1", "lang0", "lang2"], seed=13)
+        net = pm.init_network([4, 8], [("lang1", 36), ("lang0", 36), ("lang2", 36)], seed=13)
         cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=14)
         want = reference_mt_train(net, corpus, "train", cfg, map_set)
         assert_same_training(gathered_mt_train(net, corpus, "train", cfg, map_set), want)
@@ -519,7 +532,7 @@ class TestTrainInPlace:
     def test_sets_in_one_buffer_train_like_copies(self, layout):
         net, frames, map_set = TestTrainMultihead.two_languages()
         sets, features = laid_out(frames, layout)
-        x = multitask.join_rows([sets[lang].features for lang in net.languages])
+        x = join_rows([sets[lang].features for lang in head_languages(net)])
         assert np.shares_memory(x, features) == (layout == "consecutive")
         cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
         for maps in (None, map_set):
@@ -532,7 +545,7 @@ class TestTrainInPlace:
         # are 8.7 MB, and a copy of each split first would nearly double that.
         corpus = mt_corpus(feature_dim=40, frames_per_senone=300)
         map_set = senone_truth_maps(corpus) if mode == "mapped" else None
-        net = pm.init_multihead([40, 64, 64], [36, 36, 36], corpus.languages, seed=13)
+        net = pm.init_network([40, 64, 64], [(lang, 36) for lang in corpus.languages], seed=13)
         cfg = pm.MTTrainConfig(epochs=1, batch_size=64, shuffle_seed=14)
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         heads = len(corpus.languages)
@@ -549,7 +562,7 @@ class TestTrainInPlace:
 class TestPrune:
     def make_trained(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
-        net = pm.init_multihead([4, 6, 5], [3, 3], ["a", "b"], seed=20)
+        net = pm.init_network([4, 6, 5], [("a", 3), ("b", 3)], seed=20)
         trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=21))
         return trained
 
@@ -568,10 +581,10 @@ class TestPrune:
         assert head.tobytes() == pm.forward_batch(pm.prune(trained, "a"), x).tobytes()
 
     def test_single_head_prune_copies_parameters(self):
-        net = pm.init_multihead([4, 6], [3], ["only"], seed=1)
+        net = pm.init_network([4, 6], [("only", 3)], seed=1)
         pruned = pm.prune(net, "only")
         assert pruned.layer_dims == [4, 6, 3]
-        for w, (sw) in zip(pruned.weights, net.network.weights):
+        for w, (sw) in zip(pruned.weights, net.weights):
             assert (w == sw).all()
 
     def test_prune_persist_reload(self, tmp_path):
@@ -593,13 +606,21 @@ class TestPrune:
         with pytest.raises(ShapeError):
             pm.load_multihead(path)
 
-    def test_plain_and_multihead_files_not_confused(self, tmp_path):
-        pm.save_multihead(self.make_trained(), tmp_path / "mt.npz")
-        pm.save_network(pm.init_network([4, 6, 3], seed=1), tmp_path / "plain.npz")
-        with pytest.raises(ShapeError, match="polymap-network"):
-            pm.load_network(tmp_path / "mt.npz")
-        with pytest.raises(ShapeError, match="polymap-multihead"):
-            pm.load_multihead(tmp_path / "plain.npz")
+    @pytest.mark.parametrize("meta", [
+        {"format": "polymap-network", "version": 1, "activation": "relu", "seed": 1},
+        {"format": "polymap-multihead", "version": 2, "activation": "relu", "seed": 1,
+         "languages": ["a"], "head_sizes": [3]},
+    ], ids=["plain-v1", "multihead-v2"])
+    def test_earlier_model_formats_refused(self, tmp_path, meta):
+        # the plain and multi-head formats before the one model record
+        net = pm.init_network([4, 6], [("a", 3)], seed=1)
+        arrays = {"meta": np.array(json.dumps(meta)), "layer_dims": np.array(net.layer_dims)}
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"weight_{k}"], arrays[f"bias_{k}"] = w, b
+        write_npz(tmp_path / "old.npz", arrays)
+        for load in (pm.load_network, pm.load_multihead):
+            with pytest.raises(ShapeError, match=meta["format"]):
+                load(tmp_path / "old.npz")
 
     def test_version_1_multihead_file_rejected(self, tmp_path):
         # the earlier layout kept the trunk and each head under their own names
@@ -610,7 +631,7 @@ class TestPrune:
             "shared_weight_0": np.zeros((6, 4)), "shared_bias_0": np.zeros(6),
             "head_weight_0": np.zeros((3, 6)), "head_bias_0": np.zeros(3),
         })
-        with pytest.raises(PolymapError, match="v2"):
+        with pytest.raises(PolymapError, match="polymap-model v1"):
             pm.load_multihead(tmp_path / "old.npz")
 
     def test_multihead_persistence_round_trip(self, tmp_path):
@@ -618,7 +639,7 @@ class TestPrune:
         pm.save_multihead(trained, tmp_path / "mt.npz")
         loaded = pm.load_multihead(tmp_path / "mt.npz")
         x = np.random.default_rng(24).normal(size=(20, 4))
-        for lang in trained.languages:
+        for lang in head_languages(trained):
             assert (
                 pm.forward_head(loaded, lang, x).tobytes()
                 == pm.forward_head(trained, lang, x).tobytes()
@@ -638,7 +659,7 @@ class TestFinetuneTransfer:
         )
         target = "lang0"
         tr = corpus.subset(target, "train")
-        net = pm.init_network([8, 24, 24, 10], seed=33)
+        net = pm.init_network([8, 24, 24], [(target, 10)], seed=33)
         mapper, _ = pm.train(net, tr, pm.TrainConfig(epochs=8, shuffle_seed=34))
         maps = []
         for src in ("lang1", "lang2"):
@@ -649,7 +670,8 @@ class TestFinetuneTransfer:
             maps.append(pm.senone_map(counts))
         pooled = pm.pool_and_relabel(corpus, "train", target, maps, mapper)
         pooled_net, _ = pm.train(
-            pm.init_network([8, 24, 24, 10], seed=35), pooled, pm.TrainConfig(epochs=8, shuffle_seed=36)
+            pm.init_network([8, 24, 24], [(target, 10)], seed=35), pooled,
+            pm.TrainConfig(epochs=8, shuffle_seed=36),
         )
         tuned, _ = pm.finetune(pooled_net, tr, shuffle_seed=37)
         test = corpus.subset(target, "test")

@@ -1,9 +1,10 @@
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import polymap as pm
 from polymap._npz import write_npz
@@ -24,39 +25,42 @@ from target_oracles import reference_forward_batch, reference_sgd, traced_peak
 def bias_only_net(log_probs):
     """Single-layer net whose posterior is fixed regardless of the input."""
     dims = [1, len(log_probs)]
-    net = pm.Network(dims, [np.zeros((len(log_probs), 1))], [np.asarray(log_probs, float)])
+    net = pm.Network(
+        dims, [np.zeros((len(log_probs), 1))], [np.asarray(log_probs, float)],
+        [("toy", len(log_probs))],
+    )
     return net
 
 
 class TestInit:
     def test_same_seed_bitwise_identical(self):
-        a = pm.init_network([4, 8, 3], seed=7)
-        b = pm.init_network([4, 8, 3], seed=7)
+        a = pm.init_network([4, 8], [("toy", 3)], seed=7)
+        b = pm.init_network([4, 8], [("toy", 3)], seed=7)
         for wa, wb in zip(a.weights, b.weights):
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(a.biases, b.biases):
             assert ba.tobytes() == bb.tobytes()
 
     def test_different_seed_differs(self):
-        a = pm.init_network([4, 8, 3], seed=7)
-        b = pm.init_network([4, 8, 3], seed=8)
+        a = pm.init_network([4, 8], [("toy", 3)], seed=7)
+        b = pm.init_network([4, 8], [("toy", 3)], seed=8)
         assert any((wa != wb).any() for wa, wb in zip(a.weights, b.weights))
 
     def test_biases_zero_and_shapes(self):
-        net = pm.init_network([4, 8, 3], seed=0)
+        net = pm.init_network([4, 8], [("toy", 3)], seed=0)
         assert [w.shape for w in net.weights] == [(8, 4), (3, 8)]
         assert all((b == 0).all() for b in net.biases)
 
     @pytest.mark.parametrize("dims", [[4], [], [4, 0], [0, 3], [4, -1, 3]])
     def test_bad_architecture(self, dims):
         with pytest.raises(InvalidArchitectureError):
-            pm.init_network(dims, seed=0)
+            pm.init_network(dims[:-1], [("toy", d) for d in dims[-1:]], seed=0)
 
 
 class TestForward:
     def test_zero_net_uniform(self):
-        net = pm.Network([2, 3], [np.zeros((3, 2))], [np.zeros(3)])
-        probs = pm.forward(net, np.array([5.0, -3.0]))
+        net = pm.Network([2, 3], [np.zeros((3, 2))], [np.zeros(3)], [("toy", 3)])
+        probs = pm.forward_batch(net, np.array([[5.0, -3.0]]))[0]
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_hand_computed_two_layer(self):
@@ -65,8 +69,9 @@ class TestForward:
             [2, 2, 2],
             [np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 1.0], [0.5, -1.0]])],
             [np.array([0.5, 0.5]), np.array([0.0, 0.25])],
+            [("toy", 2)],
         )
-        probs = pm.forward(net, np.array([1.0, 2.0]))
+        probs = pm.forward_batch(net, np.array([[1.0, 2.0]]))[0]
         denom = math.exp(1.5) + math.exp(1.0)
         np.testing.assert_allclose(probs, [math.exp(1.5) / denom, math.exp(1.0) / denom], rtol=1e-14)
 
@@ -76,29 +81,40 @@ class TestForward:
     )
     @settings(max_examples=50, deadline=None)
     def test_output_is_distribution(self, x, seed):
-        net = pm.init_network([4, 6, 5], seed=seed)
-        probs = pm.forward(net, np.asarray(x))
+        net = pm.init_network([4, 6], [("toy", 5)], seed=seed)
+        probs = pm.forward_batch(net, np.asarray(x)[None, :])[0]
         assert abs(probs.sum() - 1.0) < 1e-6
         assert ((probs >= 0) & (probs <= 1)).all()
 
     def test_dim_mismatch(self):
-        net = pm.init_network([4, 3], seed=0)
+        net = pm.init_network([4], [("toy", 3)], seed=0)
         with pytest.raises(ShapeError):
-            pm.forward(net, np.zeros(5))
+            pm.forward_batch(net, np.zeros(5))
         with pytest.raises(ShapeError):
             pm.forward_batch(net, np.zeros((2, 5)))
+
+    def test_several_heads_are_not_one_softmax(self):
+        net = pm.init_network([4, 6], [("a", 3), ("b", 2)], seed=0)
+        x = np.zeros((2, 4))
+        frames = pm.FrameSet("a", x, np.zeros(2, int), np.arange(2))
+        for score in (pm.forward_batch, pm.predict_batch):
+            with pytest.raises(ShapeError, match="prune to one head"):
+                score(net, x)
+        with pytest.raises(ShapeError, match="prune to one head"):
+            pm.frame_error_rate(net, frames)
+        assert pm.forward_batch(pm.prune(net, "b"), x).shape == (2, 2)
 
 
 class TestPredict:
     def test_argmax(self):
         net = bias_only_net(np.log([0.2, 0.5, 0.3]))
-        assert pm.predict(net, np.zeros(1)) == 1
+        assert pm.predict_batch(net, np.zeros((1, 1)))[0] == 1
 
     def test_tie_breaks_low(self):
         net = bias_only_net(np.log([0.4, 0.4, 0.2]))
-        probs = pm.forward(net, np.zeros(1))
+        probs = pm.forward_batch(net, np.zeros((1, 1)))[0]
         assert probs[0] == probs[1]
-        assert pm.predict(net, np.zeros(1)) == 0
+        assert pm.predict_batch(net, np.zeros((1, 1)))[0] == 0
 
     def test_separable_clusters_predicted_exactly(self):
         rng = np.random.default_rng(0)
@@ -106,7 +122,7 @@ class TestPredict:
         labels = rng.integers(0, 2, size=300)
         x = centers[labels] + rng.normal(scale=0.3, size=(300, 2))
         frames = pm.FrameSet("toy", x, labels, np.arange(300))
-        net = pm.init_network([2, 8, 2], seed=1)
+        net = pm.init_network([2, 8], [("toy", 2)], seed=1)
         net, _ = pm.train(net, frames, pm.TrainConfig(initial_lr=0.08, epochs=16, shuffle_seed=2))
         assert (pm.predict_batch(net, x) == labels).all()
 
@@ -128,7 +144,7 @@ class TestBlockedScoring:
     @pytest.mark.parametrize("n", SCORED_ROWS)
     @pytest.mark.parametrize("input_dim", [20, 40])
     def test_bit_identical_to_one_call(self, n, input_dim):
-        net = pm.init_network([input_dim, 64, 64, 64, 64, 36], seed=input_dim)
+        net = pm.init_network([input_dim, 64, 64, 64, 64], [("toy", 36)], seed=input_dim)
         x = np.random.default_rng(n).normal(size=(n, input_dim))
         probs = pm.forward_batch(net, x)
         assert probs.shape == (n, 36) and probs.dtype == np.float64
@@ -138,7 +154,7 @@ class TestBlockedScoring:
 
     def test_scorers_hold_one_block_not_the_batch(self):
         n, senones = 50_000, 36
-        net = pm.init_network([20, 64, 64, 64, 64, senones], seed=1)
+        net = pm.init_network([20, 64, 64, 64, 64], [("toy", senones)], seed=1)
         x = np.random.default_rng(2).normal(size=(n, 20))
         posteriors = n * senones * 8
         probs, peak = traced_peak(pm.forward_batch, net, x)
@@ -186,7 +202,7 @@ def blob_frames(seed, n=400, spread=0.4):
 class TestTrain:
     def test_separable_blobs_low_error(self):
         frames = blob_frames(3)
-        net = pm.init_network([3, 16, 2], seed=4)
+        net = pm.init_network([3, 16], [("toy", 2)], seed=4)
         net, _ = pm.train(net, frames, pm.TrainConfig(initial_lr=0.08, epochs=16, shuffle_seed=5))
         errors = (pm.predict_batch(net, frames.features) != frames.labels).mean()
         assert errors < 0.05
@@ -194,7 +210,7 @@ class TestTrain:
     def test_deterministic(self):
         frames = blob_frames(6)
         cfg = pm.TrainConfig(epochs=4, shuffle_seed=7)
-        net = pm.init_network([3, 8, 2], seed=8)
+        net = pm.init_network([3, 8], [("toy", 2)], seed=8)
         a, hist_a = pm.train(net, frames, cfg)
         b, hist_b = pm.train(net, frames, cfg)
         assert [h.mean_loss for h in hist_a] == [h.mean_loss for h in hist_b]
@@ -203,7 +219,7 @@ class TestTrain:
 
     def test_input_net_unchanged(self):
         frames = blob_frames(6)
-        net = pm.init_network([3, 8, 2], seed=8)
+        net = pm.init_network([3, 8], [("toy", 2)], seed=8)
         before = [w.copy() for w in net.weights]
         pm.train(net, frames, pm.TrainConfig(epochs=2, shuffle_seed=1))
         for w, orig in zip(net.weights, before):
@@ -211,7 +227,7 @@ class TestTrain:
 
     def test_overfits_single_frame(self):
         frames = pm.FrameSet("toy", np.array([[0.5, -1.0]]), np.array([1]), np.array([0]))
-        net = pm.init_network([2, 8, 3], seed=9)
+        net = pm.init_network([2, 8], [("toy", 3)], seed=9)
         net, hist = pm.train(
             net, frames, pm.TrainConfig(initial_lr=0.5, epochs=30, halve_every_epoch=False)
         )
@@ -220,22 +236,24 @@ class TestTrain:
     def test_losses_match_lr_schedule(self):
         frames = blob_frames(10)
         cfg = pm.TrainConfig(initial_lr=0.02, epochs=3, shuffle_seed=0)
-        _, hist = pm.train(pm.init_network([3, 4, 2], seed=0), frames, cfg)
+        _, hist = pm.train(pm.init_network([3, 4], [("toy", 2)], seed=0), frames, cfg)
         assert [h.lr for h in hist] == [0.02, 0.01, 0.005]
         assert [h.epoch for h in hist] == [0, 1, 2]
 
     def test_label_out_of_range(self):
         frames = pm.FrameSet("toy", np.zeros((3, 2)), np.array([0, 1, 5]), np.arange(3))
         with pytest.raises(LabelRangeError):
-            pm.train(pm.init_network([2, 4, 3], seed=0), frames, pm.TrainConfig(epochs=1))
+            net = pm.init_network([2, 4], [("toy", 3)], seed=0)
+            pm.train(net, frames, pm.TrainConfig(epochs=1))
 
     def test_empty_dataset(self):
         frames = pm.FrameSet("toy", np.zeros((0, 2)), np.zeros(0, int), np.zeros(0, int))
         with pytest.raises(EmptyDataError):
-            pm.train(pm.init_network([2, 4, 3], seed=0), frames, pm.TrainConfig(epochs=1))
+            net = pm.init_network([2, 4], [("toy", 3)], seed=0)
+            pm.train(net, frames, pm.TrainConfig(epochs=1))
 
     def test_divergence_raises(self):
-        net = pm.init_network([3, 8, 2], seed=0)
+        net = pm.init_network([3, 8], [("toy", 2)], seed=0)
         with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
             pm.train(net, blob_frames(10), pm.TrainConfig(initial_lr=1e12, epochs=3))
 
@@ -285,7 +303,7 @@ class TestFusedStep:
     )
     def test_bit_identical_to_reference(self, trunk, sizes, n, batch_size, mode, absent):
         bounds = [0, *np.cumsum(sizes).tolist()]
-        net = pm.init_network([*trunk, bounds[-1]], seed=2)
+        net = pm.init_network(trunk, [(f"l{k}", size) for k, size in enumerate(sizes)], seed=2)
         x = np.random.default_rng(3).normal(size=(n, trunk[0]))
         targets = step_targets(mode, sizes, n, seed=4, absent=absent)
         cfg = pm.TrainConfig(initial_lr=0.05, epochs=3, batch_size=batch_size, shuffle_seed=5)
@@ -310,19 +328,20 @@ class TestFusedStep:
             assert weights[-1][lo:hi].tobytes() == net.weights[-1][lo:hi].tobytes()
 
     def test_second_call_keeps_first_results(self):
-        net = pm.init_network([4, 6, 3], seed=0)
+        net = pm.init_network([4, 6], [("toy", 3)], seed=0)
         rng = np.random.default_rng(1)
+        owners = np.zeros(5, int)
         _, grads_w, grads_b = pm.loss_and_gradients(
-            net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5)
+            net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5), owners
         )
         kept = [g.copy() for g in grads_w + grads_b]
-        pm.loss_and_gradients(net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5))
+        pm.loss_and_gradients(net, rng.normal(size=(5, 4)), rng.integers(0, 3, 5), owners)
         for g, k in zip(grads_w + grads_b, kept):
             assert g.tobytes() == k.tobytes()
 
 
 def finite_difference_gradients(net, x, y, h=1e-5):
-    """Central differences of the mean cross-entropy, via forward() only."""
+    """Central differences of the mean cross-entropy, via forward_batch() only."""
 
     def loss_of(candidate):
         probs = pm.forward_batch(candidate, x)
@@ -356,20 +375,20 @@ class TestGradients:
     @pytest.mark.parametrize("dims,seed", [([3, 4], 0), ([4, 5, 3], 1), ([3, 6, 5, 4], 2)])
     def test_matches_finite_differences(self, dims, seed):
         rng = np.random.default_rng(seed)
-        net = pm.init_network(dims, seed=seed)
+        net = pm.init_network(dims[:-1], [("toy", dims[-1])], seed=seed)
         x = rng.normal(size=(12, dims[0]))
         y = rng.integers(0, dims[-1], size=12)
-        loss, grads_w, grads_b = pm.loss_and_gradients(net, x, y)
+        loss, grads_w, grads_b = pm.loss_and_gradients(net, x, y, np.zeros(12, int))
         fd_w, fd_b = finite_difference_gradients(net, x, y)
         for a, n in zip(grads_w + grads_b, fd_w + fd_b):
             assert relative_error(a, n).max() < 1e-4
 
     def test_loss_value_matches_forward(self):
         rng = np.random.default_rng(3)
-        net = pm.init_network([4, 6, 3], seed=3)
+        net = pm.init_network([4, 6], [("toy", 3)], seed=3)
         x = rng.normal(size=(20, 4))
         y = rng.integers(0, 3, size=20)
-        loss, _, _ = pm.loss_and_gradients(net, x, y)
+        loss, _, _ = pm.loss_and_gradients(net, x, y, np.zeros(20, int))
         probs = pm.forward_batch(net, x)
         expected = float(np.mean(-np.log(probs[np.arange(20), y])))
         assert abs(loss - expected) < 1e-12
@@ -377,7 +396,7 @@ class TestGradients:
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
-        net = pm.init_network([5, 7, 4], seed=11)
+        net = pm.init_network([5, 7], [("toy", 4)], seed=11)
         frames = np.random.default_rng(0).normal(size=(20, 5))
         path = tmp_path / "model.npz"
         pm.save_network(net, path)
@@ -389,7 +408,7 @@ class TestPersistence:
         assert before.tobytes() == after.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        net = pm.init_network([3, 4, 2], seed=1)
+        net = pm.init_network([3, 4], [("toy", 2)], seed=1)
         pm.save_network(net, tmp_path / "a.npz")
         pm.save_network(net, tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -402,7 +421,7 @@ class TestPersistence:
 
     def test_reject_file_missing_an_array(self, tmp_path):
         path = tmp_path / "model.npz"
-        pm.save_network(pm.init_network([5, 7, 4], seed=1), path)
+        pm.save_network(pm.init_network([5, 7], [("toy", 4)], seed=1), path)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files if name != "bias_1"}
         np.savez(path, **arrays)
@@ -413,21 +432,21 @@ class TestPersistence:
         path = tmp_path / "model.npz"
         with pytest.raises(ArtifactError, match="model.npz"):
             pm.load_network(path)
-        pm.save_network(pm.init_network([5, 7, 4], seed=1), path)
+        pm.save_network(pm.init_network([5, 7], [("toy", 4)], seed=1), path)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(ArtifactError, match="model.npz"):
             pm.load_network(path)
 
 
-MODEL_META = {"format": "polymap-network", "version": 1, "activation": "relu", "seed": 1}
-MULTIHEAD_META = {
-    "format": "polymap-multihead", "version": 2, "activation": "relu", "seed": 1,
-    "languages": ["a", "b"], "head_sizes": [1, 1],
+MODEL_META = {
+    "format": "polymap-model", "version": 1, "activation": "relu", "seed": 1,
+    "heads": [["toy", 2]],
 }
+MULTIHEAD_META = {**MODEL_META, "heads": [["a", 1], ["b", 1]]}
 
 
 def model_arrays(meta):
-    net = pm.init_network([3, 4, 2], seed=1)
+    net = pm.init_network([3, 4], [("toy", 2)], seed=1)
     arrays = {"meta": np.array(json.dumps(meta)), "layer_dims": np.array([3, 4, 2])}
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"weight_{k}"], arrays[f"bias_{k}"] = w, b
@@ -436,6 +455,28 @@ def model_arrays(meta):
 
 def without(meta, key):
     return {k: v for k, v in meta.items() if k != key}
+
+
+def damage_and_load(path, net, save, load, position, flip):
+    """Save ``net``, damage the file and load it: either the load raises a
+    :class:`PolymapError` or it gives back ``net``'s heads and outputs.  A
+    ``flip`` of None cuts the file at ``position``; otherwise the byte there
+    is XORed with ``flip``."""
+    save(net, path)
+    data = bytearray(path.read_bytes())
+    if flip is None:
+        del data[position % (len(data) + 1) :]
+    else:
+        data[position % len(data)] ^= flip
+    path.write_bytes(bytes(data))
+    try:
+        loaded = load(path)
+    except PolymapError:
+        return
+    assert loaded.heads == net.heads
+    x = np.random.default_rng(0).normal(size=(4, 3))
+    for lang, _ in net.heads:
+        assert pm.forward_head(loaded, lang, x).tobytes() == pm.forward_head(net, lang, x).tobytes()
 
 
 class TestModelFileDamage:
@@ -449,14 +490,18 @@ class TestModelFileDamage:
             (pm.load_network, {**MODEL_META, "seed": "one"}, {}),
             (pm.load_network, {**MODEL_META, "seed": True}, {}),
             (pm.load_multihead, {**MULTIHEAD_META, "seed": True}, {}),
-            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": [True, True]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a", True], ["b", True]]}, {}),
             (pm.load_network, {**MODEL_META, "activation": "tanh"}, {}),
             (pm.load_multihead, {**MULTIHEAD_META, "activation": "tanh"}, {}),
-            (pm.load_multihead, without(MULTIHEAD_META, "languages"), {}),
-            (pm.load_multihead, without(MULTIHEAD_META, "head_sizes"), {}),
-            (pm.load_multihead, {**MULTIHEAD_META, "languages": "ab"}, {}),
-            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": ["1", "1"]}, {}),
-            (pm.load_multihead, {**MULTIHEAD_META, "head_sizes": [1, 2]}, {}),
+            (pm.load_multihead, without(MULTIHEAD_META, "heads"), {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [[1], [1]]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a"], ["b"]]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": "ab"}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a", "1"], ["b", "1"]]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a", 1], ["b", 2]]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a", 1], ["a", 1]]}, {}),
+            (pm.load_multihead, {**MULTIHEAD_META, "heads": [["a", 0], ["b", 2]]}, {}),
+            (pm.load_network, {**MODEL_META, "heads": []}, {}),
             (pm.load_network, MODEL_META, {"weight_0": np.zeros((5, 3))}),
             (pm.load_network, MODEL_META, {"bias_1": np.zeros(3)}),
             (pm.load_network, MODEL_META, {"weight_1": np.zeros((2, 4), dtype="<U1")}),
@@ -472,8 +517,10 @@ class TestModelFileDamage:
             "meta-not-json", "meta-not-object", "no-activation", "no-seed", "seed-not-int",
             "seed-bool", "multihead-seed-bool", "multihead-head-sizes-bool",
             "activation-not-relu", "multihead-activation-not-relu",
-            "multihead-no-languages", "multihead-no-head-sizes", "multihead-languages-text",
-            "multihead-head-sizes-text", "multihead-head-sizes-sum", "weight-shape", "bias-shape",
+            "multihead-no-heads", "multihead-no-languages", "multihead-no-head-sizes",
+            "multihead-languages-text",
+            "multihead-head-sizes-text", "multihead-head-sizes-sum", "multihead-languages-twice",
+            "multihead-head-size-zero", "no-head", "weight-shape", "bias-shape",
             "weight-dtype", "float-layer-dims", "scalar-layer-dims", "one-layer-dim",
             "zero-layer-dim",
         ],
@@ -489,48 +536,47 @@ class TestModelFileDamage:
         position=st.integers(0, 10**6),
         flip=st.one_of(st.none(), st.integers(1, 255)),
     )
-    # the last member's central-directory flag and compression-method bytes
-    @example(multihead=False, position=1882, flip=1)
-    @example(multihead=False, position=1885, flip=1)
     @settings(max_examples=150, deadline=None)
     def test_damaged_model_file_loads_or_raises_polymap_error(
         self, tmp_path_factory, multihead, position, flip
     ):
-        # flip None cuts the file at ``position``; otherwise one byte is XORed
         path = tmp_path_factory.mktemp("damaged") / "model.npz"
         if multihead:
-            net = pm.init_multihead([3, 4], [1, 2], ["a", "b"], seed=1)
-            pm.save_multihead(net, path)
-            load, network_of = pm.load_multihead, lambda m: m.network
+            net = pm.init_network([3, 4], [("a", 1), ("b", 2)], seed=1)
+            damage_and_load(path, net, pm.save_multihead, pm.load_multihead, position, flip)
         else:
-            net = pm.init_network([3, 4, 3], seed=1)
-            pm.save_network(net, path)
-            load, network_of = pm.load_network, lambda m: m
+            net = pm.init_network([3, 4], [("toy", 3)], seed=1)
+            damage_and_load(path, net, pm.save_network, pm.load_network, position, flip)
+
+    @pytest.mark.parametrize("field", [8, 11], ids=["flag-bits", "compression-method"])
+    def test_damaged_central_directory_entry_raises_polymap_error(self, tmp_path, field):
+        # The last member's central-directory entry: a flipped flag bit marks
+        # it encrypted, and a flipped method byte names no compression.
+        path = tmp_path / "model.npz"
+        pm.save_network(pm.init_network([3, 4], [("toy", 3)], seed=1), path)
+        with zipfile.ZipFile(path) as zf:
+            entry = zf.start_dir + sum(
+                zipfile.sizeCentralDir + len(e.filename) + len(e.extra) + len(e.comment)
+                for e in zf.infolist()[:-1]
+            )
         data = bytearray(path.read_bytes())
-        if flip is None:
-            del data[position % (len(data) + 1) :]
-        else:
-            data[position % len(data)] ^= flip
+        assert data[entry : entry + 4] == zipfile.stringCentralDir
+        data[entry + field] ^= 1
         path.write_bytes(bytes(data))
-        try:
-            loaded = load(path)
-        except PolymapError:
-            return
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        expected = pm.forward_batch(network_of(net), x)
-        assert pm.forward_batch(network_of(loaded), x).tobytes() == expected.tobytes()
+        with pytest.raises(PolymapError):
+            pm.load_network(path)
 
 
 class TestFinetune:
     def test_zero_epochs_is_noop(self):
-        net = pm.init_network([3, 4, 2], seed=0)
+        net = pm.init_network([3, 4], [("toy", 2)], seed=0)
         tuned, hist = pm.finetune(net, blob_frames(0), epochs=0)
         assert hist == []
         for wa, wb in zip(net.weights, tuned.weights):
             assert (wa == wb).all()
 
     def test_constant_rate_schedule(self):
-        net = pm.init_network([3, 4, 2], seed=0)
+        net = pm.init_network([3, 4], [("toy", 2)], seed=0)
         _, hist = pm.finetune(net, blob_frames(1), epochs=5, lr=0.0008, shuffle_seed=3)
         assert [h.lr for h in hist] == [0.0008] * 5
         assert [h.epoch for h in hist] == [0, 1, 2, 3, 4]

@@ -56,13 +56,13 @@ def manifest_file(tmp_path):
 
 def model_file(tmp_path):
     path = tmp_path / "model.npz"
-    pm.save_network(pm.init_network([2, 3, 2], seed=0), path)
+    pm.save_network(pm.init_network([2, 3], [("a", 2)], seed=0), path)
     return path, edit_meta, pm.load_network, ShapeError
 
 
 def multihead_file(tmp_path):
     path = tmp_path / "multihead.npz"
-    pm.save_multihead(pm.init_multihead([2, 3], [2, 1], ["a", "b"], seed=0), path)
+    pm.save_multihead(pm.init_network([2, 3], [("a", 2), ("b", 1)], seed=0), path)
     return path, edit_meta, pm.load_multihead, ShapeError
 
 
