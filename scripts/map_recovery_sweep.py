@@ -50,11 +50,9 @@ def recovery(spread, seed, args):
     )
     senone = pm.senone_map(counts)
     phone = pm.phone_map(counts, corpus.g_tables[source], corpus.g_tables[target])
-    senone_truth = corpus.senone_truth[(source, target)]
-    phone_truth = corpus.phone_truth[(source, target)]
-    senone_hit = np.mean([int(senone.table[s]) == t for s, t in senone_truth.items()])
-    phone_hit = np.mean([int(phone.table[s]) == t for s, t in phone_truth.items()])
-    return senone_hit, phone_hit
+    senone_hits, senone_total = pm.answer_key_hits(senone, corpus.senone_truth[(source, target)])
+    phone_hits, phone_total = pm.answer_key_hits(phone, corpus.phone_truth[(source, target)])
+    return senone_hits / senone_total, phone_hits / phone_total
 
 
 def main():

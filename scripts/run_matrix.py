@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Run the full method comparison matrix on a synthetic corpus.
 
-Generates one corpus per seed, runs every requested method on it, and
-prints the aggregated results table (also written to <out>/report.txt
-and <out>/report.json).  The hand-written maps for the manual-map
-method are taken from the generator's phone answer key, which is what a
-phonetically informed annotator would write down for this corpus.
+Generates one corpus per seed, runs every requested method on it
+(``harness.run_matrix``), and prints the aggregated results table (also
+written to <out>/report.txt and <out>/report.json).  The hand-written
+maps for the manual-map method are taken from the generator's phone
+answer key, which is what a phonetically informed annotator would write
+down for this corpus.
 
 Example:
     python scripts/run_matrix.py --out runs/matrix --seeds 0 1 2
 """
 
 import argparse
-import dataclasses
 from pathlib import Path
 
 import polymap as pm
@@ -31,64 +31,17 @@ def parse_args():
     return ap.parse_args()
 
 
-def write_manual_map(corpus, source, target, path):
-    """A total hand-written phone map for the pair.
-
-    Shared phones follow the generator's answer key; phones private to
-    the source language have no real counterpart, so the annotator's
-    stand-in maps them to target phone 0.
-    """
-    truth = corpus.phone_truth[(source, target)]
-    n = corpus.phone_inventories[source].size
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# manual phone map {source} -> {target}"]
-    lines.extend(f"{p} {truth.get(p, 0)}" for p in range(n))
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def main():
     args = parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    spec = pm.SynthSpec() if args.spread is None else pm.SynthSpec(cluster_spread=args.spread)
     rows = []
-    for seed in args.seeds:
-        spec = pm.SynthSpec(seed=harness.derive_seed(seed, "corpus"))
-        if args.spread is not None:
-            spec = dataclasses.replace(spec, cluster_spread=args.spread)
-        corpus = pm.generate_synthetic(spec)
-        corpus_path = out / f"corpus_seed{seed}.npz"
-        pm.save_corpus(corpus, corpus_path)
-        truth_dir = out / f"truth_seed{seed}"
-        pm.save_ground_truth_maps(corpus, truth_dir)
-        sources = [lang for lang in corpus.languages if lang != args.target]
-
-        for method in args.methods:
-            manual = {}
-            if method == "manual-map":
-                manual = {
-                    src: write_manual_map(
-                        corpus, src, args.target,
-                        out / f"manual_maps_seed{seed}" / f"{src}_to_{args.target}.txt",
-                    )
-                    for src in sources
-                }
-            cfg = harness.ExperimentConfig(
-                method=method,
-                target=args.target,
-                sources=sources,
-                output_dir=out / f"{method}_seed{seed}",
-                seed=seed,
-                corpus_path=corpus_path,
-                manual_maps=manual,
-            )
-            row = harness.run_experiment(cfg)
-            rows.append(row)
-            print(
-                f"seed={seed} {method:<13} dev={row.dev_frame_error:6.2f} "
-                f"test={row.test_frame_error:6.2f}"
-            )
+    for row in harness.run_matrix(out, args.seeds, args.methods, args.target, spec):
+        rows.append(row)
+        print(
+            f"seed={row.seed} {row.method:<13} dev={row.dev_frame_error:6.2f} "
+            f"test={row.test_frame_error:6.2f}"
+        )
 
     text = harness.write_report(
         rows, out, metadata={"target": args.target, "seeds": list(args.seeds)}

@@ -19,6 +19,7 @@ from .harness import (
     load_experiment_config,
     relative_improvement,
     run_experiment,
+    run_matrix,
 )
 from .mapping import (
     ConfusionCounts,
@@ -26,6 +27,7 @@ from .mapping import (
     MapSet,
     accumulate_confusion,
     all_pairs_senone_maps,
+    answer_key_hits,
     apply_map,
     identity_map,
     load_manual_map,

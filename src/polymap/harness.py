@@ -10,6 +10,7 @@ Each method is a sequence of stages (:data:`PIPELINES`); each stage is a
 row of :data:`STAGES` naming its function, the file it writes and the
 stages it may read.  :func:`run_stage` runs one stage, whose inputs are
 the outputs of the stages it reads that come earlier in the pipeline.
+:func:`run_matrix` runs methods over seeds, one synthetic corpus per seed.
 
 Methods
 -------
@@ -30,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -790,3 +792,45 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
         f"runtime_seconds={elapsed:.3f}\n"
     )
     return row
+
+
+def _write_manual_map(corpus: MultiCorpus, source: str, target: str, path: Path) -> None:
+    """The phone map an annotator would write: the answer key for shared phones,
+    target phone 0 for the source's private phones, which have no counterpart."""
+    truth = corpus.phone_truth[(source, target)]
+    lines = [f"# manual phone map {source} -> {target}"]
+    lines += [f"{p} {truth.get(p, 0)}" for p in range(corpus.phone_inventories[source].size)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_matrix(
+    out_dir: Path | str, seeds: Iterable[int], methods: Sequence[str], target: str = "lang0",
+    spec: SynthSpec = SynthSpec(),
+) -> Iterator[ResultRow]:
+    """Run each method on one synthetic corpus per seed ``s``; yield each row.
+
+    The corpus, ``spec`` drawn with ``derive_seed(s, "corpus")``, goes to
+    ``<out_dir>/corpus_seed<s>.npz`` and its answer-key maps to ``truth_seed<s>``.
+    Every other language is a source.  Each run writes under ``<method>_seed<s>``;
+    manual-map reads the answer-key maps :func:`_write_manual_map` writes under
+    ``manual_maps_seed<s>``.
+    """
+    out = Path(out_dir)
+    for seed in seeds:
+        corpus = generate_synthetic(dataclasses.replace(spec, seed=derive_seed(seed, "corpus")))
+        corpus_path = out / f"corpus_seed{seed}.npz"
+        save_corpus(corpus, corpus_path)
+        save_ground_truth_maps(corpus, out / f"truth_seed{seed}")
+        sources = [lang for lang in corpus.languages if lang != target]
+        for method in methods:
+            manual = {}
+            if method == "manual-map":
+                manual_dir = out / f"manual_maps_seed{seed}"
+                manual = {src: manual_dir / f"{src}_to_{target}.txt" for src in sources}
+                for src, path in manual.items():
+                    _write_manual_map(corpus, src, target, path)
+            yield run_experiment(ExperimentConfig(
+                method=method, target=target, output_dir=out / f"{method}_seed{seed}",
+                sources=sources, seed=seed, corpus_path=corpus_path, manual_maps=manual,
+            ))

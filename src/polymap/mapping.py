@@ -195,6 +195,13 @@ def phone_map(
     return LabelMap(source_inv, target_inv, table, PROVENANCE_PHONE)
 
 
+def answer_key_hits(label_map: LabelMap, truth: dict[int, int]) -> tuple[int, int]:
+    """How many of the answer key's ``source -> target`` pairs the map agrees
+    with, and how many pairs the key holds."""
+    hits = sum(int(label_map.table[s]) == t for s, t in truth.items())
+    return hits, len(truth)
+
+
 def _read_text(path: Path) -> str:
     try:
         return path.read_text()

@@ -497,6 +497,9 @@ def _train(
     unknown = [lang for lang in frames_by_language if lang not in sizes]
     if unknown:
         raise UnknownLanguageError(f"no head for language(s) {unknown}")
+    for lang, fs in frames_by_language.items():
+        if fs.language != lang:
+            raise UnknownLanguageError(f"frames of {fs.language!r} given to the {lang!r} head")
     present = [lang for lang in sizes if lang in frames_by_language]
     parts = [frames_by_language[lang] for lang in present]
     if sum(len(fs) for fs in parts) == 0:

@@ -267,9 +267,8 @@ def test_ground_truth_map_recovery():
             corpus.senone_inventories[source],
         )
         recovered = pm.phone_map(counts, corpus.g_tables[source], corpus.g_tables[target])
-        truth = corpus.phone_truth[(source, target)]
-        agree = sum(1 for s, t in truth.items() if int(recovered.table[s]) == t)
-        assert agree / len(truth) >= 0.95, f"seed {seed}: {agree}/{len(truth)} phones"
+        hits, total = pm.answer_key_hits(recovered, corpus.phone_truth[(source, target)])
+        assert hits / total >= 0.95, f"seed {seed}: {hits}/{total} phones"
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"map recovery took {elapsed:.1f}s (budget 120s)"
     report("ground-truth-map-recovery", f"(5/5 seeds, {elapsed:.1f}s)")
@@ -279,28 +278,18 @@ def test_ground_truth_map_recovery():
 # directional transfer
 
 
-def run_method(method, seed, out_dir):
-    cfg = harness.ExperimentConfig(
-        method=method,
-        target="lang0",
-        sources=["lang1", "lang2"],
-        output_dir=out_dir,
-        seed=seed,
-        synth=pm.SynthSpec(seed=None),
-    )
-    return harness.run_experiment(cfg)
+def rows_by_method(rows):
+    grouped = {}
+    for row in rows:
+        grouped.setdefault(row.method, []).append(row)
+    return grouped
 
 
 @pytest.fixture(scope="module")
 def pooling_rows(tmp_path_factory):
     root = tmp_path_factory.mktemp("directional_pooling")
     started = time.monotonic()
-    rows = {
-        method: [
-            run_method(method, seed, root / f"{method}_{seed}") for seed in SEEDS
-        ]
-        for method in ("baseline", "phone-map", "senone-map")
-    }
+    rows = rows_by_method(harness.run_matrix(root, SEEDS, ("baseline", "phone-map", "senone-map")))
     return rows, time.monotonic() - started
 
 
@@ -308,12 +297,7 @@ def pooling_rows(tmp_path_factory):
 def multitask_rows(tmp_path_factory, pooling_rows):
     root = tmp_path_factory.mktemp("directional_multitask")
     started = time.monotonic()
-    rows = {
-        method: [
-            run_method(method, seed, root / f"{method}_{seed}") for seed in SEEDS
-        ]
-        for method in ("mtdnn-masked", "mtdnn-mapped")
-    }
+    rows = rows_by_method(harness.run_matrix(root, SEEDS, ("mtdnn-masked", "mtdnn-mapped")))
     rows["baseline"] = pooling_rows[0]["baseline"]
     return rows, time.monotonic() - started
 

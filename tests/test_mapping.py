@@ -214,6 +214,14 @@ class TestPhoneMap:
             pm.phone_map(counts, full, short)
 
 
+def test_answer_key_hits_counts_agreeing_pairs():
+    label_map = pm.LabelMap(pm.LabelInventory("src", 5), pm.LabelInventory("tgt", 4),
+                            [2, 0, 3, 3, 1], "manual")
+    # The key covers four of the five source labels; the map agrees on 0, 2 and 4.
+    assert pm.answer_key_hits(label_map, {0: 2, 1: 1, 2: 3, 4: 1}) == (3, 4)
+    assert pm.answer_key_hits(label_map, {}) == (0, 0)
+
+
 class TestManualMap:
     def test_parse(self, tmp_path):
         path = tmp_path / "map.txt"

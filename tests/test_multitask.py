@@ -382,6 +382,12 @@ class TestTrainMultihead:
         with pytest.raises(UnknownLanguageError):
             pm.train_multihead(net, {"zz": lang_frames("zz", 0)}, pm.MTTrainConfig(epochs=1))
 
+    def test_frames_under_another_languages_key_raise(self):
+        net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=0)
+        frames = {"a": lang_frames("a", 0), "b": lang_frames("a", 1)}
+        with pytest.raises(UnknownLanguageError, match="'a'.*'b'"):
+            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1))
+
     @staticmethod
     def two_languages():
         """A two-head network, its frames, and a complete map set between them."""

@@ -17,6 +17,7 @@ from polymap.errors import (
     PolymapError,
     RangeError,
     ShapeError,
+    UnknownLanguageError,
 )
 from polymap.nnet import _SCORE_ROWS, _score_blocks, _sgd
 from target_oracles import reference_forward_batch, reference_sgd, traced_peak
@@ -256,6 +257,12 @@ class TestTrain:
         net = pm.init_network([3, 8], [("toy", 2)], seed=0)
         with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
             pm.train(net, blob_frames(10), pm.TrainConfig(initial_lr=1e12, epochs=3))
+
+    def test_frames_of_another_language_raise(self):
+        frames = pm.FrameSet("lang1", np.zeros((3, 2)), np.array([0, 1, 2]), np.arange(3))
+        net = pm.init_network([2, 4], [("lang0", 3)], seed=0)
+        with pytest.raises(UnknownLanguageError, match="'lang1'.*'lang0'"):
+            pm.train(net, frames, pm.TrainConfig(epochs=1))
 
 
 def step_targets(mode, sizes, n, seed, absent=None):
