@@ -39,7 +39,7 @@ from .mapping import (
     senone_map,
 )
 from .multitask import (
-    MTTrainConfig,
+    MT_RECIPE,
     forward_head,
     load_multihead,
     prune,

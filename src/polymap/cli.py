@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import PolymapError
+from .errors import PolymapError, UnknownLanguageError
 from .harness import RunPaths, load_experiment_config
 from .mapping import load_manual_map
 
@@ -57,6 +57,11 @@ def _report(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunP
 def _validate_map(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
     corpus = harness.prepare_corpus(cfg, paths.corpus)
     inventories = corpus.phone_inventories if args.kind == "phone" else corpus.senone_inventories
+    for lang in (args.source, args.target):
+        if lang not in inventories:
+            raise UnknownLanguageError(
+                f"corpus has no language {lang!r}; it has {corpus.languages}"
+            )
     load_manual_map(args.map, inventories[args.source], inventories[args.target])
     return "ok"
 

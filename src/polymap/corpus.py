@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     SynthSpecError,
 )
-from .mapping import LabelMap, apply_map, realign_with_phone_map
+from .mapping import LabelMap, apply_map, realign_with_phone_map, write_map_lines
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -108,6 +108,8 @@ class SynthSpec:
             )
         if self.cluster_spread <= 0:
             raise SynthSpecError(f"cluster_spread must be positive, got {self.cluster_spread}")
+        if self.seed is not None and self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def senones_per_language(self) -> int:
@@ -350,9 +352,8 @@ def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[P
     for kind, truth in (("phone", corpus.phone_truth), ("senone", corpus.senone_truth)):
         for (a, b), pairs in sorted(truth.items()):
             path = directory / f"truth_{kind}_{a}_to_{b}.txt"
-            lines = [f"# ground-truth {kind} correspondence {a} -> {b}"]
-            lines.extend(f"{s} {t}" for s, t in sorted(pairs.items()))
-            path.write_text("\n".join(lines) + "\n")
+            comment = f"ground-truth {kind} correspondence {a} -> {b}"
+            write_map_lines(path, sorted(pairs.items()), comment)
             written.append(path)
     return written
 

@@ -68,10 +68,10 @@ from .mapping import (
     phone_map,
     save_map_set,
     senone_map,
+    write_map_lines,
 )
 from .multitask import (
-    MTEpochStats,
-    MTTrainConfig,
+    MT_RECIPE,
     load_multihead,
     prune,
     save_multihead,
@@ -231,7 +231,7 @@ class ExperimentConfig:
     split_fractions: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_SPLIT))
     hidden_dims: list[int] = field(default_factory=lambda: list(_DEFAULT_HIDDEN))
     train: TrainConfig = field(default_factory=TrainConfig)
-    mt_train: MTTrainConfig = field(default_factory=MTTrainConfig)
+    mt_train: TrainConfig = MT_RECIPE
     finetune_epochs: int = 5
     finetune_lr: float = 0.0008
     manual_maps: dict[str, Path] = field(default_factory=dict)
@@ -314,7 +314,7 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
         split_fractions=dict(raw.get("split", _DEFAULT_SPLIT)),
         hidden_dims=list(raw.get("hidden_dims", _DEFAULT_HIDDEN)),
         train=_train_config_from(raw.get("train", {}), TrainConfig(), "train"),
-        mt_train=_train_config_from(raw.get("mt_train", {}), MTTrainConfig(), "mt_train"),
+        mt_train=_train_config_from(raw.get("mt_train", {}), MT_RECIPE, "mt_train"),
         finetune_epochs=finetune_raw.get("epochs", 5),
         finetune_lr=float(finetune_raw.get("lr", 0.0008)),
         manual_maps={
@@ -442,17 +442,18 @@ def _load_model(load, path: Path, languages: list[str]) -> Network:
     return net
 
 
-def _write_train_log(path: Path, history: list) -> None:
+def _write_train_log(path: Path, history: list[EpochStats]) -> None:
+    """One line per epoch: the mean loss if one language trained, else each
+    language's mean loss."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for stats in history:
-        if isinstance(stats, MTEpochStats):
-            per_lang = " ".join(
-                f"loss[{lang}]={loss:.6f}" for lang, loss in sorted(stats.per_language.items())
-            )
-            lines.append(f"epoch={stats.epoch} lr={stats.lr:.6g} {per_lang}")
+        if len(stats.per_language) == 1:
+            losses = f"loss={stats.mean_loss:.6f}"
         else:
-            lines.append(f"epoch={stats.epoch} lr={stats.lr:.6g} loss={stats.mean_loss:.6f}")
+            per_lang = sorted(stats.per_language.items())
+            losses = " ".join(f"loss[{lang}]={loss:.6f}" for lang, loss in per_lang)
+        lines.append(f"epoch={stats.epoch} lr={stats.lr:.6g} {losses}")
     path.write_text("\n".join(lines) + "\n" if lines else "")
 
 
@@ -798,10 +799,8 @@ def _write_manual_map(corpus: MultiCorpus, source: str, target: str, path: Path)
     """The phone map an annotator would write: the answer key for shared phones,
     target phone 0 for the source's private phones, which have no counterpart."""
     truth = corpus.phone_truth[(source, target)]
-    lines = [f"# manual phone map {source} -> {target}"]
-    lines += [f"{p} {truth.get(p, 0)}" for p in range(corpus.phone_inventories[source].size)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    pairs = [(p, truth.get(p, 0)) for p in range(corpus.phone_inventories[source].size)]
+    write_map_lines(path, pairs, f"manual phone map {source} -> {target}")
 
 
 def run_matrix(

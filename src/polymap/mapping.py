@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -256,14 +257,18 @@ def load_manual_map(
     return LabelMap(source_inventory, target_inventory, table, PROVENANCE_MANUAL)
 
 
-def save_map_file(label_map: LabelMap, path: str | Path, comment: str | None = None) -> None:
+def write_map_lines(path: str | Path, pairs: Iterable[tuple], comment: str | None) -> None:
+    """Write the map-file text format :func:`load_manual_map` reads: a ``# comment``
+    line if there is a comment, then a ``source target`` line per pair."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.extend(f"{s} {int(t)}" for s, t in enumerate(label_map.table))
+    lines = [f"# {comment}"] if comment else []
+    lines.extend(f"{s} {t}" for s, t in pairs)
     path.write_text("\n".join(lines) + "\n")
+
+
+def save_map_file(label_map: LabelMap, path: str | Path, comment: str | None = None) -> None:
+    write_map_lines(path, enumerate(label_map.table.tolist()), comment)
 
 
 def apply_map(frames: FrameSet, label_map: LabelMap) -> FrameSet:

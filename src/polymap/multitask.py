@@ -21,7 +21,6 @@ the two match bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +30,8 @@ from .mapping import MapSet
 from .nnet import EpochStats, Network, TrainConfig, _read_model, _train, _write_model, forward_batch
 
 
-@dataclass(frozen=True)
-class MTTrainConfig(TrainConfig):
-    """SGD schedule for multi-head training, with the recipe's rate and batch size."""
-
-    initial_lr: float = 0.008
-    batch_size: int = 4
-
-
-@dataclass(frozen=True)
-class MTEpochStats(EpochStats):
-    """One training-log line: epoch, lr, overall and per-language mean loss."""
-
-    per_language: dict[str, float]
+# The multi-head recipe's schedule: a tenth of the baseline's rate, batches of 4.
+MT_RECIPE = TrainConfig(initial_lr=0.008, batch_size=4)
 
 
 def forward_head(net: Network, language: str, x: np.ndarray) -> np.ndarray:
@@ -54,9 +42,9 @@ def forward_head(net: Network, language: str, x: np.ndarray) -> np.ndarray:
 def train_multihead(
     net: Network,
     frames_by_language: dict[str, FrameSet],
-    cfg: MTTrainConfig,
+    cfg: TrainConfig,
     map_set: MapSet | None = None,
-) -> tuple[Network, list[MTEpochStats]]:
+) -> tuple[Network, list[EpochStats]]:
     """Shuffled mini-batch SGD over the pooled frames of all languages.
 
     Batches may mix languages.  Each frame takes its own label on its
@@ -68,8 +56,7 @@ def train_multihead(
     :meth:`~polymap.corpus.MultiCorpus.gather` gives them), are trained on in
     place; others are concatenated first.
     """
-    trained, history = _train(net, frames_by_language, cfg, map_set)
-    return trained, [MTEpochStats(*stats) for stats in history]
+    return _train(net, frames_by_language, cfg, map_set)
 
 
 def prune(net: Network, language: str) -> Network:

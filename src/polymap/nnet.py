@@ -147,11 +147,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
-    """One training-log line: epoch index, learning rate, mean loss."""
+    """One training-log line: epoch index, learning rate, mean loss over all
+    frames, and mean loss over each language's frames (if it has any)."""
 
     epoch: int
     lr: float
     mean_loss: float
+    per_language: dict[str, float]
 
 
 def init_network(trunk_dims: list[int], heads: list[tuple[str, int]], seed: int = 0) -> Network:
@@ -483,10 +485,10 @@ def _sgd(
 def _train(
     net: Network, frames_by_language: dict[str, FrameSet], cfg: TrainConfig,
     map_set: MapSet | None,
-) -> tuple[Network, list[tuple[int, float, float, dict[str, float]]]]:
+) -> tuple[Network, list[EpochStats]]:
     """:func:`_sgd` over the pooled frames of the heads' languages, with the
-    targets of :func:`_target_array`; the trained network and, per epoch,
-    ``(epoch, lr, mean loss, mean loss per language)``.
+    targets of :func:`_target_array`; the trained network and its
+    :class:`EpochStats` per epoch.
 
     Each set is checked against its language's head.  One set, or sets that
     are consecutive row slices of one buffer in head order (as
@@ -526,7 +528,7 @@ def _train(
         per_language = {
             lang: float(sums[l] / counts[l]) for l, (lang, _) in enumerate(net.heads) if counts[l]
         }
-        history.append((epoch, lr, mean_loss, per_language))
+        history.append(EpochStats(epoch, lr, mean_loss, per_language))
     return Network(list(net.layer_dims), weights, biases, list(net.heads), net.seed), history
 
 
@@ -540,8 +542,7 @@ def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, li
     """
     if len(net.heads) != 1:
         raise ShapeError(f"train takes a one-head network, not the heads {net.heads!r}")
-    trained, history = _train(net, {net.heads[0][0]: frames}, cfg, None)
-    return trained, [EpochStats(epoch, lr, loss) for epoch, lr, loss, _ in history]
+    return _train(net, {net.heads[0][0]: frames}, cfg, None)
 
 
 def finetune(

@@ -8,6 +8,7 @@ so this module dominates the suite's runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_pruning_equivalence():
         for lang in ("a", "b", "c")
     }
     net = pm.init_network([5, 12, 9], [("a", 4), ("b", 4), ("c", 4)], seed=8)
-    trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=9))
+    trained, _ = pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=2, shuffle_seed=9))
     x = rng.normal(size=(100, 5))
     for lang in ("a", "b", "c"):
         pruned = pm.prune(trained, lang)

@@ -56,6 +56,7 @@ class TestSynthSpec:
             {"shared_phone_fraction": 1.2},
             {"shared_phone_fraction": -0.1},
             {"cluster_spread": 0.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_specs(self, overrides):

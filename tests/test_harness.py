@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ class TestConfig:
         assert cfg.split_fractions == {"train": 0.8, "dev": 0.1, "test": 0.1}
         assert cfg.finetune_epochs == 2
         assert cfg.train.epochs == 4
-        assert cfg.mt_train == pm.MTTrainConfig(**TINY_MT)
+        assert cfg.mt_train == dataclasses.replace(pm.MT_RECIPE, **TINY_MT)
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, tiny_config(tmp_path))
@@ -257,6 +258,35 @@ class TestRunExperiment:
         assert paths.mapper_model("lang0").exists()
         assert paths.mapper_model("lang1").exists()
         assert (paths.maps_dir / "mapset.json").exists()
+
+    def test_train_log_lines(self, tmp_path):
+        # one epoch of each recipe; fine-tuning runs the tiny config's 2 epochs
+        one_epoch = {"train": {**TINY_TRAIN, "epochs": 1}, "mt_train": {**TINY_MT, "epochs": 1}}
+        _, base = self.run(tmp_path / "baseline", "baseline", **one_epoch)
+        _, masked = self.run(tmp_path / "masked", "mtdnn-masked", **one_epoch)
+        loss = r"\d+\.\d{6}"
+        expected = {
+            base.logs_dir / "baseline_train.log": [rf"epoch=0 lr=0\.08 loss={loss}"],
+            masked.logs_dir / "mtdnn_train.log": [
+                rf"epoch=0 lr=0\.02 loss\[lang0\]={loss} loss\[lang1\]={loss}"
+            ],
+            masked.logs_dir / "finetune.log": [
+                rf"epoch={e} lr=0\.0008 loss={loss}" for e in (0, 1)
+            ],
+        }
+        for path, lines in expected.items():
+            assert re.fullmatch("\n".join(lines) + "\n", path.read_text()), path
+
+    def test_train_log_line_from_the_record(self, tmp_path):
+        history = [
+            pm.EpochStats(0, 0.08, 1.25, {"lang0": 1.25}),
+            pm.EpochStats(1, 0.04, 0.5, {"lang1": 0.75, "lang0": 0.25}),
+        ]
+        harness._write_train_log(tmp_path / "train.log", history)
+        assert (tmp_path / "train.log").read_text() == (
+            "epoch=0 lr=0.08 loss=1.250000\n"
+            "epoch=1 lr=0.04 loss[lang0]=0.250000 loss[lang1]=0.750000\n"
+        )
 
     def test_manual_map_pipeline(self, tmp_path):
         # the generator's phone answer key doubles as a manual map file
@@ -498,7 +528,9 @@ class TestCli:
         err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
         assert err.startswith("ConfigError: ") and key in err
 
-    @pytest.mark.parametrize("value", [{"frames_per_senone": 0}, {"shared_phone_fraction": 1.5}])
+    @pytest.mark.parametrize(
+        "value", [{"frames_per_senone": 0}, {"shared_phone_fraction": 1.5}, {"seed": -1}]
+    )
     def test_synth_value_out_of_range_names_the_file_and_section(self, tmp_path, capsys, value):
         raw = tiny_config(tmp_path, corpus={"synth": {**TINY_SYNTH, **value}})
         path = write_config(tmp_path, raw)
@@ -549,6 +581,17 @@ class TestCli:
             "--source", "lang1", "--target", "lang0",
         ])
         assert err.startswith("ArtifactError: ") and "missing.txt" in err
+
+    @pytest.mark.parametrize("side", ["--source", "--target"])
+    def test_validate_map_of_an_unknown_language_fails_cleanly(self, tmp_path, capsys, side):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        languages = {"--source": "lang1", "--target": "lang0", side: "lang9"}
+        err = self.one_error_line(capsys, [
+            "validate-map", "--config", str(path), "--map", str(tmp_path / "map.txt"),
+            *[arg for pair in languages.items() for arg in pair],
+        ])
+        expected = "corpus has no language 'lang9'; it has ['lang0', 'lang1']"
+        assert err == f"UnknownLanguageError: {expected}"
 
     def test_missing_or_malformed_config_fails_cleanly(self, tmp_path, capsys):
         err = self.one_error_line(capsys, ["synth", "--config", str(tmp_path / "none.json")])

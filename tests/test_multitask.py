@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -339,7 +340,7 @@ class TestTrainMultihead:
     def test_deterministic(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=5)
-        cfg = pm.MTTrainConfig(epochs=3, shuffle_seed=6)
+        cfg = replace(pm.MT_RECIPE, epochs=3, shuffle_seed=6)
         m1, h1 = pm.train_multihead(net, frames, cfg)
         m2, h2 = pm.train_multihead(net, frames, cfg)
         assert [h.mean_loss for h in h1] == [h.mean_loss for h in h2]
@@ -352,7 +353,7 @@ class TestTrainMultihead:
         net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=5)
         before = [a.copy() for a in net.weights + net.biases]
         map_set = make_map_set(["a", "b"], [3, 3], {("a", "b"): [1, 2, 0], ("b", "a"): [2, 0, 1]})
-        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=6)
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=6)
         trained, _ = pm.train_multihead(net, frames, cfg, map_set if mode == "mapped" else None)
         for a, orig in zip(net.weights + net.biases, before):
             assert a.tobytes() == orig.tobytes()
@@ -361,7 +362,8 @@ class TestTrainMultihead:
     def test_absent_language_head_untouched(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         net = pm.init_network([4, 6], [("a", 3), ("b", 3), ("c", 3)], seed=7)
-        trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=8))
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=8)
+        trained, _ = pm.train_multihead(net, frames, cfg)
         w, w0 = trained.weights[-1], net.weights[-1]
         b, b0 = trained.biases[-1], net.biases[-1]
         lo, hi = net.bounds[2], net.bounds[3]
@@ -372,21 +374,22 @@ class TestTrainMultihead:
     def test_per_language_losses_logged(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=9)
-        _, hist = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=1))
+        _, hist = pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=2, shuffle_seed=1))
         assert [h.epoch for h in hist] == [0, 1]
         assert hist[0].lr == 0.008 and hist[1].lr == 0.004
         assert set(hist[0].per_language) == {"a", "b"}
+        assert all(isinstance(h, pm.EpochStats) for h in hist)
 
     def test_unknown_language(self):
         net = pm.init_network([4, 6], [("a", 3)], seed=0)
         with pytest.raises(UnknownLanguageError):
-            pm.train_multihead(net, {"zz": lang_frames("zz", 0)}, pm.MTTrainConfig(epochs=1))
+            pm.train_multihead(net, {"zz": lang_frames("zz", 0)}, replace(pm.MT_RECIPE, epochs=1))
 
     def test_frames_under_another_languages_key_raise(self):
         net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=0)
         frames = {"a": lang_frames("a", 0), "b": lang_frames("a", 1)}
         with pytest.raises(UnknownLanguageError, match="'a'.*'b'"):
-            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1))
+            pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=1))
 
     @staticmethod
     def two_languages():
@@ -400,7 +403,7 @@ class TestTrainMultihead:
         net, frames, ms = self.two_languages()
         partial = pm.MapSet({k: v for k, v in ms.maps.items() if k != ("b", "a")})
         with pytest.raises(IncompleteMapSetError, match="'b' to 'a'"):
-            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1), partial)
+            pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=1), partial)
 
     @pytest.mark.parametrize("sizes", [(3, 40), (5, 3)], ids=["target", "source"])
     def test_map_that_does_not_fit_the_heads_raises(self, sizes):
@@ -411,11 +414,11 @@ class TestTrainMultihead:
             np.arange(sizes[0]) % 3, "data-driven-senone",
         )
         with pytest.raises(ShapeError, match="'a'->'b'"):
-            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=1), pm.MapSet(maps))
+            pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=1), pm.MapSet(maps))
 
     def test_map_set_changes_training(self):
         net, frames, ms = self.two_languages()
-        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=3)
         masked, masked_hist = pm.train_multihead(net, frames, cfg)
         mapped, mapped_hist = pm.train_multihead(net, frames, cfg, ms)
         for a, b in zip(masked.weights, mapped.weights):
@@ -425,13 +428,13 @@ class TestTrainMultihead:
     def test_empty_frames(self):
         net = pm.init_network([4, 6], [("a", 3)], seed=0)
         with pytest.raises(EmptyDataError):
-            pm.train_multihead(net, {}, pm.MTTrainConfig(epochs=1))
+            pm.train_multihead(net, {}, replace(pm.MT_RECIPE, epochs=1))
 
     def test_divergence_raises(self):
         net = pm.init_network([4, 6], [("a", 3), ("b", 3)], seed=0)
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         with pytest.raises(NonFiniteLossError, match=r"epoch \d"):
-            pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=3, initial_lr=1e12))
+            pm.train_multihead(net, frames, replace(pm.MT_RECIPE, epochs=3, initial_lr=1e12))
 
     def test_one_head_is_plain_training(self):
         # plain training is the one-head case of masked multi-head training
@@ -440,19 +443,20 @@ class TestTrainMultihead:
         schedule = dict(initial_lr=0.05, epochs=3, batch_size=5, shuffle_seed=4)
         plain, plain_hist = pm.train(net, frames, pm.TrainConfig(**schedule))
         multi, multi_hist = pm.train_multihead(
-            net, {"a": frames}, pm.MTTrainConfig(**schedule)
+            net, {"a": frames}, replace(pm.MT_RECIPE, **schedule)
         )
         pruned = pm.prune(multi, "a")
         assert pruned.layer_dims == plain.layer_dims
         for a, b in zip(plain.weights + plain.biases, pruned.weights + pruned.biases):
             assert a.tobytes() == b.tobytes()
         assert [h.mean_loss for h in plain_hist] == [h.mean_loss for h in multi_hist]
+        assert plain_hist == multi_hist
 
     def test_owner_heads_learn_their_language(self):
         # each head must beat the same architecture trained on shuffled labels
         frames = {lang: lang_frames(lang, seed, n=150) for seed, lang in enumerate(("a", "b", "c"))}
         net = pm.init_network([4, 8, 8], [("a", 3), ("b", 3), ("c", 3)], seed=11)
-        cfg = pm.MTTrainConfig(epochs=8, initial_lr=0.1, shuffle_seed=12)
+        cfg = replace(pm.MT_RECIPE, epochs=8, initial_lr=0.1, shuffle_seed=12)
         trained, _ = pm.train_multihead(net, frames, cfg)
 
         rng = np.random.default_rng(13)
@@ -530,7 +534,7 @@ class TestTrainInPlace:
         corpus = mt_corpus()
         map_set = senone_truth_maps(corpus) if mode == "mapped" else None
         net = pm.init_network([4, 8], [("lang1", 36), ("lang0", 36), ("lang2", 36)], seed=13)
-        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=14)
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=14)
         want = reference_mt_train(net, corpus, "train", cfg, map_set)
         assert_same_training(gathered_mt_train(net, corpus, "train", cfg, map_set), want)
 
@@ -540,7 +544,7 @@ class TestTrainInPlace:
         sets, features = laid_out(frames, layout)
         x = join_rows([sets[lang].features for lang in head_languages(net)])
         assert np.shares_memory(x, features) == (layout == "consecutive")
-        cfg = pm.MTTrainConfig(epochs=2, shuffle_seed=3)
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=3)
         for maps in (None, map_set):
             want = pm.train_multihead(net, frames, cfg, maps)
             assert_same_training(pm.train_multihead(net, sets, cfg, maps), want)
@@ -552,7 +556,7 @@ class TestTrainInPlace:
         corpus = mt_corpus(feature_dim=40, frames_per_senone=300)
         map_set = senone_truth_maps(corpus) if mode == "mapped" else None
         net = pm.init_network([40, 64, 64], [(lang, 36) for lang in corpus.languages], seed=13)
-        cfg = pm.MTTrainConfig(epochs=1, batch_size=64, shuffle_seed=14)
+        cfg = replace(pm.MT_RECIPE, epochs=1, batch_size=64, shuffle_seed=14)
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         heads = len(corpus.languages)
         # features, labels and utterance ids; then targets, the epoch's one
@@ -569,7 +573,8 @@ class TestPrune:
     def make_trained(self):
         frames = {"a": lang_frames("a", 0), "b": lang_frames("b", 1)}
         net = pm.init_network([4, 6, 5], [("a", 3), ("b", 3)], seed=20)
-        trained, _ = pm.train_multihead(net, frames, pm.MTTrainConfig(epochs=2, shuffle_seed=21))
+        cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=21)
+        trained, _ = pm.train_multihead(net, frames, cfg)
         return trained
 
     def test_outputs_bit_identical(self):

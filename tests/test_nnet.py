@@ -241,6 +241,16 @@ class TestTrain:
         assert [h.lr for h in hist] == [0.02, 0.01, 0.005]
         assert [h.epoch for h in hist] == [0, 1, 2]
 
+    def test_history_holds_the_languages_loss(self):
+        cfg = pm.TrainConfig(epochs=3, shuffle_seed=2)
+        _, hist = pm.train(pm.init_network([3, 4], [("toy", 2)], seed=0), blob_frames(11), cfg)
+        assert all(isinstance(h, pm.EpochStats) for h in hist)
+        assert [list(h.per_language) for h in hist] == [["toy"]] * 3
+        # the same mean, summed in another order
+        assert [h.per_language["toy"] for h in hist] == pytest.approx(
+            [h.mean_loss for h in hist], rel=1e-12
+        )
+
     def test_label_out_of_range(self):
         frames = pm.FrameSet("toy", np.zeros((3, 2)), np.array([0, 1, 5]), np.arange(3))
         with pytest.raises(LabelRangeError):
@@ -587,3 +597,4 @@ class TestFinetune:
         _, hist = pm.finetune(net, blob_frames(1), epochs=5, lr=0.0008, shuffle_seed=3)
         assert [h.lr for h in hist] == [0.0008] * 5
         assert [h.epoch for h in hist] == [0, 1, 2, 3, 4]
+        assert [list(h.per_language) for h in hist] == [["toy"]] * 5
