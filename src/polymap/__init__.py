@@ -47,6 +47,7 @@ from .multitask import (
     train_multihead,
 )
 from .nnet import (
+    FINETUNE_RECIPE,
     EpochStats,
     Network,
     TrainConfig,

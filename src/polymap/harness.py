@@ -78,6 +78,7 @@ from .multitask import (
     train_multihead,
 )
 from .nnet import (
+    FINETUNE_RECIPE,
     EpochStats,
     Network,
     TrainConfig,
@@ -132,9 +133,6 @@ CONFIG_VERSION = 1
 ROW_FORMAT = "polymap-result-row"
 REPORT_FORMAT = "polymap-report"
 
-_DEFAULT_SPLIT = {"train": 0.8, "dev": 0.1, "test": 0.1}
-_DEFAULT_HIDDEN = [64, 64, 64, 64]
-
 
 def derive_seed(base_seed: int, label: str) -> int:
     """Stable sub-seed for a named pipeline stage."""
@@ -150,6 +148,14 @@ class RunPaths:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+
+    def made(self) -> RunPaths:
+        """These paths, once the run directory exists; :class:`ArtifactError` if it cannot."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ArtifactError(f"cannot make the run directory {self.root}: {exc}") from exc
+        return self
 
     @property
     def corpus(self) -> Path:
@@ -217,9 +223,9 @@ class RunPaths:
         return self.root / "report.json"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; see README for the JSON schema."""
+    """Everything a run needs, checked when built; see README for the JSON schema."""
 
     method: str
     target: str
@@ -228,15 +234,17 @@ class ExperimentConfig:
     seed: int = 0
     corpus_path: Path | None = None
     synth: SynthSpec | None = None
-    split_fractions: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_SPLIT))
-    hidden_dims: list[int] = field(default_factory=lambda: list(_DEFAULT_HIDDEN))
-    train: TrainConfig = field(default_factory=TrainConfig)
+    split_fractions: dict[str, float] = field(
+        default_factory=lambda: {"train": 0.8, "dev": 0.1, "test": 0.1}
+    )
+    hidden_dims: list[int] = field(default_factory=lambda: [64, 64, 64, 64])
+    train: TrainConfig = TrainConfig()
     mt_train: TrainConfig = MT_RECIPE
-    finetune_epochs: int = 5
-    finetune_lr: float = 0.0008
+    finetune_epochs: int = FINETUNE_RECIPE.epochs
+    finetune_lr: float = FINETUNE_RECIPE.initial_lr
     manual_maps: dict[str, Path] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.target:
@@ -247,10 +255,9 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate source languages in {self.sources}")
         if self.method != "baseline" and not self.sources:
             raise ConfigError(f"method {self.method!r} needs at least one source language")
-        if self.method == "manual-map":
-            missing = [s for s in self.sources if s not in self.manual_maps]
-            if missing:
-                raise ConfigError(f"manual-map needs a map file for source(s) {missing}")
+        missing = [s for s in self.sources if s not in self.manual_maps]
+        if self.method == "manual-map" and missing:
+            raise ConfigError(f"manual-map needs a map file for source(s) {missing}")
         if (self.corpus_path is None) == (self.synth is None):
             raise ConfigError("exactly one of corpus path or synth spec must be given")
         if set(self.split_fractions) != {"train", "dev", "test"}:
@@ -262,15 +269,31 @@ class ExperimentConfig:
             raise ConfigError(f"split fractions must be non-negative and sum to 1, got {values}")
         if any(int(d) < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
-        if self.finetune_epochs < 0:
-            raise ConfigError(f"finetune epochs must be >= 0, got {self.finetune_epochs}")
-        if self.finetune_lr <= 0:
-            raise ConfigError(f"finetune lr must be positive, got {self.finetune_lr}")
+        finetune_schedule(self)
 
 
-def _train_config_from(raw, defaults: TrainConfig, context: str) -> TrainConfig:
+def _schedule(section: str, base: TrainConfig, **values) -> TrainConfig:
+    """``base`` with ``values``; :class:`ConfigError` naming ``section`` if they fit no schedule."""
+    try:
+        return dataclasses.replace(base, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def finetune_schedule(cfg: ExperimentConfig) -> TrainConfig:
+    """The schedule of :func:`stage_finetune`: :data:`~polymap.nnet.FINETUNE_RECIPE`
+    at the config's fine-tuning epochs and rate, the baseline's batch size and
+    the run's fine-tuning shuffle seed."""
+    return _schedule("finetune", FINETUNE_RECIPE, epochs=cfg.finetune_epochs,
+                     initial_lr=cfg.finetune_lr, batch_size=cfg.train.batch_size,
+                     shuffle_seed=derive_seed(cfg.seed, "shuffle:finetune"))
+
+
+def _train_config_from(raw, section: str) -> TrainConfig:
+    """The JSON config's ``section``: its :class:`ExperimentConfig` default and ``raw``'s keys."""
     kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig) if f.name != "shuffle_seed"}
-    return dataclasses.replace(defaults, **checked(raw, kinds, context, ConfigError, required=()))
+    values = checked(raw, kinds, section, ConfigError, required=())
+    return _schedule(section, getattr(ExperimentConfig, section), **values)
 
 
 def _synth_from(raw, context: str) -> SynthSpec:
@@ -284,7 +307,8 @@ def _synth_from(raw, context: str) -> SynthSpec:
 
 def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build and fully validate a config before any compute happens.  A
-    wrong value raises :class:`ConfigError` naming its key."""
+    wrong value raises :class:`ConfigError` naming its key; a key left out
+    keeps the :class:`ExperimentConfig` default."""
     raw = checked(raw, {
         "version": "int", "method": "str", "target": "str", "sources": "list[str]", "seed": "int",
         "output_dir": "str", "corpus": "dict", "split": "dict[float]", "hidden_dims": "list[int]",
@@ -293,36 +317,28 @@ def experiment_config_from_dict(raw: dict, base_dir: Path | str = ".") -> Experi
     base_dir = Path(base_dir)
     if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
-    corpus = raw.get("corpus")
-    if not corpus:
-        raise ConfigError("config needs a 'corpus' object with 'path' or 'synth'")
-    checked(corpus, {"path": "str", "synth": "dict"}, "corpus", ConfigError, required=())
-    corpus_path = base_dir / corpus["path"] if "path" in corpus else None
-    synth = _synth_from(corpus["synth"], "corpus.synth") if "synth" in corpus else None
-
-    finetune_raw = raw.get("finetune", {})
-    checked(finetune_raw, {"epochs": "int", "lr": "float"}, "finetune", ConfigError, required=())
-
-    cfg = ExperimentConfig(
-        method=raw["method"],
-        target=raw["target"],
-        output_dir=base_dir / raw["output_dir"],
-        sources=list(raw.get("sources", [])),
-        seed=raw.get("seed", 0),
-        corpus_path=corpus_path,
-        synth=synth,
-        split_fractions=dict(raw.get("split", _DEFAULT_SPLIT)),
-        hidden_dims=list(raw.get("hidden_dims", _DEFAULT_HIDDEN)),
-        train=_train_config_from(raw.get("train", {}), TrainConfig(), "train"),
-        mt_train=_train_config_from(raw.get("mt_train", {}), MT_RECIPE, "mt_train"),
-        finetune_epochs=finetune_raw.get("epochs", 5),
-        finetune_lr=float(finetune_raw.get("lr", 0.0008)),
-        manual_maps={
-            lang: base_dir / p for lang, p in raw.get("manual_maps", {}).items()
-        },
+    corpus = checked(raw.get("corpus", {}), {"path": "str", "synth": "dict"}, "corpus", ConfigError,
+                     required=())
+    finetune = checked(raw.get("finetune", {}), {"epochs": "int", "lr": "float"}, "finetune",
+                       ConfigError, required=())
+    # field -> (JSON object, key, field value of the key's value); absent keys keep the default
+    optional = {
+        "sources": (raw, "sources", list),
+        "seed": (raw, "seed", int),
+        "split_fractions": (raw, "split", dict),
+        "hidden_dims": (raw, "hidden_dims", list),
+        "train": (raw, "train", lambda section: _train_config_from(section, "train")),
+        "mt_train": (raw, "mt_train", lambda section: _train_config_from(section, "mt_train")),
+        "finetune_epochs": (finetune, "epochs", int),
+        "finetune_lr": (finetune, "lr", float),
+        "manual_maps": (raw, "manual_maps", lambda m: {k: base_dir / p for k, p in m.items()}),
+    }
+    return ExperimentConfig(
+        method=raw["method"], target=raw["target"], output_dir=base_dir / raw["output_dir"],
+        corpus_path=base_dir / corpus["path"] if "path" in corpus else None,
+        synth=_synth_from(corpus["synth"], "corpus.synth") if "synth" in corpus else None,
+        **{name: value(part[key]) for name, (part, key, value) in optional.items() if key in part},
     )
-    cfg.validate()
-    return cfg
 
 
 def load_experiment_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
@@ -499,6 +515,7 @@ def build_source_maps(corpus: MultiCorpus, cfg: ExperimentConfig, mapper: Networ
 def stage_synth(cfg: ExperimentConfig, paths: RunPaths, corpus: MultiCorpus) -> Path:
     """Materialize the corpus, stamped with :func:`_corpus_stamp`, plus the
     generator's answer-key map files."""
+    paths.made()
     save_corpus(dataclasses.replace(corpus, provenance=_corpus_stamp(cfg)), paths.corpus)
     save_ground_truth_maps(corpus, paths.truth_dir)
     return paths.corpus
@@ -580,16 +597,11 @@ def stage_prune(
 def stage_finetune(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
 ) -> Network:
-    """Fine-tune the one input model on target training data at a constant rate."""
+    """Fine-tune the one input model on target training data on the
+    :func:`finetune_schedule`."""
     (model_path,) = inputs.values()
-    tuned, history = finetune(
-        _load_model(load_network, model_path, [cfg.target]),
-        corpus.subset(cfg.target, "train"),
-        epochs=cfg.finetune_epochs,
-        lr=cfg.finetune_lr,
-        batch_size=cfg.train.batch_size,
-        shuffle_seed=derive_seed(cfg.seed, "shuffle:finetune"),
-    )
+    net = _load_model(load_network, model_path, [cfg.target])
+    tuned, history = finetune(net, corpus.subset(cfg.target, "train"), finetune_schedule(cfg))
     save_network(tuned, paths.final_model)
     _write_train_log(paths.logs_dir / "finetune.log", history)
     return tuned
@@ -619,7 +631,7 @@ def run_stage(cfg: ExperimentConfig, name: str, corpus: MultiCorpus | None = Non
     if name not in pipeline:
         raise ConfigError(f"{name} is not a stage of {cfg.method}; it runs {', '.join(pipeline)}")
     stage = STAGES[name]
-    paths = RunPaths(cfg.output_dir)
+    paths = RunPaths(cfg.output_dir).made()
     earlier = pipeline[: pipeline.index(name)]
     inputs = {r: _output(paths, r) for r in stage.reads if r in earlier}
     if corpus is None and stage.uses_corpus:
@@ -751,9 +763,8 @@ def emit_table(rows: list[ResultRow], metadata: dict | None = None) -> tuple[str
 
 
 def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = None) -> str:
-    paths = RunPaths(out_dir)
     text, payload = emit_table(rows, metadata)
-    paths.report_text.parent.mkdir(parents=True, exist_ok=True)
+    paths = RunPaths(out_dir).made()
     paths.report_text.write_text(text + "\n")
     paths.report_json.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return text
@@ -766,9 +777,8 @@ def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = N
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     """Run the configured method's pipeline end to end on one prepared
     corpus, persisting every artifact, and score its last model."""
-    cfg.validate()
     started = time.monotonic()
-    paths = RunPaths(cfg.output_dir)
+    paths = RunPaths(cfg.output_dir).made()
     corpus = prepare_corpus(cfg, paths.corpus)
     for name in PIPELINES[cfg.method]:
         final = run_stage(cfg, name, corpus)

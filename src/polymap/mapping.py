@@ -106,6 +106,16 @@ def identity_map(inventory: LabelInventory) -> LabelMap:
     return LabelMap(inventory, inventory, np.arange(inventory.size), PROVENANCE_IDENTITY)
 
 
+def _check_classifier(net: Network, language: str, size: int) -> None:
+    """:class:`ShapeError` unless ``net`` has ``size`` outputs, and
+    :class:`InventoryError` unless it is one head of ``language``."""
+    if net.output_dim != size:
+        raise ShapeError(f"classifier has {net.output_dim} outputs, {language!r} has {size} labels")
+    found = [lang for lang, _ in net.heads]
+    if found != [language]:
+        raise InventoryError(f"classifier of language(s) {found}, not of {language!r}")
+
+
 def accumulate_confusion(
     target_net: Network,
     source_frames: FrameSet,
@@ -119,11 +129,7 @@ def accumulate_confusion(
     therefore equal per-label frame counts.  Predictions are hard
     argmaxes, not soft posteriors.
     """
-    if target_net.output_dim != target_inventory.size:
-        raise ShapeError(
-            f"classifier has {target_net.output_dim} outputs but the target "
-            f"inventory holds {target_inventory.size} labels"
-        )
+    _check_classifier(target_net, target_inventory.task_id, target_inventory.size)
     if source_frames.language != source_inventory.task_id:
         raise InventoryError(
             f"frames belong to {source_frames.language!r}, inventory to "
@@ -322,11 +328,7 @@ def realign_with_phone_map(
             f"target table has {g_target.num_phones} phones, map expects "
             f"{pm.target_inventory.size}"
         )
-    if net.output_dim != g_target.num_senones:
-        raise ShapeError(
-            f"classifier has {net.output_dim} outputs, target table covers "
-            f"{g_target.num_senones} senones"
-        )
+    _check_classifier(net, g_target.task_id, g_target.num_senones)
     if len(frames) == 0:
         return FrameSet(g_target.task_id, frames.features, frames.labels, frames.utterance_ids)
     if frames.labels.min() < 0 or frames.labels.max() >= g_source.num_senones:

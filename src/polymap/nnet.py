@@ -127,7 +127,7 @@ class TrainConfig:
     """Hyperparameters of the SGD schedule.
 
     The learning rate starts at ``initial_lr`` and is halved after every
-    epoch when ``halve_every_epoch`` is set.
+    epoch when ``halve_every_epoch`` is set.  Zero epochs change nothing.
     """
 
     initial_lr: float = 0.08
@@ -139,10 +139,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.initial_lr <= 0:
             raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+# The fine-tuning recipe: a hundredth of the baseline's rate, held for 5 epochs.
+FINETUNE_RECIPE = TrainConfig(initial_lr=0.0008, epochs=5, halve_every_epoch=False)
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,8 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     if not 0 <= epoch < cfg.epochs:
         raise RangeError(f"epoch {epoch} outside 0..{cfg.epochs - 1}")
     if cfg.halve_every_epoch:
-        return cfg.initial_lr / 2.0**epoch
+        # ldexp, not / 2.0**epoch: the same below epoch 1024, and no OverflowError after it
+        return math.ldexp(cfg.initial_lr, -epoch)
     return cfg.initial_lr
 
 
@@ -546,28 +551,10 @@ def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, li
 
 
 def finetune(
-    net: Network,
-    frames: FrameSet,
-    epochs: int = 5,
-    lr: float = 0.0008,
-    batch_size: int = 32,
-    shuffle_seed: int = 0,
+    net: Network, frames: FrameSet, cfg: TrainConfig = FINETUNE_RECIPE
 ) -> tuple[Network, list[EpochStats]]:
-    """Continue training at a constant learning rate (no halving).
-
-    ``epochs=0`` is a no-op that returns an unchanged copy.
-    """
-    if epochs < 0:
-        raise RangeError(f"epochs must be >= 0, got {epochs}")
-    if epochs == 0:
-        return net.copy(), []
-    cfg = TrainConfig(
-        initial_lr=lr,
-        epochs=epochs,
-        batch_size=batch_size,
-        shuffle_seed=shuffle_seed,
-        halve_every_epoch=False,
-    )
+    """Continue training a one-head network: :func:`train` on the fine-tuning
+    schedule, by default :data:`FINETUNE_RECIPE` (a constant rate)."""
     return train(net, frames, cfg)
 
 

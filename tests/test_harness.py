@@ -12,6 +12,7 @@ import pytest
 import polymap as pm
 from polymap import cli, harness
 from polymap.errors import ConfigError, EmptyDataError, MissingBaselineError
+from polymap.harness import derive_seed
 
 TINY_SYNTH = {
     "num_languages": 2,
@@ -111,6 +112,34 @@ class TestConfig:
         assert (cfg.finetune_lr, type(cfg.finetune_lr)) == (1.0, float)
         assert (cfg.train.initial_lr, cfg.split_fractions["train"]) == (1, 1)
         assert harness.config_hash(cfg) == "43b0c6d5def5d4c9"  # as before the type checks
+
+    @pytest.mark.parametrize("fields", [{"method": "nonsense"}, {"finetune_lr": 0}])
+    def test_a_config_checks_itself_when_built(self, tmp_path, fields):
+        given = {"method": "baseline", "target": "lang0", "output_dir": tmp_path,
+                 "synth": pm.SynthSpec(), **fields}
+        with pytest.raises(ConfigError):
+            harness.ExperimentConfig(**given)
+
+    def test_a_config_is_frozen_and_has_no_validate(self, tmp_path):
+        cfg = harness.experiment_config_from_dict(tiny_config(tmp_path), tmp_path)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.method = "nonsense"
+        assert not hasattr(cfg, "validate")
+
+    def test_a_missing_key_keeps_the_dataclass_default(self, tmp_path):
+        raw = {"method": "baseline", "target": "lang0", "output_dir": "run",
+               "corpus": {"synth": {}}}
+        cfg = harness.experiment_config_from_dict(raw, tmp_path)
+        assert cfg == harness.ExperimentConfig(
+            "baseline", "lang0", tmp_path / "run", synth=pm.SynthSpec(seed=None)
+        )
+        assert harness.finetune_schedule(cfg) == dataclasses.replace(
+            pm.FINETUNE_RECIPE, shuffle_seed=derive_seed(0, "shuffle:finetune")
+        )
+
+    def test_zero_finetune_epochs_is_a_schedule(self, tmp_path):
+        raw = tiny_config(tmp_path, finetune={"epochs": 0})
+        assert harness.experiment_config_from_dict(raw, tmp_path).finetune_epochs == 0
 
     def test_config_hash_ignores_seed_and_output(self, tmp_path):
         a = harness.experiment_config_from_dict(tiny_config(tmp_path, seed=1), tmp_path)
@@ -287,6 +316,27 @@ class TestRunExperiment:
             "epoch=0 lr=0.08 loss=1.250000\n"
             "epoch=1 lr=0.04 loss[lang0]=0.250000 loss[lang1]=0.750000\n"
         )
+
+    def test_finetune_stage_trains_on_the_finetune_schedule(self, tmp_path, monkeypatch):
+        raw = tiny_config(tmp_path, method="mtdnn-masked", train={**TINY_TRAIN, "batch_size": 8},
+                          finetune={"epochs": 3, "lr": 0.002})
+        cfg = harness.experiment_config_from_dict(raw, tmp_path)
+        paths = harness.RunPaths(cfg.output_dir)
+        model = tmp_path / "pruned.npz"
+        pm.save_network(pm.init_network([6, 16, 16], [("lang0", 8)], seed=1), model)
+        schedules = []
+
+        def finetune(net, frames, schedule):
+            schedules.append(schedule)
+            return pm.finetune(net, frames, schedule)
+
+        monkeypatch.setattr(harness, "finetune", finetune)
+        harness.stage_finetune(cfg, paths, {"prune": model}, harness.prepare_corpus(cfg))
+        assert schedules == [dataclasses.replace(
+            pm.FINETUNE_RECIPE, initial_lr=0.002, epochs=3, batch_size=8,
+            shuffle_seed=derive_seed(3, "shuffle:finetune"),
+        )]
+        assert len(paths.logs_dir.joinpath("finetune.log").read_text().splitlines()) == 3
 
     def test_manual_map_pipeline(self, tmp_path):
         # the generator's phone answer key doubles as a manual map file
@@ -536,6 +586,30 @@ class TestCli:
         path = write_config(tmp_path, raw)
         err = self.one_error_line(capsys, ["synth", "--config", str(path)])
         assert err.startswith(f"ConfigError: {path}: corpus.synth: {next(iter(value))} ")
+
+    @pytest.mark.parametrize("section,value", [
+        ("train", {"initial_lr": -1}),
+        ("mt_train", {"initial_lr": -1}),
+        ("mt_train", {"epochs": -1}),
+        ("finetune", {"epochs": -1}),
+        ("finetune", {"lr": 0}),
+    ])
+    def test_schedule_value_out_of_range_names_the_file_and_section(
+        self, tmp_path, capsys, section, value
+    ):
+        path = write_config(tmp_path, tiny_config(tmp_path, **{section: value}))
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err.startswith(f"ConfigError: {path}: {section}: ")
+
+    @pytest.mark.parametrize("command", ["experiment", "synth", "report"])
+    def test_output_dir_that_is_a_file_fails_cleanly(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        write_config(tmp_path, tiny_config(tmp_path, output_dir=str(path)))
+        rows = tmp_path / "row.json"
+        rows.write_text(row_json())
+        extra = ["--rows", str(rows)] if command == "report" else []
+        err = self.one_error_line(capsys, [command, "--config", str(path), *extra])
+        assert err.startswith(f"ArtifactError: cannot make the run directory {path}: ")
 
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),

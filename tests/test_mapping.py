@@ -93,6 +93,13 @@ class TestAccumulate:
         with pytest.raises(pm.errors.ShapeError):
             pm.accumulate_confusion(net, frames, TGT, SRC)
 
+    def test_classifier_of_another_language(self):
+        # same size as the target inventory, but trained for another language
+        net = pm.init_network([4], [("other", 3)], seed=6)
+        frames = pm.FrameSet("src", np.zeros((2, 4)), np.array([0, 1]), np.arange(2))
+        with pytest.raises(InventoryError, match=r"\['other'\], not of 'tgt'"):
+            pm.accumulate_confusion(net, frames, TGT, SRC)
+
     def test_sharding_independent(self):
         # accumulating shards of the frame set and summing matches one pass
         rng = np.random.default_rng(11)
@@ -332,6 +339,12 @@ class TestRealign:
         frames = pm.FrameSet("src", np.zeros((5, 1)), np.zeros(5, int), np.arange(5))
         out = pm.realign_with_phone_map(net, frames, pmap, g_src, g_tgt)
         assert list(out.labels) == [1] * 5
+
+    def test_classifier_of_another_language(self):
+        net, frames, pmap, g_src, g_tgt = recipe_realignment(10, seed=1)
+        other = pm.Network(net.layer_dims, net.weights, net.biases, [("src", 36)])
+        with pytest.raises(InventoryError, match=r"\['src'\], not of 'tgt'"):
+            pm.realign_with_phone_map(other, frames, pmap, g_src, g_tgt)
 
     def test_features_untouched(self):
         rng = np.random.default_rng(4)

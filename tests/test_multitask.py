@@ -684,6 +684,6 @@ class TestFinetuneTransfer:
             pm.init_network([8, 24, 24], [(target, 10)], seed=35), pooled,
             pm.TrainConfig(epochs=8, shuffle_seed=36),
         )
-        tuned, _ = pm.finetune(pooled_net, tr, shuffle_seed=37)
+        tuned, _ = pm.finetune(pooled_net, tr, replace(pm.FINETUNE_RECIPE, shuffle_seed=37))
         test = corpus.subset(target, "test")
         assert pm.frame_error_rate(tuned, test) <= pm.frame_error_rate(pooled_net, test)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import zipfile
@@ -10,6 +11,7 @@ import polymap as pm
 from polymap._npz import write_npz
 from polymap.errors import (
     ArtifactError,
+    ConfigError,
     EmptyDataError,
     InvalidArchitectureError,
     LabelRangeError,
@@ -190,6 +192,18 @@ class TestSchedule:
         for epoch in (-1, 4, 100):
             with pytest.raises(RangeError):
                 pm.lr_at_epoch(cfg, epoch)
+
+    def test_rate_underflows_past_epoch_1023(self):
+        # 2.0**1024 overflows a float; the rate itself just underflows to 0.0
+        cfg = pm.TrainConfig(epochs=1200)
+        assert pm.lr_at_epoch(cfg, 1100) == 0.0
+        assert pm.lr_at_epoch(cfg, 1199) == 0.0
+
+    @pytest.mark.parametrize("initial_lr", [0.08, 0.008, 0.0008, 0.3, 1.0, 7.0])
+    def test_equals_the_halving_formula_below_epoch_1024(self, initial_lr):
+        cfg = pm.TrainConfig(initial_lr=initial_lr, epochs=1024)
+        rates = [pm.lr_at_epoch(cfg, e) for e in range(1024)]
+        assert rates == [initial_lr / 2.0**e for e in range(1024)]
 
 
 def blob_frames(seed, n=400, spread=0.4):
@@ -587,14 +601,52 @@ class TestModelFileDamage:
 class TestFinetune:
     def test_zero_epochs_is_noop(self):
         net = pm.init_network([3, 4], [("toy", 2)], seed=0)
-        tuned, hist = pm.finetune(net, blob_frames(0), epochs=0)
+        cfg = dataclasses.replace(pm.FINETUNE_RECIPE, epochs=0)
+        tuned, hist = pm.finetune(net, blob_frames(0), cfg)
         assert hist == []
         for wa, wb in zip(net.weights, tuned.weights):
             assert (wa == wb).all()
 
+    def test_recipe(self):
+        assert pm.FINETUNE_RECIPE == pm.TrainConfig(
+            initial_lr=0.0008, epochs=5, batch_size=32, shuffle_seed=0, halve_every_epoch=False
+        )
+
     def test_constant_rate_schedule(self):
         net = pm.init_network([3, 4], [("toy", 2)], seed=0)
-        _, hist = pm.finetune(net, blob_frames(1), epochs=5, lr=0.0008, shuffle_seed=3)
+        cfg = dataclasses.replace(pm.FINETUNE_RECIPE, epochs=5, initial_lr=0.0008, shuffle_seed=3)
+        _, hist = pm.finetune(net, blob_frames(1), cfg)
         assert [h.lr for h in hist] == [0.0008] * 5
         assert [h.epoch for h in hist] == [0, 1, 2, 3, 4]
         assert [list(h.per_language) for h in hist] == [["toy"]] * 5
+
+
+class TestZeroEpochs:
+    """Zero epochs is a schedule of every training call: an unchanged copy
+    and no history.  Negative epochs are no schedule."""
+
+    @pytest.mark.parametrize("call", ["train", "finetune", "train_multihead"])
+    def test_zero_epochs_return_an_unchanged_copy(self, call):
+        frames = blob_frames(0, n=40)
+        heads = [("toy", 2), ("other", 3)] if call == "train_multihead" else [("toy", 2)]
+        net = pm.init_network([3, 4], heads, seed=0)
+        cfg = dataclasses.replace(pm.FINETUNE_RECIPE, epochs=0)
+        if call == "train_multihead":
+            trained, history = pm.train_multihead(net, {"toy": frames}, cfg)
+        else:
+            trained, history = getattr(pm, call)(net, frames, cfg)
+        assert history == []
+        assert trained is not net and trained.heads == net.heads
+        for old, new in zip(net.weights + net.biases, trained.weights + trained.biases):
+            assert old.tobytes() == new.tobytes() and not np.shares_memory(old, new)
+
+    def test_negative_epochs_raise(self):
+        for recipe in (pm.TrainConfig(), pm.MT_RECIPE, pm.FINETUNE_RECIPE):
+            with pytest.raises(ConfigError, match="epochs must be >= 0"):
+                dataclasses.replace(recipe, epochs=-1)
+
+    def test_zero_epochs_still_check_the_frames(self):
+        net = pm.init_network([3, 4], [("toy", 2)], seed=0)
+        empty = pm.FrameSet("toy", np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int))
+        with pytest.raises(EmptyDataError):
+            pm.finetune(net, empty, dataclasses.replace(pm.FINETUNE_RECIPE, epochs=0))
