@@ -19,8 +19,8 @@ import os
 import warnings
 from array import array
 from collections import deque
-from itertools import groupby
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -166,14 +166,23 @@ class MultiCorpus:
         return {k: LabelInventory(k, t.num_phones, "phone") for k, t in self.g_tables.items()}
 
     def subset(self, language: str, split: str) -> FrameSet:
-        return self.frames[language].take(self._split_rows(language, split))
+        return self.gather([language], split)[0]
 
     def gather(self, languages: Sequence[str], split: str) -> list[FrameSet]:
-        """Each of ``languages``' ``split`` frames, equal to :meth:`subset`'s, as
-        consecutive row slices of one set of arrays, in ``languages`` order.  The
-        arrays are allocated once and each language's rows copied straight into its
-        slice, so :func:`~polymap.data.join_rows` joins the slices without a copy."""
-        rows = [self._split_rows(lang, split) for lang in languages]
+        """Each of ``languages``' ``split`` frames, in frame order, as consecutive
+        row slices of one set of arrays, in ``languages`` order.  The arrays are
+        allocated once and each language's rows copied straight into its slice,
+        so :func:`~polymap.data.join_rows` joins the slices without a copy."""
+        if split not in SPLIT_NAMES:
+            raise FractionError(f"unknown split {split!r}")
+        rows = []
+        for lang in languages:
+            if lang not in self.frames:
+                raise InventoryError(f"corpus has no language {lang!r}")
+            if lang not in self.splits:
+                raise PolymapError(f"corpus has no split tags for {lang!r}; run split_corpus")
+            utterances = self.frames[lang].utterance_ids
+            rows.append(np.flatnonzero(np.isin(utterances, self.splits[lang][split])))
         n = sum(map(len, rows))
         columns = (np.empty((n, self.feature_dim)), np.empty(n, np.int64), np.empty(n, np.int64))
         sets, stop = [], 0
@@ -186,17 +195,6 @@ class MultiCorpus:
                 np.take(column, index, axis=0, out=out[start:stop], mode="clip")
             sets.append(FrameSet(lang, *(column[start:stop] for column in columns)))
         return sets
-
-    def _split_rows(self, language: str, split: str) -> np.ndarray:
-        """Indices of ``language``'s frames in ``split``, in frame order."""
-        if language not in self.frames:
-            raise InventoryError(f"corpus has no language {language!r}")
-        if split not in SPLIT_NAMES:
-            raise FractionError(f"unknown split {split!r}")
-        if language not in self.splits:
-            raise PolymapError(f"corpus has no split tags for {language!r}; run split_corpus")
-        fs = self.frames[language]
-        return np.flatnonzero(np.isin(fs.utterance_ids, self.splits[language][split]))
 
 
 def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
@@ -452,19 +450,22 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Decode a text corpus into the binary file's metadata record and arrays.
 
     One pass over the lines checks everything that depends on order (the
-    header, declarations, line numbers) and hands the ``frame`` lines, in
-    file order, to :class:`_FrameChunks` to convert.  The text is never held
-    whole.  A malformed line raises ``ValueError`` naming its number, the
+    header, declarations, line numbers) and hands the ``frame`` lines to
+    :class:`_FrameChunks` to convert.  The text is never held whole.  Lines
+    ``feature_dim``, ``language <name>`` and ``gtable <name>`` may appear once
+    each.  A malformed line raises ``ValueError`` naming its number, the
     first such line's if there are several."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     gtables: dict[str, array] = {}
+    seen: set[str] = set()  # the once-only lines read so far
     with open(path) as lines, _FrameChunks() as frames:
         if next(lines, "").split() != [_CORPUS_FORMAT, str(_CORPUS_VERSION)]:
             raise ValueError(f"not a {_CORPUS_FORMAT} {_CORPUS_VERSION} text file")
         for number, line in enumerate(lines, 2):
             head = line.split(None, 2)
-            if len(head) > 1 and head[0] == "frame" and head[1] in gtables:
+            if (len(head) > 1 and head[0] == "frame" and head[1] in gtables
+                    and frames.dim is not None):
                 frames.add(head[1], number, head[2] if len(head) == 3 else "")
                 continue
             parts = line.split()
@@ -474,13 +475,19 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 key, lang = parts[0], parts[1]
                 if key in ("frame", "gtable") and lang not in gtables:
                     raise ValueError(f"{key} of undeclared language {lang!r}")
+                if key in ("feature_dim", "language", "gtable"):
+                    once = key if key == "feature_dim" else f"{key} {lang}"
+                    if once in seen:
+                        raise ValueError(f"a second {once!r} line")
+                    seen.add(once)
+                if key == "frame":  # of a declared language, before the feature_dim line
+                    raise ValueError(f"{len(parts) - 4} frame values, feature_dim None")
                 if key == "feature_dim":
-                    meta["feature_dim"] = frames.set_dim(int(lang))
+                    frames.dim = meta["feature_dim"] = int(lang)
                 elif key == "language":
                     meta["languages"].append(lang)
                     senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
                     gtables[lang] = array("q")
-                    frames.declare(lang, number)
                 elif key == "gtable":
                     gtables[lang] = array("q", map(int, parts[2:]))
                 elif key == "split":
@@ -495,8 +502,7 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 frames.drain()  # an earlier frame line's error comes first
                 raise ValueError(f"line {number} ({parts[0]}): {exc}") from exc
         frames.drain()
-    dim = frames.dim
-    if dim is None:
+    if frames.dim is None:
         raise ValueError("no feature_dim line")
     arrays = {}
     for lang, gtable in gtables.items():
@@ -504,13 +510,13 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(gtable)}")
         utterances, labels, features = frames.columns(lang)
         arrays.update({
-            f"features_{lang}": features.reshape(len(labels), dim), f"labels_{lang}": labels,
+            f"features_{lang}": features.reshape(len(labels), frames.dim), f"labels_{lang}": labels,
             f"utterances_{lang}": utterances, f"gtable_{lang}": np.array(gtable),
         })
     return meta, arrays
 
 
-def _parse_chunk(numbers: list[int], rows: list[str], dim: int | None) -> tuple[np.ndarray, ...]:
+def _parse_chunk(numbers: list[int], rows: list[str], dim: int) -> tuple[np.ndarray, ...]:
     """Utterance ids, labels and flat features of the ``frame`` lines numbered
     ``numbers`` whose values (the text after ``frame <language>``) are ``rows``.
 
@@ -521,7 +527,7 @@ def _parse_chunk(numbers: list[int], rows: list[str], dim: int | None) -> tuple[
     A chunk it rejects or warns on is re-read line by line with ``int`` and
     ``float``, which raises ``ValueError`` naming the first bad line."""
     # n values take at least 2n - 1 characters: no dtype wider than the line
-    if dim is not None and 0 < dim <= len(rows[0]) // 2:
+    if 0 < dim <= len(rows[0]) // 2:
         fields = [("utterance", np.int64), ("label", np.int64)]
         dtype = np.dtype(fields + [(f"x{i}", np.float64) for i in range(dim)])
         try:
@@ -542,7 +548,7 @@ def _parse_chunk(numbers: list[int], rows: list[str], dim: int | None) -> tuple[
             utterances.append(int(parts[0]))
             labels.append(int(parts[1]))
             features.extend(map(float, parts[2:]))
-        except (OverflowError, ValueError) as exc:
+        except (IndexError, OverflowError, ValueError) as exc:
             raise ValueError(f"line {number} (frame): {exc}") from exc
     return np.array(utterances), np.array(labels), np.array(features)
 
@@ -558,28 +564,25 @@ class _FrameChunks:
     """A text corpus's ``frame`` lines, parsed in chunks cut in file order.
 
     A chunk holds up to ``_CHUNK_LINES`` consecutive frame lines, of any
-    languages, under one ``feature_dim``.  Each line is tagged with its
-    language's current declaration (the line number of its ``language``
-    line), so a repeated declaration drops the frames before it, which are
-    still checked.  Chunks are parsed in the order they are cut, so the
-    first error raised is the file's first bad frame line.  Once a file
-    reaches its second full chunk, and the machine has a second usable CPU,
-    chunks go to a process pool of the platform's default start method,
-    with at most ``_JOBS_PER_WORKER`` per worker in flight; until then, and
-    for a smaller file, they are parsed in the calling process.  So is every
-    chunk of a pool that breaks (a worker killed, or one that cannot start).
+    languages, each tagged with its language.  Chunks are parsed in the
+    order they are cut, so the first error raised is the file's first bad
+    frame line.  Once a file reaches its second full chunk, and the machine
+    has a second usable CPU, chunks go to a process pool of the platform's
+    default start method, with at most ``_JOBS_PER_WORKER`` per worker in
+    flight; until then, and for a smaller file, they are parsed in the
+    calling process.  So is every chunk of a pool that breaks (a worker
+    killed, or one that cannot start).
     """
 
     def __init__(self) -> None:
-        self.dim: int | None = None
-        self.declared: dict[str, int] = {}  # language -> its declaration's line number
-        # the chunk being filled: line numbers, values and declarations
+        self.dim: int | None = None  # values per frame line, set before the first is added
+        # the chunk being filled: line numbers, values and languages
         self.numbers: list[int] = []
         self.rows: list[str] = []
-        self.tags: list[int] = []
-        # cut chunks: tags, (numbers, rows, dim) and the pool's future, if any
-        self.chunks: deque[tuple[list[int], tuple, Future | None]] = deque()
-        self.parsed: dict[int, list[tuple[np.ndarray, ...]]] = {}  # declaration -> pieces
+        self.tags: list[str] = []
+        # cut chunks: tags, (numbers, rows) and the pool's future, if any
+        self.chunks: deque[tuple[list[str], tuple, Future | None]] = deque()
+        self.parsed: dict[str, list[tuple[np.ndarray, ...]]] = {}  # language -> pieces
         self.workers = min(_usable_cpus(), _MAX_WORKERS)
         self.pool: ProcessPoolExecutor | None = None
 
@@ -590,20 +593,10 @@ class _FrameChunks:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
 
-    def declare(self, lang: str, number: int) -> None:
-        """Frame lines of ``lang`` from here on belong to its declaration on line ``number``."""
-        self.declared[lang] = number
-
-    def set_dim(self, dim: int) -> int:
-        """Values per frame line from here on."""
-        self._cut()
-        self.dim = dim
-        return dim
-
     def add(self, lang: str, number: int, values: str) -> None:
         self.numbers.append(number)
         self.rows.append(values)
-        self.tags.append(self.declared[lang])
+        self.tags.append(lang)
         if len(self.rows) < _CHUNK_LINES:
             return
         if self.pool is None and self.workers > 1 and self.chunks:
@@ -612,30 +605,25 @@ class _FrameChunks:
 
             self.pool = ProcessPoolExecutor(self.workers)
             self.chunks = deque((tags, job, self._submit(job)) for tags, job, _ in self.chunks)
-        self._cut()
-        while len(self.chunks) > _JOBS_PER_WORKER * self.workers:
-            self._parse_next()
+        self.drain(keep=_JOBS_PER_WORKER * self.workers)
 
-    def drain(self) -> None:
-        """Parse every line added so far; raise the first bad line's error."""
-        self._cut()
-        while self.chunks:
+    def drain(self, keep: int = 0) -> None:
+        """Cut the lines added since the last chunk into a chunk, and parse all
+        chunks but the newest ``keep``; raise the first bad line's error."""
+        if self.rows:
+            job = (self.numbers, self.rows)
+            self.chunks.append((self.tags, job, self._submit(job)))
+            self.numbers, self.rows, self.tags = [], [], []
+        while len(self.chunks) > keep:
             self._parse_next()
 
     def columns(self, lang: str) -> tuple[np.ndarray, ...]:
         """A drained language's utterance ids, labels and flat features."""
-        pieces = self.parsed.pop(self.declared[lang], [])
+        pieces = self.parsed.pop(lang, [])
         return tuple(
             np.concatenate([np.empty(0, dtype), *(piece[i] for piece in pieces)])
             for i, dtype in enumerate((np.int64, np.int64, np.float64))
         )
-
-    def _cut(self) -> None:
-        if not self.rows:
-            return
-        job = (self.numbers, self.rows, self.dim)
-        self.chunks.append((self.tags, job, self._submit(job)))
-        self.numbers, self.rows, self.tags = [], [], []
 
     def _submit(self, job: tuple) -> Future | None:
         if self.pool is None:
@@ -643,25 +631,25 @@ class _FrameChunks:
         from concurrent.futures import BrokenExecutor
 
         try:
-            return self.pool.submit(_parse_chunk, *job)
+            return self.pool.submit(_parse_chunk, *job, self.dim)
         except BrokenExecutor:  # left to :meth:`_parse_next` in this process
             return None
 
     def _parse_next(self) -> None:
-        """Parse the oldest cut chunk and file its lines under their declarations."""
+        """Parse the oldest cut chunk and file its lines under their languages."""
         tags, job, future = self.chunks.popleft()
         if future is None:
-            utterances, labels, features = _parse_chunk(*job)
+            utterances, labels, features = _parse_chunk(*job, self.dim)
         else:
             from concurrent.futures import BrokenExecutor  # imported with the pool
 
             try:
                 utterances, labels, features = future.result()
             except BrokenExecutor:  # a worker died: the chunk is parsed here
-                utterances, labels, features = _parse_chunk(*job)
-        dim, start = job[2], 0
-        for tag, run in groupby(tags):  # views: a one-declaration chunk is not copied
+                utterances, labels, features = _parse_chunk(*job, self.dim)
+        dim, start = self.dim, 0
+        for lang, run in groupby(tags):  # views: a one-language chunk is not copied
             stop = start + sum(1 for _ in run)
             piece = utterances[start:stop], labels[start:stop], features[start * dim : stop * dim]
-            self.parsed.setdefault(tag, []).append(piece)
+            self.parsed.setdefault(lang, []).append(piece)
             start = stop

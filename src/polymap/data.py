@@ -89,11 +89,6 @@ class FrameSet:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def take(self, index: np.ndarray) -> "FrameSet":
-        return FrameSet(
-            self.language, self.features[index], self.labels[index], self.utterance_ids[index]
-        )
-
 
 def join_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
     """``parts`` joined along their first axis.  One part is returned as it

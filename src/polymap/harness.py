@@ -31,8 +31,8 @@ import dataclasses
 import hashlib
 import json
 import time
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -223,28 +223,52 @@ class RunPaths:
         return self.root / "report.json"
 
 
+class FrozenMap(Mapping):
+    """A read-only mapping; unlike :class:`types.MappingProxyType` it pickles."""
+
+    def __init__(self, items=()) -> None:
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:  # a dataclass takes only a hashable value as a default
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"FrozenMap({self._items!r})"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs, checked when built; see README for the JSON schema."""
+    """Everything a run needs, checked when built; see README for the JSON schema.
+    Sequences given are kept as tuples and mappings as :class:`FrozenMap` s."""
 
     method: str
     target: str
     output_dir: Path
-    sources: list[str] = field(default_factory=list)
+    sources: tuple[str, ...] = ()
     seed: int = 0
     corpus_path: Path | None = None
     synth: SynthSpec | None = None
-    split_fractions: dict[str, float] = field(
-        default_factory=lambda: {"train": 0.8, "dev": 0.1, "test": 0.1}
-    )
-    hidden_dims: list[int] = field(default_factory=lambda: [64, 64, 64, 64])
+    split_fractions: Mapping[str, float] = FrozenMap({"train": 0.8, "dev": 0.1, "test": 0.1})
+    hidden_dims: tuple[int, ...] = (64, 64, 64, 64)
     train: TrainConfig = TrainConfig()
     mt_train: TrainConfig = MT_RECIPE
     finetune_epochs: int = FINETUNE_RECIPE.epochs
     finetune_lr: float = FINETUNE_RECIPE.initial_lr
-    manual_maps: dict[str, Path] = field(default_factory=dict)
+    manual_maps: Mapping[str, Path] = FrozenMap()
 
     def __post_init__(self) -> None:
+        for name, kind in (("sources", tuple), ("hidden_dims", tuple),
+                           ("split_fractions", FrozenMap), ("manual_maps", FrozenMap)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.target:
@@ -252,7 +276,7 @@ class ExperimentConfig:
         if self.target in self.sources:
             raise ConfigError(f"target {self.target!r} must not appear in sources")
         if len(set(self.sources)) != len(self.sources):
-            raise ConfigError(f"duplicate source languages in {self.sources}")
+            raise ConfigError(f"duplicate source languages in {list(self.sources)}")
         if self.method != "baseline" and not self.sources:
             raise ConfigError(f"method {self.method!r} needs at least one source language")
         missing = [s for s in self.sources if s not in self.manual_maps]
@@ -268,7 +292,7 @@ class ExperimentConfig:
         if any(v < 0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must be non-negative and sum to 1, got {values}")
         if any(int(d) < 1 for d in self.hidden_dims):
-            raise ConfigError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
+            raise ConfigError(f"hidden dims must all be >= 1, got {list(self.hidden_dims)}")
         finetune_schedule(self)
 
 
@@ -776,29 +800,26 @@ def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = N
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     """Run the configured method's pipeline end to end on one prepared
-    corpus, persisting every artifact, and score its last model."""
+    corpus, persisting every artifact, and score its last model.  A target
+    dev or test split of no utterances raises :class:`EmptyDataError` before
+    the first stage."""
     started = time.monotonic()
     paths = RunPaths(cfg.output_dir).made()
     corpus = prepare_corpus(cfg, paths.corpus)
+    for split in ("dev", "test"):
+        if not corpus.splits[cfg.target][split]:
+            raise EmptyDataError(f"target {cfg.target!r} has no utterances in its {split} split")
     for name in PIPELINES[cfg.method]:
         final = run_stage(cfg, name, corpus)
     dev = frame_error_rate(final, corpus.subset(cfg.target, "dev"))
     test = frame_error_rate(final, corpus.subset(cfg.target, "test"))
-    row = ResultRow(
-        method=cfg.method,
-        target=cfg.target,
-        sources=tuple(cfg.sources),
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        dev_frame_error=dev,
-        test_frame_error=test,
-    )
+    row = ResultRow(cfg.method, cfg.target, cfg.sources, cfg.seed, config_hash(cfg), dev, test)
     write_row(row, paths.row(cfg.method, cfg.seed))
     elapsed = time.monotonic() - started
     log_path = paths.log(cfg.method, cfg.seed)
     log_path.parent.mkdir(parents=True, exist_ok=True)
     log_path.write_text(
-        f"method={cfg.method} seed={cfg.seed} config_hash={config_hash(cfg)}\n"
+        f"method={cfg.method} seed={cfg.seed} config_hash={row.config_hash}\n"
         f"dev_frame_error={dev!r} test_frame_error={test!r}\n"
         f"runtime_seconds={elapsed:.3f}\n"
     )

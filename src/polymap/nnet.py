@@ -101,15 +101,6 @@ class Network:
                 return index
         raise RangeError(f"network has no head for language {language!r}")
 
-    def copy(self) -> "Network":
-        return Network(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.heads),
-            self.seed,
-        )
-
 
 def _check_heads(heads: list[tuple[str, int]]) -> None:
     pairs = isinstance(heads, list) and all(isinstance(head, tuple) for head in heads)

@@ -211,11 +211,13 @@ def reference_sgd(
 
 def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
     """A text corpus's metadata record and arrays, every line split and
-    converted as it is read.  A malformed line raises ``ValueError``
-    naming its number."""
+    converted as it is read.  The ``feature_dim`` line, and each language's
+    ``language`` and ``gtable`` lines, may appear once.  A malformed line
+    raises ``ValueError`` naming its number."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     columns: dict[str, dict[str, array]] = {}
+    seen: set[str] = set()
     dim = None
     with open(path) as lines:
         if next(lines, "").split() != [_CORPUS_FORMAT, str(_CORPUS_VERSION)]:
@@ -228,6 +230,11 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
                 key, lang = parts[0], parts[1]
                 if key in ("frame", "gtable") and lang not in columns:
                     raise ValueError(f"{key} of undeclared language {lang!r}")
+                if key in ("feature_dim", "language", "gtable"):
+                    once = key if key == "feature_dim" else f"{key} {lang}"
+                    if once in seen:
+                        raise ValueError(f"a second {once!r} line")
+                    seen.add(once)
                 if key == "frame":
                     if len(parts) - 4 != dim:
                         raise ValueError(f"{len(parts) - 4} frame values, feature_dim {dim}")

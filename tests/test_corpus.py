@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -355,9 +356,12 @@ class TestGather:
         assert [fs.language for fs in sets] == languages
         assert (len(sets[languages.index("b")]) == 0) == (split == "dev")
         for lang, fs in zip(languages, sets):
-            want = corpus.subset(lang, split)
-            for column in ("features", "labels", "utterance_ids"):
-                got, expected = getattr(fs, column), getattr(want, column)
+            frames = corpus.frames[lang]
+            rows = np.isin(frames.utterance_ids, corpus.splits[lang][split])
+            for got_set, column in itertools.product(
+                (fs, corpus.subset(lang, split)), ("features", "labels", "utterance_ids")
+            ):
+                got, expected = getattr(got_set, column), getattr(frames, column)[rows]
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
         for column in ("features", "labels", "utterance_ids"):
@@ -465,6 +469,11 @@ MALFORMED = {
     "no gtable": (".txt", HEAD.replace("gtable a 0 0\n", "")),
     "no feature_dim": (".txt", HEAD.replace("feature_dim 2\n", "")),
     "duplicate language": (".txt", HEAD + "language a senones 2 phones 1\n"),
+    "second feature_dim": (".txt", HEAD + "feature_dim 2\n"),
+    "second gtable": (".txt", HEAD + "gtable a 0 0\n"),
+    "frame before feature_dim": (".txt", HEAD.replace("feature_dim 2\n", "") + "frame a 0 1 0.5 0\n"
+                                 "feature_dim 2\n"),
+    "negative feature_dim": (".txt", HEAD.replace("feature_dim 2", "feature_dim -1") + "frame a 0\n"),
     "unknown split name": (".txt", HEAD + "split a training 0\n"),
     "utterance in two splits": (".txt", HEAD + "split a train 0\nsplit a test 0\n"),
     "split of undeclared language": (".txt", HEAD + "split b train 0\n"),
@@ -559,9 +568,9 @@ CORPUS_HEAD = (
     "language b senones 2 phones 1\ngtable a 0 0\ngtable b 0 0\n"
 )
 # Case -> text corpus body after CORPUS_HEAD, to be read in chunks of two
-# frame lines: which error comes first across chunks and languages, dim and
-# declaration changes between and within chunks, and a chunk re-read line
-# by line.
+# frame lines: which error comes first across chunks and languages, second
+# feature_dim and language lines between and within chunks, and a chunk
+# re-read line by line.
 CHUNK_ORDER = {
     "frames interleave": frame_lines("ab", 5),
     "bad line in a chunk cut after a later bad line's": [
@@ -690,6 +699,19 @@ class TestCorpusFiles:
         with chunked(lines=2, cpus=1):
             assert_reads_like_oracle(path)
 
+    @pytest.mark.parametrize("line, error", [
+        pytest.param("feature_dim 2", "a second 'feature_dim' line", id="feature_dim"),
+        pytest.param("feature_dim 3", "a second 'feature_dim' line", id="width change"),
+        pytest.param("language b senones 2 phones 1", "a second 'language b' line", id="language"),
+        pytest.param("gtable a 0 0", "a second 'gtable a' line", id="gtable"),
+    ])
+    def test_a_once_only_line_given_twice_names_its_line(self, tmp_path, line, error):
+        path = tmp_path / "corpus.txt"
+        path.write_text(CORPUS_HEAD + "".join(f"{frame}\n" for frame in frame_lines("ab", 3)) + line)
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        assert str(info.value) == f"cannot read {path}: line 13 ({line.split()[0]}): {error}"
+
     @pytest.mark.parametrize("values", [
         "1_0 1 1_5 -2", "+3 01 nan -Infinity", "0 1 1e400 -1e-400", "0 1 \u0661.\u0665 2",
         "0 1 0.1000000000000000055511151231257827 -0",
@@ -717,7 +739,7 @@ class TestCorpusFiles:
         pytest.param(None, id="several chunks per language"),
         pytest.param(frame_lines("ab", 7), id="frames interleave, chunk ends inside a language"),
         pytest.param(frame_lines("a", 7), id="a declared language has no frames"),
-        pytest.param([*frame_lines("ab", 2), "frame a 9 1 0.5 0.5",
+        pytest.param([*frame_lines("ab", 3), "frame a 9 1 0.5 0.5",
                       "language a senones 2 phones 1", "gtable a 0 0", *frame_lines("ab", 2)],
                      id="language declared again between its frames"),
     ])

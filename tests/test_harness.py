@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -125,6 +126,26 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.method = "nonsense"
         assert not hasattr(cfg, "validate")
+
+    def test_a_config_is_deeply_frozen_and_pickles(self, tmp_path):
+        raw = tiny_config(tmp_path, method="manual-map", manual_maps={"lang1": "lang1.txt"})
+        cfg = harness.experiment_config_from_dict(raw, tmp_path)
+        mutations = [
+            lambda: cfg.sources.append(cfg.target),
+            lambda: cfg.hidden_dims.append(8),
+            lambda: cfg.split_fractions.update(train=0.5),
+            lambda: cfg.split_fractions.__setitem__("train", 0.5),
+            lambda: cfg.manual_maps.pop("lang1"),
+            lambda: cfg.manual_maps.__delitem__("lang1"),
+        ]
+        for mutate in mutations:
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        assert (cfg.sources, cfg.hidden_dims) == (("lang1",), (16, 16))
+        assert cfg.split_fractions == {"train": 0.8, "dev": 0.1, "test": 0.1}
+        assert cfg.manual_maps == {"lang1": tmp_path / "lang1.txt"}
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert hash(pickle.loads(pickle.dumps(cfg))) == hash(cfg)
 
     def test_a_missing_key_keeps_the_dataclass_default(self, tmp_path):
         raw = {"method": "baseline", "target": "lang0", "output_dir": "run",
@@ -268,6 +289,18 @@ class TestRunExperiment:
         assert row1 == row2
         assert paths.row("senone-map", 3).read_bytes() == row_bytes
         assert paths.final_model.read_bytes() == model_bytes
+
+    @pytest.mark.parametrize("method", ["baseline", "phone-map", "mtdnn-mapped"])
+    def test_empty_target_split_fails_before_the_first_stage(self, tmp_path, method):
+        # 3 utterances per language split 3 / 0 / 0 at the default fractions
+        synth = {"num_languages": 2, "phones_per_language": 3, "senones_per_phone": 2,
+                 "frames_per_senone": 20}
+        raw = tiny_config(tmp_path, method=method, corpus={"synth": synth})
+        cfg = harness.experiment_config_from_dict(raw, tmp_path)
+        with pytest.raises(EmptyDataError, match="'lang0' has no utterances in its dev split"):
+            harness.run_experiment(cfg)
+        assert not list(cfg.output_dir.rglob("*.npz"))
+        assert not list(cfg.output_dir.rglob("*.json"))
 
     def test_map_method_writes_maps(self, tmp_path):
         _, paths = self.run(tmp_path, "phone-map", sources=["lang1"])

@@ -104,12 +104,13 @@ class TestAccumulate:
         # accumulating shards of the frame set and summing matches one pass
         rng = np.random.default_rng(11)
         net = pm.init_network([4], [("tgt", 3)], seed=6)
-        frames = pm.FrameSet(
-            "src", rng.normal(size=(90, 4)), rng.integers(0, 3, size=90), np.arange(90)
-        )
+        columns = rng.normal(size=(90, 4)), rng.integers(0, 3, size=90), np.arange(90)
+        frames = pm.FrameSet("src", *columns)
         whole = pm.accumulate_confusion(net, frames, TGT, SRC).counts
         summed = sum(
-            pm.accumulate_confusion(net, frames.take(np.arange(lo, hi)), TGT, SRC).counts
+            pm.accumulate_confusion(
+                net, pm.FrameSet("src", *(column[lo:hi] for column in columns)), TGT, SRC
+            ).counts
             for lo, hi in [(0, 30), (30, 31), (31, 90)]
         )
         np.testing.assert_array_equal(whole, summed)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -383,14 +384,14 @@ def finite_difference_gradients(net, x, y, h=1e-5):
     for k in range(len(net.weights)):
         g = np.zeros_like(net.weights[k])
         for idx in np.ndindex(*g.shape):
-            up, down = net.copy(), net.copy()
+            up, down = copy.deepcopy(net), copy.deepcopy(net)
             up.weights[k][idx] += h
             down.weights[k][idx] -= h
             g[idx] = (loss_of(up) - loss_of(down)) / (2 * h)
         grads_w.append(g)
         g = np.zeros_like(net.biases[k])
         for idx in np.ndindex(*g.shape):
-            up, down = net.copy(), net.copy()
+            up, down = copy.deepcopy(net), copy.deepcopy(net)
             up.biases[k][idx] += h
             down.biases[k][idx] -= h
             g[idx] = (loss_of(up) - loss_of(down)) / (2 * h)
