@@ -55,7 +55,6 @@ from .nnet import (
     forward_batch,
     init_network,
     load_network,
-    loss_and_gradients,
     lr_at_epoch,
     predict_batch,
     save_network,

@@ -1,16 +1,21 @@
-"""Deterministic ``.npz`` reading and writing.
+"""Deterministic ``.npz`` reading and writing, and the one way to write an artifact.
 
 ``numpy.savez`` stamps zip members with the current time, so two saves
 of the same model differ at the byte level.  Model, map-set and corpus
 files all go through this writer instead, which pins the timestamp and
 sorts the members, making every artifact reproducible byte for byte.
+Every file the package writes, binary or text, is opened by
+:func:`open_artifact`, so a write that fails names its file.
 """
 
 from __future__ import annotations
 
 import tokenize
 import zipfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -19,10 +24,22 @@ from .errors import ArtifactError
 _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
 
 
-def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+@contextmanager
+def open_artifact(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """``path`` open for writing in ``mode`` (``"w"`` text, ``"wb"`` binary),
+    its parent directory made first.  An ``OSError`` while making, opening,
+    writing or closing it becomes :class:`ArtifactError` naming the file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode) as f:
+            yield f
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {path}: {exc}") from exc
+
+
+def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    with open_artifact(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .corpus import SPLIT_NAMES
 from .errors import PolymapError, UnknownLanguageError
 from .harness import RunPaths, load_experiment_config
 from .mapping import load_manual_map
@@ -91,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         parsers[name] = p
 
     parsers["evaluate"].add_argument("--model", default=None, help="model file to evaluate")
-    parsers["evaluate"].add_argument(
-        "--split", default="test", choices=["train", "dev", "test"]
-    )
+    parsers["evaluate"].add_argument("--split", default="test", choices=SPLIT_NAMES)
     parsers["report"].add_argument(
         "--rows", nargs="*", default=[], help="extra row files or directories to include"
     )

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._npz import read_npz, write_npz
+from ._npz import open_artifact, read_npz, write_npz
 from ._schema import checked, decoded
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable, join_rows
 from .errors import (
@@ -345,7 +345,6 @@ def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[P
     fully shared phone pool they load as complete manual maps.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
     for kind, truth in (("phone", corpus.phone_truth), ("senone", corpus.senone_truth)):
         for (a, b), pairs in sorted(truth.items()):
@@ -437,8 +436,7 @@ def _write_text(path: Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         lines += [f"split {lang} {n} {' '.join(map(str, u))}" for n, u in by_name.items() if u]
     for kind in ("phone", "senone"):
         lines += [f"truth {kind} {a} {b} {s} {t}" for a, b, s, t in meta[f"{kind}_truth"]]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with open_artifact(path) as f:
         f.writelines(line + "\n" for line in lines)
         for lang in langs:
             names = ("utterances", "labels", "features")

@@ -55,9 +55,6 @@ class SenoneToPhoneTable:
     def num_senones(self) -> int:
         return int(self.table.size)
 
-    def __call__(self, senone: int) -> int:
-        return int(self.table[senone])
-
 
 @dataclass
 class FrameSet:

@@ -37,8 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._npz import open_artifact
 from ._schema import checked, decoded
 from .corpus import (
+    SPLIT_NAMES,
     MultiCorpus,
     SynthSpec,
     generate_synthetic,
@@ -284,15 +286,17 @@ class ExperimentConfig:
             raise ConfigError(f"manual-map needs a map file for source(s) {missing}")
         if (self.corpus_path is None) == (self.synth is None):
             raise ConfigError("exactly one of corpus path or synth spec must be given")
-        if set(self.split_fractions) != {"train", "dev", "test"}:
-            raise ConfigError(
-                f"split fractions need keys train/dev/test, got {sorted(self.split_fractions)}"
-            )
+        if set(self.split_fractions) != set(SPLIT_NAMES):
+            keys, given = "/".join(SPLIT_NAMES), sorted(self.split_fractions)
+            raise ConfigError(f"split fractions need keys {keys}, got {given}")
         values = list(self.split_fractions.values())
         if any(v < 0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must be non-negative and sum to 1, got {values}")
         if any(int(d) < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden dims must all be >= 1, got {list(self.hidden_dims)}")
+        for section in ("train", "mt_train"):
+            if getattr(self, section).shuffle_seed != 0:
+                raise ConfigError(f"{section}: shuffle_seed must be 0; each stage derives its own")
         finetune_schedule(self)
 
 
@@ -485,7 +489,6 @@ def _load_model(load, path: Path, languages: list[str]) -> Network:
 def _write_train_log(path: Path, history: list[EpochStats]) -> None:
     """One line per epoch: the mean loss if one language trained, else each
     language's mean loss."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for stats in history:
         if len(stats.per_language) == 1:
@@ -494,7 +497,8 @@ def _write_train_log(path: Path, history: list[EpochStats]) -> None:
             per_lang = sorted(stats.per_language.items())
             losses = " ".join(f"loss[{lang}]={loss:.6f}" for lang, loss in per_lang)
         lines.append(f"epoch={stats.epoch} lr={stats.lr:.6g} {losses}")
-    path.write_text("\n".join(lines) + "\n" if lines else "")
+    with open_artifact(path) as f:
+        f.write("\n".join(lines) + "\n" if lines else "")
 
 
 def train_language_net(
@@ -707,8 +711,8 @@ def row_from_dict(raw: dict, context: str = "row") -> ResultRow:
 
 
 def write_row(row: ResultRow, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(row_to_dict(row), sort_keys=True, indent=2) + "\n")
+    with open_artifact(path) as f:
+        f.write(json.dumps(row_to_dict(row), sort_keys=True, indent=2) + "\n")
 
 
 def read_row(path: str | Path) -> ResultRow:
@@ -789,8 +793,10 @@ def emit_table(rows: list[ResultRow], metadata: dict | None = None) -> tuple[str
 def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = None) -> str:
     text, payload = emit_table(rows, metadata)
     paths = RunPaths(out_dir).made()
-    paths.report_text.write_text(text + "\n")
-    paths.report_json.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open_artifact(paths.report_text) as f:
+        f.write(text + "\n")
+    with open_artifact(paths.report_json) as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return text
 
 
@@ -816,13 +822,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     row = ResultRow(cfg.method, cfg.target, cfg.sources, cfg.seed, config_hash(cfg), dev, test)
     write_row(row, paths.row(cfg.method, cfg.seed))
     elapsed = time.monotonic() - started
-    log_path = paths.log(cfg.method, cfg.seed)
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    log_path.write_text(
-        f"method={cfg.method} seed={cfg.seed} config_hash={row.config_hash}\n"
-        f"dev_frame_error={dev!r} test_frame_error={test!r}\n"
-        f"runtime_seconds={elapsed:.3f}\n"
-    )
+    with open_artifact(paths.log(cfg.method, cfg.seed)) as f:
+        f.write(
+            f"method={cfg.method} seed={cfg.seed} config_hash={row.config_hash}\n"
+            f"dev_frame_error={dev!r} test_frame_error={test!r}\n"
+            f"runtime_seconds={elapsed:.3f}\n"
+        )
     return row
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._npz import open_artifact
 from ._schema import checked, decoded
 from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .errors import (
@@ -93,13 +94,6 @@ class LabelMap:
                 f"map outputs must lie in 0..{self.target_inventory.size - 1}"
             )
         object.__setattr__(self, "table", table)
-
-    def __call__(self, label: int) -> int:
-        if not 0 <= label < self.source_inventory.size:
-            raise LabelRangeError(
-                f"label {label} outside source inventory of size {self.source_inventory.size}"
-            )
-        return int(self.table[label])
 
 
 def identity_map(inventory: LabelInventory) -> LabelMap:
@@ -266,11 +260,10 @@ def load_manual_map(
 def write_map_lines(path: str | Path, pairs: Iterable[tuple], comment: str | None) -> None:
     """Write the map-file text format :func:`load_manual_map` reads: a ``# comment``
     line if there is a comment, then a ``source target`` line per pair."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {comment}"] if comment else []
     lines.extend(f"{s} {t}" for s, t in pairs)
-    path.write_text("\n".join(lines) + "\n")
+    with open_artifact(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def save_map_file(label_map: LabelMap, path: str | Path, comment: str | None = None) -> None:
@@ -391,7 +384,6 @@ def all_pairs_senone_maps(
 def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
     """Write one map file per pair plus a manifest; returns the manifest path."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for (source, target), label_map in sorted(map_set.maps.items()):
         filename = f"map_{source}_to_{target}.txt"
@@ -409,7 +401,8 @@ def save_map_set(map_set: MapSet, directory: str | Path) -> Path:
         )
     manifest = {"format": _MAPSET_FORMAT, "version": _MAPSET_VERSION, "maps": entries}
     manifest_path = directory / MAPSET_MANIFEST
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open_artifact(manifest_path) as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 

@@ -373,46 +373,12 @@ def _target_array(
     return targets
 
 
-def loss_and_gradients(
-    net: Network,
-    x: np.ndarray,
-    labels: np.ndarray,
-    owners: np.ndarray,
-    map_set: MapSet | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean loss over a batch and its gradient w.r.t. every weight and bias.
-
-    ``owners`` gives each frame's own head, whose target is the frame's
-    label.  With ``map_set`` every other head takes the mapped label as
-    its target too; without it, the gradients of heads owning no frame
-    in the batch are exactly zero.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    owners = np.asarray(owners, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise EmptyDataError("no frames")
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
-    if owners.min() < 0 or owners.max() >= len(net.heads):
-        raise UnknownLanguageError(f"owner head indices must lie in 0..{len(net.heads) - 1}")
-    if (labels < 0).any() or (labels >= np.diff(net.bounds)[owners]).any():
-        raise LabelRangeError("some frame labels exceed their owner head's size")
-    targets = _target_array(net, labels, owners, map_set)
-    grads_w = [np.empty_like(w) for w in net.weights]
-    grads_b = [np.empty_like(b) for b in net.biases]
-    n = x.shape[0]
-    plan = _plan(net.weights, net.biases, grads_w, grads_b, net.bounds, n)
-    losses = np.empty(targets.shape)
-    _backprop(plan, x, *_target_slots(targets, plan, n), losses)
-    return float(losses.sum()) / n, [g / n for g in grads_w], [g / n for g in grads_b]
-
-
 def _sgd(
     weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray,
     cfg: TrainConfig,
 ) -> Iterator[tuple[int, float, float, np.ndarray]]:
-    """Mini-batch SGD on the summed loss of :func:`_backprop`.
+    """Mini-batch SGD on the summed loss of :func:`_backprop`; the one
+    driver of :func:`_plan`, :func:`_target_slots` and :func:`_backprop`.
 
     The arrays in ``weights`` and ``biases`` are replaced by views of one
     contiguous parameter buffer, which is trained in place: each step

@@ -1,11 +1,16 @@
-"""Per-frame multi-head target and loss oracles, a reference SGD step, a
-one-call scorer, a reference text-corpus reader, an in-memory npz
-writer and a copy-then-concatenate pooler, for the tests.
+"""Per-frame multi-head target and loss oracles, the gradient of the step
+training takes, a reference SGD step, a one-call scorer, a reference
+text-corpus reader, an in-memory npz writer and a copy-then-concatenate
+pooler, for the tests.
 
 The package builds every frame's targets at once as one
 ``(n_frames, n_heads)`` label array; these one-frame-at-a-time versions
 state the same targets and loss directly, as references to check the
-batched kernel against.  :func:`reference_backprop` and
+batched kernel against.  Training is the package's only way into the
+kernel, so :func:`head_gradients` reads the loss and gradient off one
+full-batch :func:`train_multihead` step at a constant rate of 1: the
+gradient is the weights before the step minus the weights after it.
+:func:`reference_backprop` and
 :func:`reference_sgd` are the kernel and loop as plain per-head and
 per-array code, which the package's fused step must match bit for bit.
 :func:`reference_read_text` converts a text corpus one line at a time
@@ -38,8 +43,7 @@ from polymap.data import FrameSet
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet, apply_map, realign_with_phone_map
 from polymap.multitask import train_multihead
-from polymap.nnet import loss_and_gradients
-from polymap.nnet import lr_at_epoch, relu, softmax
+from polymap.nnet import TrainConfig, lr_at_epoch, relu, softmax
 
 
 def head_languages(net) -> list[str]:
@@ -51,11 +55,27 @@ def head_sizes(net) -> list[int]:
 
 
 def head_gradients(net, x, labels, owners, map_set=None) -> tuple:
-    """:func:`~polymap.nnet.loss_and_gradients` as ``(loss, hidden_w,
-    hidden_b, head_w, head_b)``: the output layer's gradients split by head."""
-    loss, grads_w, grads_b = loss_and_gradients(net, x, labels, owners, map_set)
+    """The mean loss and gradient of the step training takes, as ``(loss,
+    hidden_w, hidden_b, head_w, head_b)``: the output layer's gradients split
+    by head.
+
+    Frame ``i`` belongs to head ``owners[i]``.  The step is one full-batch
+    :func:`train_multihead` epoch at constant rate 1, so the gradient is the
+    weights before the step minus the weights after it, and the loss is the
+    epoch's mean loss.
+    """
+    x, labels, owners = np.asarray(x, dtype=np.float64), np.asarray(labels), np.asarray(owners)
+    frames = {
+        lang: FrameSet(lang, x[owners == l], labels[owners == l], np.zeros((owners == l).sum()))
+        for l, lang in enumerate(head_languages(net)) if (owners == l).any()
+    }
+    cfg = TrainConfig(initial_lr=1.0, epochs=1, batch_size=len(x), halve_every_epoch=False)
+    stepped, (stats,) = train_multihead(net, frames, cfg, map_set)
+    grads_w = [w - s for w, s in zip(net.weights, stepped.weights)]
+    grads_b = [b - s for b, s in zip(net.biases, stepped.biases)]
     cut = net.bounds[1:-1]
-    return loss, grads_w[:-1], grads_b[:-1], np.split(grads_w[-1], cut), np.split(grads_b[-1], cut)
+    return (stats.mean_loss, grads_w[:-1], grads_b[:-1],
+            np.split(grads_w[-1], cut), np.split(grads_b[-1], cut))
 
 
 @dataclass(frozen=True)
@@ -103,7 +123,7 @@ def make_targets_mapped(
         )
     targets = []
     for l, size in enumerate(head_sizes):
-        hot = label if l == owner else map_set.get(languages[owner], languages[l])(label)
+        hot = label if l == owner else int(map_set.get(languages[owner], languages[l]).table[label])
         if not 0 <= hot < size:
             raise LabelRangeError(f"mapped label {hot} outside head {l} of size {size}")
         vec = np.zeros(size)

@@ -131,14 +131,14 @@ def test_gradient_checks():
         net = pm.init_network(dims[:-1], [("x", dims[-1])], seed=seed)
         x = rng.normal(size=(8, dims[0]))
         y = rng.integers(0, dims[-1], size=8)
-        _, gw, gb = pm.loss_and_gradients(net, x, y, np.zeros(8, int))
+        _, hidden_w, hidden_b, head_w, head_b = head_gradients(net, x, y, np.zeros(8, int))
 
         def loss_of():
             probs = pm.forward_batch(net, x)
             return float(np.mean(-np.log(probs[np.arange(len(y)), y])))
 
         numeric = central_difference(loss_of, net.weights + net.biases)
-        assert max_relative_error(gw + gb, numeric) < 1e-4
+        assert max_relative_error(hidden_w + head_w + hidden_b + head_b, numeric) < 1e-4
 
     # two-head networks, both loss modes
     ms = pm.MapSet(

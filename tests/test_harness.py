@@ -121,6 +121,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.ExperimentConfig(**given)
 
+    @pytest.mark.parametrize("section", ["train", "mt_train"])
+    def test_a_schedule_with_a_shuffle_seed_is_refused(self, tmp_path, section):
+        # the stages replace it with one derived from the run seed, so it
+        # could only change the config hash, never a model
+        with pytest.raises(ConfigError, match=f"^{section}: shuffle_seed must be 0"):
+            harness.ExperimentConfig("baseline", "lang0", tmp_path, synth=pm.SynthSpec(),
+                                     **{section: pm.TrainConfig(shuffle_seed=12345)})
+
     def test_a_config_is_frozen_and_has_no_validate(self, tmp_path):
         cfg = harness.experiment_config_from_dict(tiny_config(tmp_path), tmp_path)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -643,6 +651,27 @@ class TestCli:
         extra = ["--rows", str(rows)] if command == "report" else []
         err = self.one_error_line(capsys, [command, "--config", str(path), *extra])
         assert err.startswith(f"ArtifactError: cannot make the run directory {path}: ")
+
+    @pytest.mark.parametrize("command,method,blocked,kind,written", [
+        ("train-baseline", "baseline", "models", "file", "models/baseline.npz"),
+        ("train-baseline", "baseline", "logs", "file", "logs/baseline_train.log"),
+        ("train-baseline", "baseline", "models/baseline.npz", "dir", "models/baseline.npz"),
+        ("experiment", "baseline", "rows", "file", "rows/baseline_seed3.json"),
+        ("build-map", "mtdnn-mapped", "maps", "file", "maps/map_lang0_to_lang0.txt"),
+        ("synth", "baseline", "corpus.npz", "dir", "corpus.npz"),
+    ])
+    def test_an_artifact_that_cannot_be_written_fails_cleanly(
+        self, tmp_path, capsys, command, method, blocked, kind, written
+    ):
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method))
+        blocker = tmp_path / "run" / blocked
+        blocker.parent.mkdir(parents=True)
+        if kind == "dir":
+            blocker.mkdir()
+        else:
+            blocker.write_text("")
+        err = self.one_error_line(capsys, [command, "--config", str(path)])
+        assert err.startswith(f"ArtifactError: cannot write {tmp_path / 'run' / written}: ")
 
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),

@@ -297,21 +297,6 @@ class TestGradients:
         for a, b in zip(gsw_big + gsb_big, gsw_small + gsb_small):
             assert (a == b).all()
 
-    def test_second_call_keeps_first_results(self):
-        rng = np.random.default_rng(4)
-        net = pm.init_network([3, 5], [("a", 3), ("b", 4)], seed=5)
-        owners = np.array([0, 1, 1, 0])
-        first = pm.loss_and_gradients(
-            net, rng.normal(size=(4, 3)), np.array([2, 3, 0, 1]), owners
-        )
-        grads = [g for part in first[1:] for g in part]
-        kept = [g.copy() for g in grads]
-        pm.loss_and_gradients(
-            net, rng.normal(size=(4, 3)), np.array([0, 1, 2, 0]), owners
-        )
-        for g, k in zip(grads, kept):
-            assert g.tobytes() == k.tobytes()
-
     def test_batch_loss_matches_per_frame_api(self):
         rng = np.random.default_rng(3)
         net = pm.init_network([3, 5], [("a", 3), ("b", 4)], seed=4)
