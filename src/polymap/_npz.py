@@ -53,9 +53,11 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 def read_npz(path: str | Path) -> dict[str, np.ndarray]:
     """All members of an ``.npz`` archive; :class:`ArtifactError` naming
-    the path if the file is missing, truncated, damaged or not an archive."""
+    the path if it is missing, a directory, truncated, damaged or not an archive."""
     if not zipfile.is_zipfile(path):
-        problem = "truncated or not an .npz archive" if Path(path).exists() else "no such file"
+        found = Path(path)
+        problem = ("is a directory" if found.is_dir() else
+                   "truncated or not an .npz archive" if found.exists() else "no such file")
         raise ArtifactError(f"cannot read {path}: {problem}")
     try:
         with np.load(path, allow_pickle=False) as data:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .corpus import SPLIT_NAMES
-from .errors import PolymapError, UnknownLanguageError
+from .errors import ArtifactError, PolymapError, UnknownLanguageError
 from .harness import RunPaths, load_experiment_config
 from .mapping import load_manual_map
 
@@ -32,8 +32,7 @@ def _synth(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPa
 
 
 def _stage(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
-    harness.run_stage(cfg, args.command)
-    return f"wrote {getattr(paths, harness.STAGES[args.command].writes)}"
+    return f"wrote {harness.run_stage(cfg, args.command)}"
 
 
 def _evaluate(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
@@ -106,16 +105,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_rows(paths: list[str], default_dir: Path) -> list[harness.ResultRow]:
-    files: list[Path] = []
-    candidates = [Path(p) for p in paths] if paths else []
+    """The rows of the files and directories ``paths`` and of ``default_dir``, each
+    file read once; :class:`ArtifactError` naming both files if two hold a row of
+    one (method, seed)."""
+    candidates = [Path(p) for p in paths]
     if default_dir.is_dir():
         candidates.append(default_dir)
+    files: dict[Path, Path] = {}  # resolved path -> the path as named
     for candidate in candidates:
-        if candidate.is_dir():
-            files.extend(sorted(candidate.glob("*.json")))
-        else:
-            files.append(candidate)
-    return [harness.read_row(f) for f in files]
+        for file in sorted(candidate.glob("*.json")) if candidate.is_dir() else [candidate]:
+            files.setdefault(file.resolve(), file)
+    rows: dict[tuple[str, int], tuple[Path, harness.ResultRow]] = {}
+    for file in files.values():
+        row = harness.read_row(file)
+        key = (row.method, row.seed)
+        if key in rows:
+            raise ArtifactError(f"{rows[key][0]} and {file} both hold a row of "
+                                f"{row.method} seed {row.seed}")
+        rows[key] = file, row
+    return [row for _, row in rows.values()]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -126,7 +126,8 @@ class MultiCorpus:
     generator's cross-language answer key, if any.  ``provenance`` records
     what the corpus was made from (``synth`` stamps it; text files drop it).
     Construction checks one frame set and table per language, ``feature_dim``
-    values per frame, labels in the senone range and disjoint splits.
+    values per frame, labels in the senone range, an answer key between two of
+    the languages in their phone or senone ranges, and disjoint splits.
     """
 
     languages: list[str]
@@ -148,6 +149,16 @@ class MultiCorpus:
                 raise ShapeError(f"{lang} frames do not have feature_dim {self.feature_dim} values")
             if labels.size and not 0 <= labels.min() <= labels.max() < senones:
                 raise LabelRangeError(f"{lang} labels must lie in [0, {senones})")
+        for kind, truth in (("phone", self.phone_truth), ("senone", self.senone_truth)):
+            for (a, b), pairs in truth.items():
+                if a == b or not {a, b} <= langs:
+                    raise InventoryError(f"{kind} answer key {a} -> {b} needs two distinct "
+                                         f"languages of {self.languages}")
+                sizes = [getattr(self.g_tables[lang], f"num_{kind}s") for lang in (a, b)]
+                for s, t in pairs.items():
+                    if not (0 <= s < sizes[0] and 0 <= t < sizes[1]):
+                        raise LabelRangeError(f"{kind} answer key {a} -> {b} pairs {s} with {t}; "
+                                              f"{a} has {sizes[0]} {kind}s, {b} {sizes[1]}")
         for lang, by_name in self.splits.items():
             utts = [u for ids in by_name.values() for u in ids]
             if lang not in langs or set(by_name) - {*SPLIT_NAMES} or len(set(utts)) < len(utts):

@@ -537,7 +537,7 @@ def build_source_maps(corpus: MultiCorpus, cfg: ExperimentConfig, mapper: Networ
 
 
 # ---------------------------------------------------------------------------
-# stages: each takes the config, paths, inputs (stage -> file) and corpus
+# stages: each takes the config, paths, inputs (stage -> file) and corpus; returns None
 
 
 def stage_synth(cfg: ExperimentConfig, paths: RunPaths, corpus: MultiCorpus) -> Path:
@@ -551,17 +551,16 @@ def stage_synth(cfg: ExperimentConfig, paths: RunPaths, corpus: MultiCorpus) -> 
 
 def stage_train_baseline(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> Network:
+) -> None:
     frames = corpus.subset(cfg.target, "train")
     net, history = train_language_net(corpus, cfg, cfg.target, "baseline", frames)
     save_network(net, paths.baseline_model)
     _write_train_log(paths.logs_dir / "baseline_train.log", history)
-    return net
 
 
 def stage_build_map(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> MapSet:
+) -> None:
     """Build and persist source-to-target maps through the target baseline if
     the pipeline trains one, else senone maps between all language pairs."""
     if "train-baseline" in inputs:
@@ -580,51 +579,47 @@ def stage_build_map(
             nets, frames, {lang: corpus.senone_inventories[lang] for lang in languages}
         )
     save_map_set(map_set, paths.maps_dir)
-    return map_set
 
 
 def stage_pool_train(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> Network:
+) -> None:
     """Train a fresh network on pooled, relabeled data."""
     mapper = _load_model(load_network, inputs["train-baseline"], [cfg.target])
-    map_set = load_map_set(paths.maps_dir)
+    map_set = load_map_set(inputs["build-map"].parent)
     maps = [map_set.get(src, cfg.target) for src in cfg.sources]
     pooled = pool_and_relabel(corpus, "train", cfg.target, maps, mapper)
     trained, history = train_language_net(corpus, cfg, cfg.target, "pooled", pooled)
     save_network(trained, paths.pooled_model)
     _write_train_log(paths.logs_dir / "pooled_train.log", history)
-    return trained
 
 
 def stage_mt_train(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> Network:
+) -> None:
     """Multi-head training: every head takes a target through the maps
     when the pipeline built maps, only the frame's own head otherwise."""
     languages = [cfg.target, *cfg.sources]
-    map_set = load_map_set(paths.maps_dir) if "build-map" in inputs else None
+    map_set = load_map_set(inputs["build-map"].parent) if "build-map" in inputs else None
     net = _new_network(corpus, cfg, languages, "init:mtdnn")
     mt_cfg = dataclasses.replace(cfg.mt_train, shuffle_seed=derive_seed(cfg.seed, "shuffle:mtdnn"))
     frames = dict(zip(languages, corpus.gather(languages, "train")))
     trained, history = train_multihead(net, frames, mt_cfg, map_set)
     save_multihead(trained, paths.mtdnn_model)
     _write_train_log(paths.logs_dir / "mtdnn_train.log", history)
-    return trained
 
 
 def stage_prune(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus | None
-) -> Network:
+) -> None:
     languages = [cfg.target, *cfg.sources]
     net = prune(_load_model(load_multihead, inputs["mt-train"], languages), cfg.target)
     save_network(net, paths.pruned_model)
-    return net
 
 
 def stage_finetune(
     cfg: ExperimentConfig, paths: RunPaths, inputs: dict[str, Path], corpus: MultiCorpus
-) -> Network:
+) -> None:
     """Fine-tune the one input model on target training data on the
     :func:`finetune_schedule`."""
     (model_path,) = inputs.values()
@@ -632,7 +627,6 @@ def stage_finetune(
     tuned, history = finetune(net, corpus.subset(cfg.target, "train"), finetune_schedule(cfg))
     save_network(tuned, paths.final_model)
     _write_train_log(paths.logs_dir / "finetune.log", history)
-    return tuned
 
 
 def stage_evaluate(cfg: ExperimentConfig, corpus: MultiCorpus, model: Path, split: str) -> float:
@@ -648,8 +642,8 @@ def _output(paths: RunPaths, stage: str) -> Path:
     return path
 
 
-def run_stage(cfg: ExperimentConfig, name: str, corpus: MultiCorpus | None = None):
-    """Run one stage of the configured method's pipeline and return its result.
+def run_stage(cfg: ExperimentConfig, name: str, corpus: MultiCorpus | None = None) -> Path:
+    """Run one stage of the configured method's pipeline and return the file it wrote.
 
     Its inputs, the outputs of the stages it reads that come earlier in the
     pipeline, must exist.  The stage function is looked up on this module at
@@ -664,7 +658,8 @@ def run_stage(cfg: ExperimentConfig, name: str, corpus: MultiCorpus | None = Non
     inputs = {r: _output(paths, r) for r in stage.reads if r in earlier}
     if corpus is None and stage.uses_corpus:
         corpus = prepare_corpus(cfg, paths.corpus)
-    return globals()[stage.function](cfg, paths, inputs, corpus)
+    globals()[stage.function](cfg, paths, inputs, corpus)
+    return getattr(paths, stage.writes)
 
 
 def evaluate(cfg: ExperimentConfig, split: str = "test", model_path: Path | None = None) -> float:
@@ -805,10 +800,10 @@ def write_report(rows: list[ResultRow], out_dir: Path, metadata: dict | None = N
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
-    """Run the configured method's pipeline end to end on one prepared
-    corpus, persisting every artifact, and score its last model.  A target
-    dev or test split of no utterances raises :class:`EmptyDataError` before
-    the first stage."""
+    """Run the configured method's pipeline end to end on one prepared corpus,
+    persisting every artifact, and score its last file as :func:`evaluate` does.
+    A target dev or test split of no utterances raises :class:`EmptyDataError`
+    before the first stage."""
     started = time.monotonic()
     paths = RunPaths(cfg.output_dir).made()
     corpus = prepare_corpus(cfg, paths.corpus)
@@ -817,8 +812,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
             raise EmptyDataError(f"target {cfg.target!r} has no utterances in its {split} split")
     for name in PIPELINES[cfg.method]:
         final = run_stage(cfg, name, corpus)
-    dev = frame_error_rate(final, corpus.subset(cfg.target, "dev"))
-    test = frame_error_rate(final, corpus.subset(cfg.target, "test"))
+    dev = stage_evaluate(cfg, corpus, final, "dev")
+    test = stage_evaluate(cfg, corpus, final, "test")
     row = ResultRow(cfg.method, cfg.target, cfg.sources, cfg.seed, config_hash(cfg), dev, test)
     write_row(row, paths.row(cfg.method, cfg.seed))
     elapsed = time.monotonic() - started

@@ -100,6 +100,12 @@ def identity_map(inventory: LabelInventory) -> LabelMap:
     return LabelMap(inventory, inventory, np.arange(inventory.size), PROVENANCE_IDENTITY)
 
 
+def _check_language(what: str, language: str, expected: str) -> None:
+    """:class:`InventoryError` naming both languages unless ``what`` is of ``expected``."""
+    if language != expected:
+        raise InventoryError(f"{what} of language {language!r}, not {expected!r}")
+
+
 def _check_classifier(net: Network, language: str, size: int) -> None:
     """:class:`ShapeError` unless ``net`` has ``size`` outputs, and
     :class:`InventoryError` unless it is one head of ``language``."""
@@ -124,11 +130,7 @@ def accumulate_confusion(
     argmaxes, not soft posteriors.
     """
     _check_classifier(target_net, target_inventory.task_id, target_inventory.size)
-    if source_frames.language != source_inventory.task_id:
-        raise InventoryError(
-            f"frames belong to {source_frames.language!r}, inventory to "
-            f"{source_inventory.task_id!r}"
-        )
+    _check_language("frames", source_frames.language, source_inventory.task_id)
     shape = (source_inventory.size, target_inventory.size)
     if len(source_frames) == 0:
         return ConfusionCounts(source_inventory, target_inventory, np.zeros(shape, np.int64))
@@ -173,7 +175,8 @@ def phone_map(
     """Collapse senone counts through both phone tables, then argmax per row.
 
     Equivalent to counting (source phone, predicted target phone) pairs
-    frame by frame: aggregation across senones commutes with counting.
+    frame by frame: aggregation across senones commutes with counting.  Each
+    table must be of its side's language.
     """
     if g_source.num_senones != counts.source_inventory.size:
         raise IncompleteTableError(
@@ -185,6 +188,8 @@ def phone_map(
             f"target table covers {g_target.num_senones} senones, inventory has "
             f"{counts.target_inventory.size}"
         )
+    _check_language("source table", g_source.task_id, counts.source_inventory.task_id)
+    _check_language("target table", g_target.task_id, counts.target_inventory.task_id)
     by_source_phone = np.zeros((g_source.num_phones, counts.target_inventory.size), np.int64)
     np.add.at(by_source_phone, g_source.table, counts.counts)
     phone_counts = np.zeros((g_source.num_phones, g_target.num_phones), np.int64)
@@ -198,7 +203,13 @@ def phone_map(
 
 def answer_key_hits(label_map: LabelMap, truth: dict[int, int]) -> tuple[int, int]:
     """How many of the answer key's ``source -> target`` pairs the map agrees
-    with, and how many pairs the key holds."""
+    with, and how many pairs the key holds; :class:`LabelRangeError` for a pair
+    outside the map's inventories."""
+    sizes = label_map.source_inventory.size, label_map.target_inventory.size
+    for s, t in truth.items():
+        if not (0 <= s < sizes[0] and 0 <= t < sizes[1]):
+            raise LabelRangeError(f"answer key pairs {s} with {t}; the map maps "
+                                  f"{sizes[0]} labels to {sizes[1]}")
     hits = sum(int(label_map.table[s]) == t for s, t in truth.items())
     return hits, len(truth)
 
@@ -272,11 +283,7 @@ def save_map_file(label_map: LabelMap, path: str | Path, comment: str | None = N
 
 def apply_map(frames: FrameSet, label_map: LabelMap) -> FrameSet:
     """Relabel frames through the map; features and frame order are untouched."""
-    if frames.language != label_map.source_inventory.task_id:
-        raise InventoryError(
-            f"frames belong to {frames.language!r} but the map reads "
-            f"{label_map.source_inventory.task_id!r} labels"
-        )
+    _check_language("frames", frames.language, label_map.source_inventory.task_id)
     if len(frames) and (
         frames.labels.min() < 0 or frames.labels.max() >= label_map.source_inventory.size
     ):
@@ -307,10 +314,14 @@ def realign_with_phone_map(
     phone-level relabeling of the transcripts.
 
     Frames are scored by :func:`forward_batch` one scoring block at a
-    time, so no posterior matrix over all the frames is held.
+    time, so no posterior matrix over all the frames is held.  The frames
+    and each table must be of the map's languages.
     """
     if pm.source_inventory.kind != "phone" or pm.target_inventory.kind != "phone":
         raise InventoryError("realignment needs a phone-level map")
+    _check_language("frames", frames.language, pm.source_inventory.task_id)
+    _check_language("source table", g_source.task_id, pm.source_inventory.task_id)
+    _check_language("target table", g_target.task_id, pm.target_inventory.task_id)
     if g_source.num_phones != pm.source_inventory.size:
         raise IncompleteTableError(
             f"source table has {g_source.num_phones} phones, map expects "

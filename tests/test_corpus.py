@@ -25,6 +25,7 @@ from polymap.errors import (
     ArtifactError,
     FractionError,
     InventoryError,
+    LabelRangeError,
     PolymapError,
     SynthSpecError,
 )
@@ -139,6 +140,19 @@ class TestGenerator:
         ab = corpus.phone_truth[("lang0", "lang1")]
         ba = corpus.phone_truth[("lang1", "lang0")]
         assert {v: k for k, v in ab.items()} == ba
+
+
+@pytest.mark.parametrize("kind,pair,labels,error", [
+    ("phone_truth", ("a", "b"), {0: 2}, LabelRangeError),  # each language has 2 phones
+    ("phone_truth", ("a", "b"), {-1: 0}, LabelRangeError),
+    ("senone_truth", ("b", "a"), {4: 0}, LabelRangeError),
+    ("senone_truth", ("b", "a"), {0: -1}, LabelRangeError),
+    ("senone_truth", ("a", "c"), {0: 0}, InventoryError),
+    ("phone_truth", ("a", "a"), {0: 0}, InventoryError),
+])
+def test_corpus_refuses_an_answer_key_it_cannot_hold(kind, pair, labels, error):
+    with pytest.raises(error, match="answer key"):
+        dataclasses.replace(tiny_corpus(), **{kind: {pair: labels}})
 
 
 def tiny_corpus(n_utts=100, langs=("a", "b"), frames_per_utt=2, n_labels=4):
@@ -429,6 +443,7 @@ def pooling_world():
 
 
 HEAD = "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\ngtable a 0 0\n"
+HEAD_AB = HEAD + "language b senones 2 phones 1\ngtable b 0 0\n"
 
 # The metadata record of a valid binary corpus of one frame of each of two languages.
 NPZ_META = {
@@ -478,6 +493,11 @@ MALFORMED = {
     "utterance in two splits": (".txt", HEAD + "split a train 0\nsplit a test 0\n"),
     "split of undeclared language": (".txt", HEAD + "split b train 0\n"),
     "unknown line key": (".txt", HEAD + "speaker a 0\n"),
+    "answer key label outside the phones": (".txt", HEAD_AB + "truth phone a b 0 5\n"),
+    "answer key of an undeclared language": (".txt", HEAD_AB + "truth phone a zz 0 0\n"),
+    "answer key within one language": (".txt", HEAD_AB + "truth senone b b 0 0\n"),
+    "negative answer key label": (".txt", HEAD_AB + "truth senone a b -1 0\n"),
+    "answer key label outside the senones": npz_corpus(senone_truth=[["lang0", "lang1", 0, 4]]),
     "fractional feature_dim": npz_corpus(feature_dim=20.9),
     "feature_dim a string": npz_corpus(feature_dim="20"),
     "fractional num_phones": npz_corpus(num_phones={"lang0": 12.5, "lang1": 12}),

@@ -421,10 +421,11 @@ class TestRunExperiment:
         manual = harness.RunPaths(cfg.output_dir)
         harness.stage_synth(cfg, manual, harness.prepare_corpus(cfg))
         for name in harness.PIPELINES[method]:
-            harness.run_stage(cfg, name)
+            assert harness.run_stage(cfg, name) == getattr(manual, harness.STAGES[name].writes)
         last = harness.STAGES[harness.PIPELINES[method][-1]]
         assert getattr(manual, last.writes).read_bytes() == getattr(auto, last.writes).read_bytes()
         assert harness.evaluate(cfg, split="dev") == row.dev_frame_error
+        assert harness.evaluate(cfg, split="test") == row.test_frame_error
 
 
 def missing_input_cases():
@@ -673,6 +674,13 @@ class TestCli:
         err = self.one_error_line(capsys, [command, "--config", str(path)])
         assert err.startswith(f"ArtifactError: cannot write {tmp_path / 'run' / written}: ")
 
+    def test_a_cached_corpus_that_is_a_directory_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        corpus = tmp_path / "run" / "corpus.npz"
+        corpus.mkdir(parents=True)
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err == f"ArtifactError: cannot read {corpus}: is a directory"
+
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),
         pytest.param("[1]", id="not an object"),
@@ -693,6 +701,30 @@ class TestCli:
             row.write_text(content)
         err = self.one_error_line(capsys, ["report", "--config", str(path), "--rows", str(row)])
         assert err.startswith(f"ArtifactError: cannot read {row}: ")
+
+    def test_report_reads_each_row_file_once(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        rows = harness.RunPaths(tmp_path / "run").rows_dir
+        for seed, dev in ((0, 60.0), (1, 70.0)):
+            harness.write_row(make_row("baseline", seed=seed, dev=dev), harness.RunPaths(
+                tmp_path / "run").row("baseline", seed))
+        # the default rows directory, named again as a directory, by file and by another path
+        for extra in ([str(rows)], [str(rows / "baseline_seed1.json")],
+                      [str(rows / ".." / "rows" / "baseline_seed0.json"), str(rows)]):
+            assert cli.main(["report", "--config", str(path), "--rows", *extra]) == 0
+            capsys.readouterr()
+            (report,) = json.loads((tmp_path / "run" / "report.json").read_text())["rows"]
+            assert (report["seeds"], report["dev_frame_error"]) == ([0, 1], 65.0)
+
+    def test_report_refuses_two_files_of_one_row(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path))
+        rows = harness.RunPaths(tmp_path / "run").rows_dir
+        harness.write_row(make_row("baseline", seed=1), rows / "baseline_seed1.json")
+        copy = tmp_path / "copy.json"
+        harness.write_row(make_row("baseline", seed=1, dev=30.0), copy)
+        err = self.one_error_line(capsys, ["report", "--config", str(path), "--rows", str(copy)])
+        other = rows / "baseline_seed1.json"
+        assert err == f"ArtifactError: {copy} and {other} both hold a row of baseline seed 1"
 
     def test_pool_train_without_maps_fails_cleanly(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path, method="senone-map"))

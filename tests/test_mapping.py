@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -221,13 +222,32 @@ class TestPhoneMap:
         with pytest.raises(IncompleteTableError):
             pm.phone_map(counts, full, short)
 
+    def test_tables_of_other_languages_are_refused(self):
+        counts = pm.ConfusionCounts(SRC, TGT, np.eye(3, dtype=int))
+        g_src, g_tgt, other = (
+            pm.SenoneToPhoneTable(lang, [0, 1, 1]) for lang in ("src", "tgt", "other")
+        )
+        with pytest.raises(InventoryError, match="'other', not 'src'"):
+            pm.phone_map(counts, other, g_tgt)
+        with pytest.raises(InventoryError, match="'other', not 'tgt'"):
+            pm.phone_map(counts, g_src, other)
+
+
+def answer_key_map():
+    return pm.LabelMap(pm.LabelInventory("src", 5), pm.LabelInventory("tgt", 4),
+                       [2, 0, 3, 3, 1], "manual")
+
 
 def test_answer_key_hits_counts_agreeing_pairs():
-    label_map = pm.LabelMap(pm.LabelInventory("src", 5), pm.LabelInventory("tgt", 4),
-                            [2, 0, 3, 3, 1], "manual")
     # The key covers four of the five source labels; the map agrees on 0, 2 and 4.
-    assert pm.answer_key_hits(label_map, {0: 2, 1: 1, 2: 3, 4: 1}) == (3, 4)
-    assert pm.answer_key_hits(label_map, {}) == (0, 0)
+    assert pm.answer_key_hits(answer_key_map(), {0: 2, 1: 1, 2: 3, 4: 1}) == (3, 4)
+    assert pm.answer_key_hits(answer_key_map(), {}) == (0, 0)
+
+
+@pytest.mark.parametrize("truth", [{99: 0}, {5: 0}, {-1: 1}, {0: 4}, {0: -1}])
+def test_answer_key_hits_refuses_a_key_outside_the_map(truth):
+    with pytest.raises(LabelRangeError, match="answer key pairs"):
+        pm.answer_key_hits(answer_key_map(), truth)
 
 
 class TestManualMap:
@@ -346,6 +366,19 @@ class TestRealign:
         other = pm.Network(net.layer_dims, net.weights, net.biases, [("src", 36)])
         with pytest.raises(InventoryError, match=r"\['src'\], not of 'tgt'"):
             pm.realign_with_phone_map(other, frames, pmap, g_src, g_tgt)
+
+    @pytest.mark.parametrize("part,language", [
+        ("frames", "src"), ("g_source", "src"), ("g_target", "tgt"),
+    ])
+    def test_frames_or_table_of_another_language_are_refused(self, part, language):
+        net, frames, pmap, g_src, g_tgt = recipe_realignment(10, seed=1)
+        args = {"frames": frames, "g_source": g_src, "g_target": g_tgt}
+        if part == "frames":
+            args[part] = dataclasses.replace(frames, language="other")
+        else:
+            args[part] = dataclasses.replace(args[part], task_id="other")
+        with pytest.raises(InventoryError, match=f"'other', not '{language}'"):
+            pm.realign_with_phone_map(net, pm=pmap, **args)
 
     def test_features_untouched(self):
         rng = np.random.default_rng(4)
