@@ -50,7 +50,7 @@ def _experiment(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: 
 
 
 def _report(cfg: harness.ExperimentConfig, args: argparse.Namespace, paths: RunPaths) -> str:
-    rows = _collect_rows(args.rows, paths.rows_dir)
+    rows = _collect_rows(args.rows, paths.rows_dir, cfg)
     return harness.write_report(rows, cfg.output_dir, metadata={"target": cfg.target})
 
 
@@ -104,10 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_rows(paths: list[str], default_dir: Path) -> list[harness.ResultRow]:
+def _collect_rows(
+    paths: list[str], default_dir: Path, cfg: harness.ExperimentConfig
+) -> list[harness.ResultRow]:
     """The rows of the files and directories ``paths`` and of ``default_dir``, each
     file read once; :class:`ArtifactError` naming both files if two hold a row of
-    one (method, seed)."""
+    one (method, seed), and naming the file of a row whose target, or whose
+    :func:`~polymap.harness.compared_sources` unless the config is a baseline's,
+    are not the config's."""
     candidates = [Path(p) for p in paths]
     if default_dir.is_dir():
         candidates.append(default_dir)
@@ -118,6 +122,13 @@ def _collect_rows(paths: list[str], default_dir: Path) -> list[harness.ResultRow
     rows: dict[tuple[str, int], tuple[Path, harness.ResultRow]] = {}
     for file in files.values():
         row = harness.read_row(file)
+        sources = harness.compared_sources(row)
+        if row.target != cfg.target or (
+            cfg.method != "baseline" and sources is not None and sources != cfg.sources
+        ):
+            raise ArtifactError(f"{file} holds a row of target {row.target!r} and sources "
+                                f"{list(row.sources)}, not the config's {cfg.target!r} and "
+                                f"{list(cfg.sources)}")
         key = (row.method, row.seed)
         if key in rows:
             raise ArtifactError(f"{rows[key][0]} and {file} both hold a row of "

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._npz import open_artifact, read_npz, write_npz
 from ._schema import checked, decoded
-from .data import FrameSet, LabelInventory, SenoneToPhoneTable, join_rows
+from .data import FrameSet, LabelInventory, SenoneToPhoneTable
 from .errors import (
     ArtifactError,
     FractionError,
@@ -177,34 +177,26 @@ class MultiCorpus:
         return {k: LabelInventory(k, t.num_phones, "phone") for k, t in self.g_tables.items()}
 
     def subset(self, language: str, split: str) -> FrameSet:
+        """``language``'s ``split`` frames as a :meth:`gather` view."""
         return self.gather([language], split)[0]
 
     def gather(self, languages: Sequence[str], split: str) -> list[FrameSet]:
-        """Each of ``languages``' ``split`` frames, in frame order, as consecutive
-        row slices of one set of arrays, in ``languages`` order.  The arrays are
-        allocated once and each language's rows copied straight into its slice,
-        so :func:`~polymap.data.join_rows` joins the slices without a copy."""
+        """Each of ``languages``' ``split`` frames, in frame order, in
+        ``languages`` order.  Each set is a :meth:`~polymap.data.FrameSet.view`
+        whose feature rows stay in the corpus's array: it holds its own labels
+        and utterance ids and an index of its rows."""
         if split not in SPLIT_NAMES:
             raise FractionError(f"unknown split {split!r}")
-        rows = []
+        sets = []
         for lang in languages:
             if lang not in self.frames:
                 raise InventoryError(f"corpus has no language {lang!r}")
             if lang not in self.splits:
                 raise PolymapError(f"corpus has no split tags for {lang!r}; run split_corpus")
-            utterances = self.frames[lang].utterance_ids
-            rows.append(np.flatnonzero(np.isin(utterances, self.splits[lang][split])))
-        n = sum(map(len, rows))
-        columns = (np.empty((n, self.feature_dim)), np.empty(n, np.int64), np.empty(n, np.int64))
-        sets, stop = [], 0
-        for lang, index in zip(languages, rows):
-            start, stop = stop, stop + len(index)
             fs = self.frames[lang]
-            for column, out in zip((fs.features, fs.labels, fs.utterance_ids), columns):
-                # "clip" never meets an out-of-range index here, and unlike the
-                # default "raise" it writes into ``out`` without a buffered copy
-                np.take(column, index, axis=0, out=out[start:stop], mode="clip")
-            sets.append(FrameSet(lang, *(column[start:stop] for column in columns)))
+            rows = np.flatnonzero(np.isin(fs.utterance_ids, self.splits[lang][split]))
+            parts = [(fs.features, rows)]
+            sets.append(FrameSet.view(lang, parts, fs.labels[rows], fs.utterance_ids[rows]))
         return sets
 
 
@@ -324,13 +316,14 @@ def pool_and_relabel(
     """``split``'s frames of each map's source language, relabeled into
     ``target``'s senones, followed by ``target``'s own frames of ``split``.
 
-    The languages are read by :meth:`MultiCorpus.gather` and relabeled in
-    place, so the pooled set is held once.  Sources keep map order and the
-    target comes last; features are bit-identical to the corpus's.  A senone
-    map relabels its slice through :func:`apply_map`.  A phone map (learned
-    or manual) cannot give senone labels on its own, so its slice is
-    realigned through ``mapper`` by :func:`realign_with_phone_map`.  Every
-    map must write into ``target``'s inventory.
+    The languages are read by :meth:`MultiCorpus.gather`, and the pooled set
+    is a view of their rows: its labels and utterance ids are its own, and
+    its features stay in the corpus's arrays.  Sources keep map order and the
+    target comes last.  A senone map relabels its source through
+    :func:`apply_map`.  A phone map (learned or manual) cannot give senone
+    labels on its own, so its source is realigned through ``mapper`` by
+    :func:`realign_with_phone_map`.  Every map must write into ``target``'s
+    inventory.
     """
     for label_map in maps:
         if label_map.target_inventory.task_id != target:
@@ -339,14 +332,17 @@ def pool_and_relabel(
                 f"belongs to {target!r}"
             )
     pieces = corpus.gather([m.source_inventory.task_id for m in maps] + [target], split)
-    for piece, label_map in zip(pieces, maps):
+    for i, label_map in enumerate(maps):
         if label_map.source_inventory.kind == "phone":
-            g_tables = corpus.g_tables[piece.language], corpus.g_tables[target]
-            piece.labels[:] = realign_with_phone_map(mapper, piece, label_map, *g_tables).labels
+            g_tables = corpus.g_tables[pieces[i].language], corpus.g_tables[target]
+            pieces[i] = realign_with_phone_map(mapper, pieces[i], label_map, *g_tables)
         else:
-            piece.labels[:] = apply_map(piece, label_map).labels
-    columns = zip(*((fs.features, fs.labels, fs.utterance_ids) for fs in pieces))
-    return FrameSet(target, *map(join_rows, columns))
+            pieces[i] = apply_map(pieces[i], label_map)
+    return FrameSet.view(
+        target, [part for fs in pieces for part in fs.parts],
+        np.concatenate([fs.labels for fs in pieces]),
+        np.concatenate([fs.utterance_ids for fs in pieces]),
+    )
 
 
 def save_ground_truth_maps(corpus: MultiCorpus, directory: str | Path) -> list[Path]:

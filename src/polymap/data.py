@@ -56,55 +56,90 @@ class SenoneToPhoneTable:
         return int(self.table.size)
 
 
-@dataclass
 class FrameSet:
     """Column-oriented batch of frames from a single language.
 
-    Feature rows, labels and utterance ids are parallel arrays, so
-    training and mapping code stays vectorized.
+    Labels and utterance ids are arrays of their own.  The feature rows are
+    read from one or more feature arrays: ``parts`` lists ``(array, rows)``
+    pairs in frame order, where ``rows`` indexes the array's rows, or is
+    None for all of them.  ``FrameSet(language, features, labels,
+    utterance_ids)`` holds one whole array; :meth:`view` reads rows of
+    arrays held elsewhere, such as a corpus's, without copying them.
+    Training and scoring read the rows through ``parts``.
     """
 
-    language: str
-    features: np.ndarray
-    labels: np.ndarray
-    utterance_ids: np.ndarray
+    def __init__(
+        self, language: str, features: np.ndarray, labels: np.ndarray, utterance_ids: np.ndarray
+    ) -> None:
+        self._set(language, [(np.asarray(features, dtype=np.float64), None)], labels, utterance_ids)
 
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.utterance_ids = np.asarray(self.utterance_ids, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ShapeError(f"features must be 2-d, got shape {self.features.shape}")
-        n = self.features.shape[0]
+    @classmethod
+    def view(
+        cls, language: str, parts: Sequence[tuple[np.ndarray, np.ndarray | None]],
+        labels: np.ndarray, utterance_ids: np.ndarray,
+    ) -> FrameSet:
+        """The frames whose features are, in order, the rows ``rows`` of each
+        ``(array, rows)`` of ``parts`` (all rows where ``rows`` is None)."""
+        fs = cls.__new__(cls)
+        fs._set(language, parts, labels, utterance_ids)
+        return fs
+
+    def _set(self, language: str, parts, labels: np.ndarray, utterance_ids: np.ndarray) -> None:
+        self.language = language
+        self.parts = [(a, None if rows is None else np.asarray(rows, np.intp)) for a, rows in parts]
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.utterance_ids = np.asarray(utterance_ids, dtype=np.int64)
+        if not self.parts:
+            raise ShapeError("a frame set needs at least one feature array")
+        for a, rows in self.parts:
+            if a.ndim != 2 or a.dtype != np.float64 or a.shape[1] != self.feature_dim:
+                raise ShapeError(f"features must be 2-d float64 of one width, got shape {a.shape}")
+            if rows is not None and (
+                rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < len(a)
+            ):
+                raise ShapeError(f"feature rows must be a 1-d index into {len(a)} rows")
+        n = sum(len(a if rows is None else rows) for a, rows in self.parts)
         if self.labels.shape != (n,) or self.utterance_ids.shape != (n,):
             raise ShapeError("features, labels and utterance_ids must have matching lengths")
 
     def __len__(self) -> int:
-        return int(self.features.shape[0])
+        return int(self.labels.shape[0])
 
     @property
     def feature_dim(self) -> int:
-        return int(self.features.shape[1])
+        return int(self.parts[0][0].shape[1])
 
+    @property
+    def features(self) -> np.ndarray:
+        """The feature rows as one array: the array itself for a whole-array
+        set, else a copy."""
+        return self.feature_rows(slice(0, len(self)))
 
-def join_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``parts`` joined along their first axis.  One part is returned as it
-    is, and parts that are consecutive row slices of one C-contiguous array,
-    in order, join as a view of that array; any others are concatenated into
-    a new one."""
-    if len(parts) == 1:
-        return parts[0]
-    first, full = parts[0], [part for part in parts if part.size]
-    base = full[0].base if full else None
-    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
-        return np.concatenate(parts)
-    start = end = full[0].ctypes.data
-    for part in parts:
-        fits = part.dtype == first.dtype and part.shape[1:] == first.shape[1:]
-        if fits and part.size:  # an empty slice may point anywhere
-            fits = part.base is base and part.flags.c_contiguous and part.ctypes.data == end
-            end += part.nbytes
-        if not fits:
-            return np.concatenate(parts)
-    shape = (sum(len(part) for part in parts), *first.shape[1:])
-    return np.ndarray(shape, first.dtype, base, start - base.ctypes.data)
+    def feature_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The features of the frames ``rows.start:rows.stop``: the rows of a
+        whole array as they are, else a copy, written into the first rows of
+        ``out`` if it is given."""
+        pieces, start = [], 0
+        for a, index in self.parts:
+            stop = start + len(a if index is None else index)
+            lo, hi = max(rows.start, start) - start, min(rows.stop, stop) - start
+            if lo < hi:
+                pieces.append((a, index, lo, hi))
+            start = stop
+        if len(pieces) == 1 and pieces[0][1] is None:
+            a, _, lo, hi = pieces[0]
+            return a if hi - lo == len(a) else a[lo:hi]
+        size = sum(hi - lo for *_, lo, hi in pieces)
+        copy = np.empty((size, self.feature_dim)) if out is None else out[:size]
+        at = 0
+        for a, index, lo, hi in pieces:
+            if index is None:
+                copy[at : at + hi - lo] = a[lo:hi]
+            else:
+                a.take(index[lo:hi], axis=0, out=copy[at : at + hi - lo], mode="clip")
+            at += hi - lo
+        return copy
+
+    def relabeled(self, language: str, labels: np.ndarray) -> FrameSet:
+        """These frames' features and utterance ids, of ``language``, with ``labels``."""
+        return FrameSet.view(language, self.parts, labels, self.utterance_ids)

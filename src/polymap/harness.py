@@ -463,7 +463,7 @@ def frame_error_rate(net: Network, frames: FrameSet) -> float:
     """Percentage of frames whose predicted label differs from the reference."""
     if len(frames) == 0:
         raise EmptyDataError("cannot compute a frame error rate on zero frames")
-    preds = predict_batch(net, frames.features)
+    preds = predict_batch(net, frames)
     return 100.0 * float(np.mean(preds != frames.labels))
 
 
@@ -727,7 +727,21 @@ def relative_improvement(baseline: float, value: float) -> float:
     return 100.0 * (baseline - value) / baseline
 
 
+def compared_sources(row: ResultRow) -> tuple[str, ...] | None:
+    """The source languages ``row``'s result depends on: its sources, or None
+    for a baseline row, whose network trains on the target alone."""
+    return None if row.method == "baseline" else row.sources
+
+
 def _table_payload(rows: list[ResultRow], metadata: dict | None) -> dict:
+    """The report of ``rows``; :class:`ArtifactError` unless they share one
+    target and one list of :func:`compared_sources`."""
+    targets = sorted({row.target for row in rows})
+    sources = sorted({compared_sources(row) for row in rows} - {None})
+    if len(targets) > 1 or len(sources) > 1:
+        lists = [list(s) for s in sources]
+        raise ArtifactError(f"rows of targets {targets} and source lists {lists}; a report "
+                            "compares rows of one target and one source list")
     by_method: dict[str, list[ResultRow]] = {}
     for row in rows:
         by_method.setdefault(row.method, []).append(row)

@@ -34,7 +34,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .nnet import Network, _score_blocks, forward_batch, predict_batch
+from .nnet import _SCORE_ROWS, Network, _score_blocks, forward_batch, predict_batch
 
 PROVENANCE_SENONE = "data-driven-senone"
 PROVENANCE_PHONE = "data-driven-phone"
@@ -127,7 +127,8 @@ def accumulate_confusion(
     ``counts[r, c]`` is the number of source frames aligned to label
     ``r`` that the classifier predicts as target label ``c``; row sums
     therefore equal per-label frame counts.  Predictions are hard
-    argmaxes, not soft posteriors.
+    argmaxes, not soft posteriors, made by one :func:`predict_batch` call,
+    which reads the frames' rows one scoring block at a time.
     """
     _check_classifier(target_net, target_inventory.task_id, target_inventory.size)
     _check_language("frames", source_frames.language, source_inventory.task_id)
@@ -139,7 +140,7 @@ def accumulate_confusion(
         raise LabelRangeError(
             f"source labels must lie in 0..{source_inventory.size - 1}"
         )
-    preds = predict_batch(target_net, source_frames.features)
+    preds = predict_batch(target_net, source_frames)
     flat = np.bincount(
         labels * target_inventory.size + preds, minlength=shape[0] * shape[1]
     )
@@ -282,7 +283,8 @@ def save_map_file(label_map: LabelMap, path: str | Path, comment: str | None = N
 
 
 def apply_map(frames: FrameSet, label_map: LabelMap) -> FrameSet:
-    """Relabel frames through the map; features and frame order are untouched."""
+    """Relabel frames through the map: a set of the same feature rows and
+    frame order, with labels of its own."""
     _check_language("frames", frames.language, label_map.source_inventory.task_id)
     if len(frames) and (
         frames.labels.min() < 0 or frames.labels.max() >= label_map.source_inventory.size
@@ -290,12 +292,7 @@ def apply_map(frames: FrameSet, label_map: LabelMap) -> FrameSet:
         raise LabelRangeError(
             f"frame labels must lie in 0..{label_map.source_inventory.size - 1}"
         )
-    return FrameSet(
-        language=label_map.target_inventory.task_id,
-        features=frames.features,
-        labels=label_map.table[frames.labels],
-        utterance_ids=frames.utterance_ids,
-    )
+    return frames.relabeled(label_map.target_inventory.task_id, label_map.table[frames.labels])
 
 
 def realign_with_phone_map(
@@ -314,7 +311,9 @@ def realign_with_phone_map(
     phone-level relabeling of the transcripts.
 
     Frames are scored by :func:`forward_batch` one scoring block at a
-    time, so no posterior matrix over all the frames is held.  The frames
+    time, each block's feature rows taken from the frames' arrays, so no
+    posterior matrix or feature copy over all the frames is held.  The
+    result has the frames' feature rows and labels of its own.  The frames
     and each table must be of the map's languages.
     """
     if pm.source_inventory.kind != "phone" or pm.target_inventory.kind != "phone":
@@ -334,7 +333,7 @@ def realign_with_phone_map(
         )
     _check_classifier(net, g_target.task_id, g_target.num_senones)
     if len(frames) == 0:
-        return FrameSet(g_target.task_id, frames.features, frames.labels, frames.utterance_ids)
+        return frames.relabeled(g_target.task_id, frames.labels)
     if frames.labels.min() < 0 or frames.labels.max() >= g_source.num_senones:
         raise LabelRangeError(f"frame labels must lie in 0..{g_source.num_senones - 1}")
 
@@ -345,12 +344,13 @@ def realign_with_phone_map(
         bad = int(target_phones[~has_senones[target_phones]][0])
         raise IncompleteTableError(f"target phone {bad} has no senones in the target table")
     new_labels = np.empty(len(frames), dtype=np.int64)
+    features = np.empty((min(len(frames), _SCORE_ROWS), frames.feature_dim))
     for rows in _score_blocks(len(frames)):
-        probs = forward_batch(net, frames.features[rows])
+        probs = forward_batch(net, frames.feature_rows(rows, features))
         # Senones of other phones score -1, below every posterior.
         np.putmask(probs, g_target.table[None, :] != target_phones[rows, None], -1.0)
         new_labels[rows] = np.argmax(probs, axis=1)
-    return FrameSet(g_target.task_id, frames.features, new_labels, frames.utterance_ids)
+    return frames.relabeled(g_target.task_id, new_labels)
 
 
 @dataclass

@@ -51,10 +51,10 @@ def train_multihead(
     language's head.  Given ``map_set``, it also takes on every other
     head its label mapped into that head's language; without one, the
     other heads take no loss from it, and a head whose language never
-    occurs in the data is returned bit-identical to its input.  Sets that are
-    consecutive row slices of one buffer, in head order (as
-    :meth:`~polymap.corpus.MultiCorpus.gather` gives them), are trained on in
-    place; others are concatenated first.
+    occurs in the data is returned bit-identical to its input.  The sets'
+    feature rows are read where they are, such as the corpus arrays of the
+    views :meth:`~polymap.corpus.MultiCorpus.gather` gives, and are not
+    copied.
     """
     return _train(net, frames_by_language, cfg, map_set)
 

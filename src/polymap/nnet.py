@@ -20,7 +20,10 @@ on its own.  The work that needs no parameters (gathering the shuffled
 rows, finding each target's logit, masking the heads that take no loss)
 is done once per block of up to 256 rows, not once per batch, and the
 kernel writes every activation, error and gradient into arrays made once
-per training call.
+per training call.  Training and scoring read feature rows where they
+are: a frame set that is a view of a corpus's arrays
+(:meth:`~polymap.data.FrameSet.view`) gives each block's rows by index,
+so no copy of a split's features is made.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from ._schema import checked, decoded, is_kind
-from .data import FrameSet, join_rows
+from .data import FrameSet
 from .errors import (
     ConfigError,
     EmptyDataError,
@@ -169,17 +172,6 @@ def init_network(trunk_dims: list[int], heads: list[tuple[str, int]], seed: int 
     return Network(dims, weights, biases, list(heads), int(seed))
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stabilized softmax of a 2-d logit array."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def _score_blocks(n: int) -> list[slice]:
     """Row blocks of a batch of ``n`` rows for scoring: the fewest that hold
     at most :data:`_SCORE_ROWS` rows each, near-equal in size (they differ by
@@ -188,30 +180,50 @@ def _score_blocks(n: int) -> list[slice]:
     return [slice(k * n // count, (k + 1) * n // count) for k in range(count)]
 
 
-def _features(net: Network, x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 rows of the network's input width; :class:`ShapeError`
-    otherwise, or if the network has several heads, whose outputs are no one
-    distribution."""
+def _features(net: Network, x: np.ndarray | FrameSet) -> np.ndarray | FrameSet:
+    """``x`` as float64 rows of the network's input width, or a frame set of
+    that width; :class:`ShapeError` otherwise, or if the network has several
+    heads, whose outputs are no one distribution."""
     if len(net.heads) != 1:
         raise ShapeError(f"cannot score the heads {net.heads!r} as one softmax; prune to one head")
+    if isinstance(x, FrameSet):
+        if x.feature_dim != net.input_dim:
+            raise ShapeError(f"expected features of width {net.input_dim}, got {x.feature_dim}")
+        return x
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected features of shape (n, {net.input_dim}), got {x.shape}")
     return x
 
 
-def _posteriors(net: Network, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def _posteriors(net: Network, x: np.ndarray | FrameSet) -> Iterator[tuple[slice, np.ndarray]]:
     """Each block of :func:`_score_blocks` over the checked rows ``x``, and
-    the posteriors of its rows, scored in one call per block."""
-    for rows in _score_blocks(len(x)):
-        h = x[rows]
-        for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            h = relu(h @ w.T + b)
-        yield rows, softmax(h @ net.weights[-1].T + net.biases[-1])
+    the posteriors of its rows (ReLU hidden layers, a row-wise softmax).
+    The layers write two buffers in turn and a frame set's rows go to a
+    third, all made once per call (new arrays per block and layer cost page
+    faults); the next block overwrites them.  The in-place steps give the
+    bits of ``relu(h @ w.T + b)`` and an allocating softmax."""
+    blocks = _score_blocks(len(x))
+    size = max((rows.stop - rows.start for rows in blocks), default=0)
+    features = np.empty((size, net.input_dim)) if isinstance(x, FrameSet) else None
+    buffers = [np.empty(size * max(net.layer_dims[1:])) for _ in range(2)]
+    for rows in blocks:
+        h = x[rows] if features is None else x.feature_rows(rows, features)
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            out = buffers[k % 2][: h.shape[0] * w.shape[0]].reshape(h.shape[0], w.shape[0])
+            h = np.dot(h, w.T, out=out)
+            h += b
+            if k < len(net.weights) - 1:
+                np.maximum(h, 0.0, out=h)
+        h -= h.max(axis=1, keepdims=True)
+        np.exp(h, out=h)
+        h /= h.sum(axis=1, keepdims=True)
+        yield rows, h
 
 
-def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Posterior probabilities of a one-head network for a batch of feature rows.
+def forward_batch(net: Network, x: np.ndarray | FrameSet) -> np.ndarray:
+    """Posterior probabilities of a one-head network for a batch of feature
+    rows, or for the frames of a :class:`~polymap.data.FrameSet`.
 
     Rows are scored in near-equal blocks of at most ``_SCORE_ROWS``, so this
     holds the result plus one block's work, whatever the batch size.  BLAS
@@ -228,11 +240,13 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def predict_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Argmax labels for a batch; ties break toward the lowest label id.
+def predict_batch(net: Network, x: np.ndarray | FrameSet) -> np.ndarray:
+    """Argmax labels for a batch of feature rows or a frame set; ties break
+    toward the lowest label id.
 
     Equal to the argmax of :func:`forward_batch`, but only one block's
-    posteriors are held at a time, never the batch's.
+    posteriors are held at a time, never the batch's, and a frame set's
+    rows are read one block at a time, never copied whole.
     """
     x = _features(net, x)
     labels = np.empty(len(x), dtype=np.int64)
@@ -350,17 +364,20 @@ def _backprop(
 
 
 def _target_array(
-    net: Network, labels: np.ndarray, owners: np.ndarray, map_set: MapSet | None
+    net: Network, sets: list[tuple[int, np.ndarray]], map_set: MapSet | None
 ) -> np.ndarray:
-    """Every frame's label on every head, -1 where the head takes no loss:
-    its own head takes its label, and with a map set every other head the
-    label mapped from the frame's language to the head's."""
-    targets = np.full((labels.size, len(net.heads)), -1, dtype=np.int64)
-    targets[np.arange(labels.size), owners] = labels
-    if map_set is None:
-        return targets
-    for m in np.unique(owners):
-        rows = np.flatnonzero(owners == m)
+    """Every frame's label on every head, -1 where the head takes no loss,
+    for the frames of ``sets``, ``(head, labels)`` pairs, in order: its own
+    head takes its label, and with a map set every other head the label
+    mapped from the frame's language to the head's."""
+    targets = np.full((sum(labels.size for _, labels in sets), len(net.heads)), -1, np.int64)
+    stop = 0
+    for m, labels in sets:
+        rows = slice(stop, stop + labels.size)
+        stop = rows.stop
+        targets[rows, m] = labels
+        if map_set is None or not labels.size:
+            continue
         source, source_size = net.heads[m]
         for l, (language, size) in enumerate(net.heads):
             if l == m:
@@ -369,22 +386,42 @@ def _target_array(
             sizes = (label_map.source_inventory.size, label_map.target_inventory.size)
             if sizes != (source_size, size):
                 raise ShapeError(f"map {source!r}->{language!r} does not fit the head sizes")
-            targets[rows, l] = label_map.table[labels[rows]]
+            targets[rows, l] = label_map.table[labels]
     return targets
 
 
+def _take_rows(parts: list, starts: list[int], rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the feature rows ``rows`` into ``out``.  Rows ``0..n-1`` are the
+    rows ``index`` of each ``(array, index)`` of ``parts`` in turn; part ``p``
+    begins at row ``starts[p]``.  Each part's rows are taken from its array
+    with one ``take``; with several parts, ``rows`` are grouped by part
+    first, and each part's go to their places in ``out``."""
+    if len(parts) == 1:
+        array, index = parts[0]
+        array.take(index.take(rows), axis=0, out=out, mode="clip")
+        return
+    sorter = rows.argsort()
+    grouped = rows.take(sorter)
+    cuts = grouped.searchsorted(starts).tolist() + [rows.size]
+    for (array, index), start, lo, hi in zip(parts, starts, cuts, cuts[1:]):
+        if lo < hi:
+            grouped[lo:hi] -= start
+            out[sorter[lo:hi]] = array.take(index.take(grouped[lo:hi]), axis=0)
+
+
 def _sgd(
-    weights: list, biases: list, bounds: list[int], x: np.ndarray, targets: np.ndarray,
+    weights: list, biases: list, bounds: list[int], parts: list, targets: np.ndarray,
     cfg: TrainConfig,
 ) -> Iterator[tuple[int, float, float, np.ndarray]]:
     """Mini-batch SGD on the summed loss of :func:`_backprop`; the one
     driver of :func:`_plan`, :func:`_target_slots` and :func:`_backprop`.
 
-    The arrays in ``weights`` and ``biases`` are replaced by views of one
-    contiguous parameter buffer, which is trained in place: each step
-    writes the gradient into a buffer of the same layout and updates all
-    parameters with two operations over the flat buffers.  The result is
-    bit-identical to updating each array on its own.
+    The training rows are those of :func:`_take_rows` over ``parts``, with
+    a row of ``targets`` each.  The arrays in ``weights`` and ``biases`` are
+    replaced by views of one contiguous parameter buffer, which is trained
+    in place: each step writes the gradient into a buffer of the same
+    layout and updates all parameters with two operations over the flat
+    buffers.  The result is bit-identical to updating each array on its own.
 
     Each epoch's shuffled rows are taken in blocks of whole batches, at most
     :data:`_STEP_ROWS` rows (or one batch, if larger).  A block gathers its
@@ -401,13 +438,15 @@ def _sgd(
     grad, grad_views = _flatten(views)
     grads_w, grads_b = grad_views[: len(weights)], grad_views[len(weights) :]
     rng = np.random.default_rng(cfg.shuffle_seed)
-    n, batch = x.shape[0], cfg.batch_size
+    n, batch = targets.shape[0], cfg.batch_size
     # One plan for the full batches and one for a shorter last batch.
     plans = {
         size: _plan(weights, biases, grads_w, grads_b, bounds, size)
         for size in {min(batch, n), n % batch or batch}
     }
     block = max(batch, _STEP_ROWS // batch * batch)
+    starts = np.cumsum([0] + [len(index) for _, index in parts[:-1]]).tolist()
+    xs = np.empty((min(block, n), weights[0].shape[1]))
     losses = np.empty((min(block, n), targets.shape[1]))
     batch_values = batch * targets.shape[1]
     frame_losses = np.empty(targets.shape)
@@ -419,13 +458,14 @@ def _sgd(
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, n, block):
                 rows = order[first : first + block]
-                xs = x.take(rows, axis=0)
+                x = xs[: rows.size]
+                _take_rows(parts, starts, rows, x)
                 hot, masks = _target_slots(targets.take(rows, axis=0), plans[min(batch, n)], batch)
                 for start in range(0, rows.size, batch):
                     size = min(batch, rows.size - start)
                     step = slice(start, start + size)
                     _backprop(
-                        plans[size], xs[step], hot[step],
+                        plans[size], x[step], hot[step],
                         masks and (masks[0][step], masks[1][step]), losses[step],
                     )
                     grad *= lr / size
@@ -436,6 +476,7 @@ def _sgd(
                 if full < rows.size:
                     loss_total += float(losses[full : rows.size].sum())
                 frame_losses[rows] = losses[: rows.size]
+        del order, rows  # not held while the caller reads the epoch's losses
         mean_loss = loss_total / n
         if not (math.isfinite(mean_loss) and np.isfinite(params).all()):
             raise NonFiniteLossError(
@@ -452,10 +493,9 @@ def _train(
     targets of :func:`_target_array`; the trained network and its
     :class:`EpochStats` per epoch.
 
-    Each set is checked against its language's head.  One set, or sets that
-    are consecutive row slices of one buffer in head order (as
-    :meth:`~polymap.corpus.MultiCorpus.gather` gives them), are trained on
-    in place; others are concatenated first.
+    Each set is checked against its language's head.  The sets' feature
+    rows are read where they are: each ``(array, rows)`` of their
+    ``parts``, in head order, is one part of :func:`_sgd`'s rows.
     """
     sizes = dict(net.heads)
     unknown = [lang for lang in frames_by_language if lang not in sizes]
@@ -465,10 +505,10 @@ def _train(
         if fs.language != lang:
             raise UnknownLanguageError(f"frames of {fs.language!r} given to the {lang!r} head")
     present = [lang for lang in sizes if lang in frames_by_language]
-    parts = [frames_by_language[lang] for lang in present]
-    if sum(len(fs) for fs in parts) == 0:
+    sets = [frames_by_language[lang] for lang in present]
+    if sum(len(fs) for fs in sets) == 0:
         raise EmptyDataError("no frames to train on")
-    for lang, fs in zip(present, parts):
+    for lang, fs in zip(present, sets):
         if fs.feature_dim != net.input_dim:
             raise ShapeError(
                 f"{lang} features have dim {fs.feature_dim}, network expects {net.input_dim}"
@@ -476,20 +516,24 @@ def _train(
         if len(fs) and (fs.labels.min() < 0 or fs.labels.max() >= sizes[lang]):
             raise LabelRangeError(f"{lang} labels must lie in 0..{sizes[lang] - 1}")
 
-    x = join_rows([fs.features for fs in parts])
-    labels = join_rows([fs.labels for fs in parts])
-    owners = np.concatenate(
-        [np.full(len(fs), net.head_index(lang), np.int64) for lang, fs in zip(present, parts)]
-    )
-    targets = _target_array(net, labels, owners, map_set)
+    parts = [
+        (array, np.arange(len(array)) if rows is None else rows)
+        for fs in sets for array, rows in fs.parts
+    ]
+    heads = [net.head_index(lang) for lang in present]
+    targets = _target_array(net, [(m, fs.labels) for m, fs in zip(heads, sets)], map_set)
     weights, biases = list(net.weights), list(net.biases)
-    counts = np.bincount(owners, minlength=len(net.heads))
     history = []
-    for epoch, lr, mean_loss, frame_losses in _sgd(weights, biases, net.bounds, x, targets, cfg):
-        sums = np.bincount(owners, weights=frame_losses.sum(axis=1), minlength=len(counts))
-        per_language = {
-            lang: float(sums[l] / counts[l]) for l, (lang, _) in enumerate(net.heads) if counts[l]
-        }
+    for epoch, lr, mean_loss, frame_losses in _sgd(
+        weights, biases, net.bounds, parts, targets, cfg
+    ):
+        per_language, stop = {}, 0
+        for lang, fs in zip(present, sets):
+            rows = slice(stop, stop + len(fs))
+            stop = rows.stop
+            if len(fs):  # the frames' losses summed one after another, in frame order
+                total = np.add.accumulate(frame_losses[rows].sum(axis=1))[-1]
+                per_language[lang] = float(total / len(fs))
         history.append(EpochStats(epoch, lr, mean_loss, per_language))
     return Network(list(net.layer_dims), weights, biases, list(net.heads), net.seed), history
 

@@ -19,12 +19,12 @@ same arrays, dtypes and errors.  :func:`reference_forward_batch` scores a
 whole batch in one call and :func:`reference_write_npz` builds each
 archive member in memory; the package's blocked scorer and streaming
 writer must give the same bytes.  :func:`reference_pool_and_relabel`
-copies each language's split, relabels the sources and concatenates the
-copies; the package's one-buffer pooler must give the same arrays.
+copies each language's split out of the corpus (:func:`copied`), relabels
+the sources and concatenates the copies; the package's pooler, whose set
+reads its rows from the corpus's arrays, must give the same arrays.
 :func:`reference_mt_train` feeds multi-head training a copy of each
-language's split, which it concatenates into a second copy; training on
-the package's one gathered buffer must give the same network in less
-memory, as :func:`traced_peak` measures it.
+language's split; training on the package's views of the corpus must give
+the same network in less memory, as :func:`traced_peak` measures it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from polymap.data import FrameSet
 from polymap.errors import LabelRangeError, RangeError, ShapeError
 from polymap.mapping import MapSet, apply_map, realign_with_phone_map
 from polymap.multitask import train_multihead
-from polymap.nnet import TrainConfig, lr_at_epoch, relu, softmax
+from polymap.nnet import TrainConfig, lr_at_epoch
 
 
 def head_languages(net) -> list[str]:
@@ -291,6 +291,17 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stabilized softmax of a 2-d logit array."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def reference_forward_batch(net, x: np.ndarray) -> np.ndarray:
     """Posterior probabilities of every row of ``x``, scored in one call."""
     h = np.asarray(x, dtype=np.float64)
@@ -309,20 +320,25 @@ def reference_write_npz(path, arrays: dict[str, np.ndarray]) -> None:
             zf.writestr(info, buf.getvalue())
 
 
+def copied(frames: FrameSet) -> FrameSet:
+    """``frames`` with its feature rows copied into one array of its own."""
+    return FrameSet(frames.language, frames.features.copy(), frames.labels, frames.utterance_ids)
+
+
 def reference_pool_and_relabel(corpus, split, target, maps, mapper) -> FrameSet:
     """Each map's source split copied out and relabeled (a phone map by
     realignment), then concatenated with a copy of the target's split."""
     pieces = []
     for label_map in maps:
         source = label_map.source_inventory.task_id
-        frames = corpus.subset(source, split)
+        frames = copied(corpus.subset(source, split))
         if label_map.source_inventory.kind == "phone":
             g_tables = corpus.g_tables[source], corpus.g_tables[target]
             frames = realign_with_phone_map(mapper, frames, label_map, *g_tables)
         else:
             frames = apply_map(frames, label_map)
         pieces.append(frames)
-    pieces.append(corpus.subset(target, split))
+    pieces.append(copied(corpus.subset(target, split)))
     return FrameSet(
         target,
         np.concatenate([fs.features for fs in pieces], axis=0),
@@ -332,9 +348,8 @@ def reference_pool_and_relabel(corpus, split, target, maps, mapper) -> FrameSet:
 
 
 def reference_mt_train(net, corpus, split, cfg, map_set=None):
-    """Multi-head training on a ``subset`` copy of each head's language's
-    ``split``, which :func:`train_multihead` concatenates into one more copy."""
-    frames = {lang: corpus.subset(lang, split) for lang in head_languages(net)}
+    """Multi-head training on a copy of each head's language's ``split``."""
+    frames = {lang: copied(corpus.subset(lang, split)) for lang in head_languages(net)}
     return train_multihead(net, frames, cfg, map_set)
 
 

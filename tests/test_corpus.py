@@ -20,16 +20,17 @@ import polymap as pm
 from polymap import corpus as corpus_module
 from polymap._npz import read_npz, write_npz
 from polymap.corpus import FRAMES_PER_UTTERANCE
-from polymap.data import join_rows
 from polymap.errors import (
     ArtifactError,
     FractionError,
     InventoryError,
     LabelRangeError,
     PolymapError,
+    ShapeError,
     SynthSpecError,
 )
 from target_oracles import (
+    copied,
     reference_pool_and_relabel,
     reference_read_text,
     reference_write_npz,
@@ -334,8 +335,9 @@ class TestPooling:
     @pytest.mark.parametrize("kind", ["senone", "phone"])
     def test_holds_the_pooled_set_once(self, kind):
         # Two sources of 8,640 training frames each and the target's: the
-        # pooled arrays are 8.7 MB, and a copy of each split first would
-        # double that.  Only phone maps score frames, one block at a time.
+        # pooled set's labels and utterance ids are 0.4 MB and its row index
+        # 0.2 MB; its features stay in the corpus, where a copy would take
+        # 8.3 MB.  Only phone maps score frames, one block at a time.
         spec = pm.SynthSpec(
             num_languages=3, feature_dim=40, phones_per_language=12, senones_per_phone=3,
             shared_phone_fraction=1.0, frames_per_senone=300, seed=11,
@@ -348,7 +350,7 @@ class TestPooling:
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         block = corpus.frames["lang0"].features[:1024]
         scoring = traced_peak(pm.forward_batch, mapper, block)[1] if kind == "phone" else 0
-        bound = n * (40 + 2) * 8 + scoring + 1_000_000
+        bound = n * 2 * 8 + scoring + 1_000_000
         for pool, fits in ((pm.pool_and_relabel, True), (reference_pool_and_relabel, False)):
             pooled, peak = traced_peak(pool, corpus, "train", "lang0", maps, mapper)
             assert len(pooled) == n
@@ -378,8 +380,10 @@ class TestGather:
                 got, expected = getattr(got_set, column), getattr(frames, column)[rows]
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
-        for column in ("features", "labels", "utterance_ids"):
-            assert_consecutive_slices([getattr(fs, column) for fs in sets])
+        for lang, fs in zip(languages, sets):  # views: the features stay in the corpus
+            ((array, rows),) = fs.parts
+            assert np.shares_memory(array, corpus.frames[lang].features)
+            assert not np.shares_memory(fs.features, array)
 
     def test_unknown_language_or_split(self):
         corpus = pm.split_corpus(tiny_corpus(), {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
@@ -387,22 +391,6 @@ class TestGather:
             corpus.gather(["a", "zz"], "train")
         with pytest.raises(FractionError):
             corpus.gather(["a"], "training")
-
-
-def assert_consecutive_slices(parts):
-    """``parts`` are consecutive row slices, in order, of one whole array,
-    which :func:`~polymap.data.join_rows` returns as a view.  (An empty
-    slice may point anywhere.)"""
-    base = parts[0].base
-    assert base.flags.owndata and base.flags.c_contiguous
-    end = base.ctypes.data
-    for part in parts:
-        assert part.base is base and part.flags.c_contiguous
-        assert part.ctypes.data == end or part.size == 0
-        end += part.nbytes
-    assert end == base.ctypes.data + base.nbytes
-    joined = join_rows(parts)
-    assert joined.ctypes.data == base.ctypes.data and joined.nbytes == base.nbytes
 
 
 def truth_map(corpus, kind, source, target):
@@ -440,6 +428,105 @@ def pooling_world():
         maps["phone"].append(pm.phone_map(counts, corpus.g_tables[source], corpus.g_tables[target]))
         maps["manual"].append(truth_map(corpus, "phone", source, target))
     return corpus, mapper, maps
+
+
+def without_train(corpus, lang):
+    """``corpus`` with ``lang``'s train utterances moved into its dev split."""
+    by_name = corpus.splits[lang]
+    moved = {"dev": by_name["train"] + by_name["dev"], "test": by_name["test"]}
+    return dataclasses.replace(corpus, splits={**corpus.splits, lang: moved})
+
+
+def assert_same_training(got, want):
+    (got_net, got_hist), (want_net, want_hist) = got, want
+    for a, b in zip(got_net.weights + got_net.biases, want_net.weights + want_net.biases):
+        assert a.tobytes() == b.tobytes()
+    assert got_hist == want_hist
+
+
+class TestViews:
+    """Sets whose feature rows stay in the corpus's arrays train and score
+    byte-identically to copies of those rows.  The pooled sets hold 400 rows
+    of each of three languages (none of lang2's when it has no train
+    split): every training block of 252 or 280 rows and both scoring blocks
+    draw on several of them."""
+
+    @pytest.mark.parametrize("rows", [[0, 5], [-1], [[0, 1]]], ids=["past the end", "negative", "2-d"])
+    def test_a_view_of_rows_outside_its_array_is_refused(self, rows):
+        # scoring and training take a view's rows with mode "clip", which never raises
+        with pytest.raises(ShapeError, match="1-d index into 5 rows"):
+            pm.FrameSet.view("a", [(np.zeros((5, 2)), np.array(rows))], [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
+    @pytest.mark.parametrize("kind", ["senone", "phone"])
+    def test_pooled_view_reads_the_corpus(self, pooling_world, kind, empty):
+        corpus, mapper, maps = pooling_world
+        corpus = without_train(corpus, "lang2") if empty else corpus
+        pooled = pm.pool_and_relabel(corpus, "train", "lang0", maps[kind], mapper)
+        assert len(pooled) == (800 if empty else 1200)
+        for (array, rows), lang in zip(pooled.parts, ("lang1", "lang2", "lang0")):
+            assert array is corpus.frames[lang].features
+            assert len(rows) == (0 if empty and lang == "lang2" else 400)
+        assert not np.shares_memory(pooled.features, corpus.frames["lang0"].features)
+        reference = reference_pool_and_relabel(corpus, "train", "lang0", maps[kind], mapper)
+        assert pooled.features.tobytes() == reference.features.tobytes()
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
+    @pytest.mark.parametrize("batch_size", [36, 280], ids=["short tail", "batch over a block"])
+    def test_pooled_view_trains_like_a_copy(self, pooling_world, batch_size, empty):
+        corpus, mapper, maps = pooling_world
+        corpus = without_train(corpus, "lang2") if empty else corpus
+        pooled = pm.pool_and_relabel(corpus, "train", "lang0", maps["senone"], mapper)
+        assert len(pooled) % batch_size  # a short last batch
+        net = pm.init_network([8, 16], [("lang0", 10)], seed=31)
+        cfg = pm.TrainConfig(epochs=2, batch_size=batch_size, shuffle_seed=32)
+        assert_same_training(pm.train(net, pooled, cfg), pm.train(net, copied(pooled), cfg))
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
+    @pytest.mark.parametrize("mapped", [False, True], ids=["masked", "mapped"])
+    def test_gathered_views_train_like_copies(self, pooling_world, mapped, empty):
+        corpus, mapper, maps = pooling_world
+        corpus = without_train(corpus, "lang2") if empty else corpus
+        languages = ["lang2", "lang0", "lang1"]
+        frames = dict(zip(languages, corpus.gather(languages, "train")))
+        assert (len(frames["lang2"]) == 0) == empty
+        map_set = None
+        if mapped:
+            tables = {(a, b): [corpus.senone_truth[(a, b)][s] for s in range(10)]
+                      for a in languages for b in languages if a != b}
+            inventories = corpus.senone_inventories
+            map_set = pm.MapSet({
+                (a, b): pm.LabelMap(inventories[a], inventories[b], tables[(a, b)], "manual")
+                if a != b else pm.identity_map(inventories[a])
+                for a in languages for b in languages
+            })
+        net = pm.init_network([8, 16], [(lang, 10) for lang in languages], seed=33)
+        cfg = dataclasses.replace(pm.MT_RECIPE, epochs=2, shuffle_seed=34)
+        copies = {lang: copied(fs) for lang, fs in frames.items()}
+        assert_same_training(pm.train_multihead(net, frames, cfg, map_set),
+                             pm.train_multihead(net, copies, cfg, map_set))
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
+    def test_a_view_scores_like_a_copy(self, pooling_world, empty):
+        corpus, mapper, maps = pooling_world
+        corpus = without_train(corpus, "lang2") if empty else corpus
+        pooled = pm.pool_and_relabel(corpus, "train", "lang0", maps["senone"], mapper)
+        copy = copied(pooled)
+        inventory = corpus.senone_inventories["lang0"]
+        counts = [pm.accumulate_confusion(mapper, fs, inventory, inventory).counts
+                  for fs in (pooled, copy)]
+        assert counts[0].tobytes() == counts[1].tobytes()
+        # the pooled rows as lang1 frames of lang1 senones (both have 10)
+        g_tables = corpus.g_tables["lang1"], corpus.g_tables["lang0"]
+        realigned = [
+            pm.realign_with_phone_map(mapper, fs.relabeled("lang1", fs.labels), maps["phone"][0],
+                                      *g_tables).labels
+            for fs in (pooled, copy)
+        ]
+        assert realigned[0].tobytes() == realigned[1].tobytes()
+        assert pm.frame_error_rate(mapper, pooled) == pm.frame_error_rate(mapper, copy)
+        for score in (pm.forward_batch, pm.predict_batch):
+            assert score(mapper, pooled).tobytes() == score(mapper, copy.features).tobytes()
 
 
 HEAD = "polymap-corpus 1\nfeature_dim 2\nlanguage a senones 2 phones 1\ngtable a 0 0\n"

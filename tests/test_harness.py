@@ -12,7 +12,7 @@ import pytest
 
 import polymap as pm
 from polymap import cli, harness
-from polymap.errors import ConfigError, EmptyDataError, MissingBaselineError
+from polymap.errors import ArtifactError, ConfigError, EmptyDataError, MissingBaselineError
 from polymap.harness import derive_seed
 
 TINY_SYNTH = {
@@ -265,6 +265,19 @@ class TestEmitTable:
     def test_missing_baseline(self):
         with pytest.raises(MissingBaselineError):
             harness.emit_table([make_row("senone-map")])
+
+    @pytest.mark.parametrize("other", [{"target": "lang2"}, {"sources": ("lang2",)}])
+    def test_rows_of_two_targets_or_source_lists_are_refused(self, other):
+        rows = [make_row("baseline"), make_row("senone-map"),
+                dataclasses.replace(make_row("senone-map", seed=1), **other)]
+        with pytest.raises(ArtifactError, match="one target and one source list"):
+            harness.emit_table(rows)
+
+    def test_baseline_sources_are_not_compared(self):
+        # a baseline trains on the target alone, whatever its config's sources
+        rows = [dataclasses.replace(make_row("baseline"), sources=()), make_row("senone-map")]
+        assert [r["method"] for r in harness.emit_table(rows)[1]["rows"]] == [
+            "baseline", "senone-map"]
 
     def test_text_and_payload_round_trip(self, tmp_path):
         rows = [make_row("baseline"), make_row("senone-map", test=18.0)]
@@ -725,6 +738,44 @@ class TestCli:
         err = self.one_error_line(capsys, ["report", "--config", str(path), "--rows", str(copy)])
         other = rows / "baseline_seed1.json"
         assert err == f"ArtifactError: {copy} and {other} both hold a row of baseline seed 1"
+
+    @pytest.mark.parametrize("other,method", [
+        ({"target": "lang2"}, "baseline"), ({"target": "lang2"}, "senone-map"),
+        ({"sources": ("lang2",)}, "senone-map"),
+    ])
+    def test_report_refuses_a_row_of_another_target_or_sources(
+        self, tmp_path, capsys, other, method
+    ):
+        # a lang0 config whose rows directory also holds a row of another setting
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method))
+        paths = harness.RunPaths(tmp_path / "run")
+        harness.write_row(make_row(method, seed=0, test=30.0), paths.row(method, 0))
+        stray = dataclasses.replace(make_row(method, seed=1, test=70.0), **other)
+        harness.write_row(stray, paths.row(method, 1))
+        err = self.one_error_line(capsys, ["report", "--config", str(path)])
+        assert err.startswith(f"ArtifactError: {paths.row(method, 1)} holds a row of target ")
+        assert not paths.report_json.exists()
+
+    @pytest.mark.parametrize("method,sources", [
+        ("baseline", []), ("senone-map", ["lang1", "lang2"]),
+    ])
+    def test_report_takes_matrix_rows_of_one_setting(self, tmp_path, capsys, method, sources):
+        # matrix rows: every method's sources are the other languages, and each
+        # seed's config hash differs, since the corpus path is hashed
+        path = write_config(tmp_path, tiny_config(tmp_path, method=method, sources=sources))
+        matrix = tmp_path / "matrix"
+        for seed in (0, 1):
+            for name in ("baseline", "senone-map"):
+                row = dataclasses.replace(
+                    make_row(name, seed=seed, test=20.0 + seed), sources=("lang1", "lang2"),
+                    config_hash=f"{name}-{seed}",
+                )
+                harness.write_row(row, matrix / f"{name}_seed{seed}.json")
+        assert cli.main(["report", "--config", str(path), "--rows", str(matrix)]) == 0
+        capsys.readouterr()
+        report = json.loads(harness.RunPaths(tmp_path / "run").report_json.read_text())
+        assert [(r["method"], r["seeds"], r["test_frame_error"]) for r in report["rows"]] == [
+            ("baseline", [0, 1], 20.5), ("senone-map", [0, 1], 20.5)]
 
     def test_pool_train_without_maps_fails_cleanly(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path, method="senone-map"))

@@ -374,7 +374,7 @@ class TestRealign:
         net, frames, pmap, g_src, g_tgt = recipe_realignment(10, seed=1)
         args = {"frames": frames, "g_source": g_src, "g_target": g_tgt}
         if part == "frames":
-            args[part] = dataclasses.replace(frames, language="other")
+            args[part] = frames.relabeled("other", frames.labels)
         else:
             args[part] = dataclasses.replace(args[part], task_id="other")
         with pytest.raises(InventoryError, match=f"'other', not '{language}'"):

@@ -9,7 +9,6 @@ import pytest
 
 import polymap as pm
 from polymap._npz import write_npz
-from polymap.data import join_rows
 from polymap.errors import (
     EmptyDataError,
     IncompleteMapSetError,
@@ -507,7 +506,7 @@ def senone_truth_maps(corpus):
 
 
 def gathered_mt_train(net, corpus, split, cfg, map_set=None):
-    """Multi-head training on every head's language's ``split``, gathered into one buffer."""
+    """Multi-head training on every head's language's ``split``, read in place from the corpus."""
     languages = head_languages(net)
     frames = dict(zip(languages, corpus.gather(languages, split)))
     return pm.train_multihead(net, frames, cfg, map_set)
@@ -527,8 +526,9 @@ class TestTrainInPlace:
     def test_sets_in_one_buffer_train_like_copies(self, layout):
         net, frames, map_set = TestTrainMultihead.two_languages()
         sets, features = laid_out(frames, layout)
-        x = join_rows([sets[lang].features for lang in head_languages(net)])
-        assert np.shares_memory(x, features) == (layout == "consecutive")
+        for fs in sets.values():  # whole-array sets whose arrays are slices of one buffer
+            ((array, rows),) = fs.parts
+            assert rows is None and np.shares_memory(array, features)
         cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=3)
         for maps in (None, map_set):
             want = pm.train_multihead(net, frames, cfg, maps)
@@ -536,17 +536,18 @@ class TestTrainInPlace:
 
     @pytest.mark.parametrize("mode", ["masked", "mapped"])
     def test_holds_the_training_set_once(self, mode):
-        # Three languages of 8,640 training frames each: the gathered arrays
-        # are 8.7 MB, and a copy of each split first would nearly double that.
+        # Three languages of 8,640 training frames each: the gathered sets'
+        # labels and utterance ids are 0.4 MB and their row indexes 0.2 MB;
+        # their features stay in the corpus, where a copy would take 8.3 MB.
         corpus = mt_corpus(feature_dim=40, frames_per_senone=300)
         map_set = senone_truth_maps(corpus) if mode == "mapped" else None
         net = pm.init_network([40, 64, 64], [(lang, 36) for lang in corpus.languages], seed=13)
         cfg = replace(pm.MT_RECIPE, epochs=1, batch_size=64, shuffle_seed=14)
         n = sum(len(corpus.subset(lang, "train")) for lang in corpus.languages)
         heads = len(corpus.languages)
-        # features, labels and utterance ids; then targets, the epoch's one
-        # loss array, the owners and the shuffle order
-        bound = n * (40 + 2) * 8 + n * (2 * heads + 2) * 8 + 1_000_000
+        # labels and utterance ids; then targets, the epoch's one loss array,
+        # the row indexes and the shuffle order
+        bound = n * 2 * 8 + n * (2 * heads + 2) * 8 + 1_000_000
         runs = {}
         for train, fits in ((gathered_mt_train, True), (reference_mt_train, False)):
             runs[train], peak = traced_peak(train, net, corpus, "train", cfg, map_set)

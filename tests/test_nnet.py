@@ -343,7 +343,9 @@ class TestFusedStep:
         weights, biases = list(net.weights), list(net.biases)
         fused = [
             (loss, frame_losses.copy())
-            for _, _, loss, frame_losses in _sgd(weights, biases, bounds, x, targets, cfg)
+            for _, _, loss, frame_losses in _sgd(
+                weights, biases, bounds, [(x, np.arange(n))], targets, cfg
+            )
         ]
         ref_weights = [w.copy() for w in net.weights]
         ref_biases = [b.copy() for b in net.biases]
