@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ArtifactError
 
 _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
+# Bytes of a member read at a time by read_into.
+_READ_BYTES = 1 << 16
 
 
 @contextmanager
@@ -51,17 +53,21 @@ def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(dest, array, allow_pickle=False)
 
 
-def read_npz(path: str | Path) -> dict[str, np.ndarray]:
-    """All members of an ``.npz`` archive; :class:`ArtifactError` naming
-    the path if it is missing, a directory, truncated, damaged or not an archive."""
+@contextmanager
+def reading_npz(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
+    """The ``.npz`` archive ``path``, open; :class:`ArtifactError` naming the
+    path if it is missing, a directory, truncated, damaged or not an
+    archive, or if reading a member of it within the block fails so."""
     if not zipfile.is_zipfile(path):
         found = Path(path)
         problem = ("is a directory" if found.is_dir() else
                    "truncated or not an .npz archive" if found.exists() else "no such file")
         raise ArtifactError(f"cannot read {path}: {problem}")
     try:
-        with np.load(path, allow_pickle=False) as data:
-            return {name: data[name] for name in data.files}
+        # Opened here, not by np.load, which leaves the file open if the
+        # archive's central directory does not parse.
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as data:
+            yield data
     # zipfile raises NotImplementedError for an unknown compression method or
     # zip version and RuntimeError for a member flagged as encrypted.  numpy
     # raises TokenError for a member header with unbalanced brackets and
@@ -69,3 +75,28 @@ def read_npz(path: str | Path) -> dict[str, np.ndarray]:
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, NotImplementedError,
             RuntimeError, SyntaxError, tokenize.TokenError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
+
+
+def read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """All members of an ``.npz`` archive; :class:`ArtifactError` as
+    :func:`reading_npz` raises it."""
+    with reading_npz(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+def read_into(data: np.lib.npyio.NpzFile, name: str, out: np.ndarray) -> None:
+    """Read the member ``name`` of an open archive into ``out``, a C-contiguous
+    array of the member's shape and dtype, a chunk at a time and to the
+    member's end, where zipfile checks its CRC; ``ValueError`` if the member
+    is not such an array, ``KeyError`` if there is none."""
+    with data.zip.open(name + ".npy") as f:
+        # Versions 2.0 and 3.0 differ only in the header text's encoding.
+        version = np.lib.format.read_magic(f)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        if read_header(f) != (out.shape, False, out.dtype):
+            raise ValueError(f"member {name} is not a {out.dtype} array of shape {out.shape}")
+        view = out.reshape(-1).view(np.uint8)
+        chunks = range(0, len(view), _READ_BYTES)
+        if sum(f.readinto(view[at : at + _READ_BYTES]) for at in chunks) < len(view) or f.read(1):
+            raise ValueError(f"member {name} does not hold {len(view)} bytes of values")

@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._npz import open_artifact, read_npz, write_npz
+from ._npz import open_artifact, read_into, reading_npz, write_npz
 from ._schema import checked, decoded
-from .data import FrameSet, LabelInventory, SenoneToPhoneTable
+from .data import FrameSet, LabelInventory, SenoneToPhoneTable, joined
 from .errors import (
     ArtifactError,
     FractionError,
@@ -126,8 +126,12 @@ class MultiCorpus:
     generator's cross-language answer key, if any.  ``provenance`` records
     what the corpus was made from (``synth`` stamps it; text files drop it).
     Construction checks one frame set and table per language, ``feature_dim``
-    values per frame, labels in the senone range, an answer key between two of
-    the languages in their phone or senone ranges, and disjoint splits.
+    (at least 1) values per frame, labels in the senone range, an answer key
+    between two of the languages in their phone or senone ranges, and
+    disjoint splits of utterances the language has.  ``features`` holds every
+    language's frames as consecutive row blocks, in ``languages`` order, and
+    ``frames[lang]`` is a whole-array set over its block: sets that are such
+    blocks already stay in place, and sets of separate arrays are joined.
     """
 
     languages: list[str]
@@ -138,11 +142,14 @@ class MultiCorpus:
     phone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
     senone_truth: dict[tuple[str, str], dict[int, int]] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    features: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         langs = set(self.languages)
         if len(langs) != len(self.languages) or not langs == set(self.frames) == set(self.g_tables):
             raise InventoryError(f"languages {self.languages} need one frame set and table each")
+        if self.feature_dim < 1:
+            raise ShapeError(f"feature_dim must be >= 1, got {self.feature_dim}")
         for lang in self.languages:
             labels, senones = self.frames[lang].labels, self.g_tables[lang].num_senones
             if self.frames[lang].feature_dim != self.feature_dim:
@@ -163,10 +170,26 @@ class MultiCorpus:
             utts = [u for ids in by_name.values() for u in ids]
             if lang not in langs or set(by_name) - {*SPLIT_NAMES} or len(set(utts)) < len(utts):
                 raise FractionError(f"{lang} splits must be {SPLIT_NAMES}, each utterance in one")
+            known = np.isin(utts, self.frames[lang].utterance_ids)
+            if not known.all():
+                raise FractionError(f"{lang} splits name utterance {utts[int(known.argmin())]}, "
+                                    f"which {lang} does not have")
         self.splits = {
             lang: {name: sorted(by_name.get(name, ())) for name in SPLIT_NAMES}
             for lang, by_name in self.splits.items()
         }
+        sets = [self.frames[lang] for lang in self.languages]
+        self.features = (joined([fs.features for fs in sets]) if sets
+                         else np.empty((0, self.feature_dim)))
+        stops = self._starts()
+        self.frames = {
+            lang: FrameSet(lang, self.features[start:stop], fs.labels, fs.utterance_ids)
+            for lang, fs, start, stop in zip(self.languages, sets, stops, stops[1:])
+        }
+
+    def _starts(self) -> list[int]:
+        """Each language's first row in :attr:`features`, then the row count."""
+        return np.cumsum([0] + [len(self.frames[lang]) for lang in self.languages]).tolist()
 
     @property
     def senone_inventories(self) -> dict[str, LabelInventory]:
@@ -183,11 +206,12 @@ class MultiCorpus:
     def gather(self, languages: Sequence[str], split: str) -> list[FrameSet]:
         """Each of ``languages``' ``split`` frames, in frame order, in
         ``languages`` order.  Each set is a :meth:`~polymap.data.FrameSet.view`
-        whose feature rows stay in the corpus's array: it holds its own labels
-        and utterance ids and an index of its rows."""
+        of :attr:`features`: it holds its own labels and utterance ids and an
+        index of its rows, offset to the start of its language's block."""
         if split not in SPLIT_NAMES:
             raise FractionError(f"unknown split {split!r}")
-        sets = []
+        starts = dict(zip(self.languages, self._starts()))
+        columns, pieces = [], []
         for lang in languages:
             if lang not in self.frames:
                 raise InventoryError(f"corpus has no language {lang!r}")
@@ -195,9 +219,14 @@ class MultiCorpus:
                 raise PolymapError(f"corpus has no split tags for {lang!r}; run split_corpus")
             fs = self.frames[lang]
             rows = np.flatnonzero(np.isin(fs.utterance_ids, self.splits[lang][split]))
-            parts = [(fs.features, rows)]
-            sets.append(FrameSet.view(lang, parts, fs.labels[rows], fs.utterance_ids[rows]))
-        return sets
+            columns.append((lang, fs.labels[rows], fs.utterance_ids[rows]))
+            pieces.append(rows + starts[lang])
+        index = np.concatenate([np.empty(0, np.intp), *pieces])  # one index; a slice per set
+        cuts = np.cumsum([len(rows) for rows in pieces[:-1]], dtype=np.intp)
+        return [
+            FrameSet.view(lang, self.features, rows, labels, utterance_ids)
+            for (lang, labels, utterance_ids), rows in zip(columns, np.split(index, cuts))
+        ]
 
 
 def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
@@ -216,12 +245,14 @@ def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
     shared_offsets = pool_rng.normal(scale=SENONE_OFFSET_SCALE, size=(num_shared, K, D))
 
     languages = [f"lang{i}" for i in range(spec.num_languages)]
+    F = spec.frames_per_senone
+    blocks = _blocks([P * K * F] * spec.num_languages, D)
     frames: dict[str, FrameSet] = {}
     g_tables: dict[str, SenoneToPhoneTable] = {}
     phone_perms: dict[str, np.ndarray] = {}
     senone_perms: dict[str, np.ndarray] = {}
 
-    for lang, stream in zip(languages, streams[1:]):
+    for lang, stream, block in zip(languages, streams[1:], blocks):
         rng = np.random.default_rng(stream)
         private_centers = rng.normal(size=(P - num_shared, D))
         private_offsets = rng.normal(scale=SENONE_OFFSET_SCALE, size=(P - num_shared, K, D))
@@ -241,13 +272,14 @@ def generate_synthetic(spec: SynthSpec) -> MultiCorpus:
             g[senone_perm[canon]] = phone_perm[canon // K]
         g_tables[lang] = SenoneToPhoneTable(lang, g, num_phones=P)
 
-        F = spec.frames_per_senone
-        noise = rng.normal(scale=spec.cluster_spread, size=(P * K, F, D))
-        features = (senone_centers[:, None, :] + noise).reshape(P * K * F, D)
+        drawn = rng.normal(scale=spec.cluster_spread, size=(P * K, F, D))
+        drawn += senone_centers[:, None, :]
         labels = np.repeat(senone_perm, F)
         order = rng.permutation(P * K * F)
         utterance_ids = np.arange(P * K * F, dtype=np.int64) // FRAMES_PER_UTTERANCE
-        frames[lang] = FrameSet(lang, features[order], labels[order], utterance_ids)
+        # Every index is in range; mode "clip" only skips take's output copy.
+        drawn.reshape(P * K * F, D).take(order, axis=0, out=block, mode="clip")
+        frames[lang] = FrameSet(lang, block, labels[order], utterance_ids)
 
     phone_truth: dict[tuple[str, str], dict[int, int]] = {}
     senone_truth: dict[tuple[str, str], dict[int, int]] = {}
@@ -317,13 +349,13 @@ def pool_and_relabel(
     ``target``'s senones, followed by ``target``'s own frames of ``split``.
 
     The languages are read by :meth:`MultiCorpus.gather`, and the pooled set
-    is a view of their rows: its labels and utterance ids are its own, and
-    its features stay in the corpus's arrays.  Sources keep map order and the
-    target comes last.  A senone map relabels its source through
-    :func:`apply_map`.  A phone map (learned or manual) cannot give senone
-    labels on its own, so its source is realigned through ``mapper`` by
-    :func:`realign_with_phone_map`.  Every map must write into ``target``'s
-    inventory.
+    is one view of the corpus's array: its labels and utterance ids are its
+    own, and its index is the sources' rows followed by the target's.
+    Sources keep map order and the target comes last.  A senone map
+    relabels its source through :func:`apply_map`.  A phone map (learned or
+    manual) cannot give senone labels on its own, so its source is
+    realigned through ``mapper`` by :func:`realign_with_phone_map`.  Every
+    map must write into ``target``'s inventory.
     """
     for label_map in maps:
         if label_map.target_inventory.task_id != target:
@@ -339,7 +371,7 @@ def pool_and_relabel(
         else:
             pieces[i] = apply_map(pieces[i], label_map)
     return FrameSet.view(
-        target, [part for fs in pieces for part in fs.parts],
+        target, corpus.features, joined([fs.rows for fs in pieces]),
         np.concatenate([fs.labels for fs in pieces]),
         np.concatenate([fs.utterance_ids for fs in pieces]),
     )
@@ -397,10 +429,17 @@ def load_corpus(path: str | Path) -> MultiCorpus:
     path = Path(path)
     try:
         if path.suffix == ".npz":
-            arrays = read_npz(path)
-            meta = decoded(str(arrays["meta"][()]), f"{path} metadata", ArtifactError)
-            meta = checked(meta, _META_KINDS, f"{path} metadata", ArtifactError,
-                           header=(_CORPUS_FORMAT, _CORPUS_VERSION))
+            with reading_npz(path) as data:
+                names = [name for name in data.files if not name.startswith("features_")]
+                arrays = {name: data[name] for name in names}
+                meta = decoded(str(arrays["meta"][()]), f"{path} metadata", ArtifactError)
+                meta = checked(meta, _META_KINDS, f"{path} metadata", ArtifactError,
+                               header=(_CORPUS_FORMAT, _CORPUS_VERSION))
+                langs = meta["languages"]
+                sizes = [len(arrays[f"labels_{lang}"]) for lang in langs]
+                for lang, block in zip(langs, _blocks(sizes, meta["feature_dim"])):
+                    arrays[f"features_{lang}"] = block
+                    read_into(data, f"features_{lang}", block)
         else:
             meta, arrays = _read_text(path)
         langs, phones = meta["languages"], meta["num_phones"]
@@ -488,8 +527,12 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 if key == "frame":  # of a declared language, before the feature_dim line
                     raise ValueError(f"{len(parts) - 4} frame values, feature_dim None")
                 if key == "feature_dim":
+                    if int(lang) < 1 or len(parts) > 2:
+                        raise ValueError("feature_dim takes one integer >= 1")
                     frames.dim = meta["feature_dim"] = int(lang)
                 elif key == "language":
+                    if len(parts) != 6 or parts[2:5:2] != ["senones", "phones"]:
+                        raise ValueError("the form is 'language <name> senones <n> phones <m>'")
                     meta["languages"].append(lang)
                     senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
                     gtables[lang] = array("q")
@@ -510,15 +553,22 @@ def _read_text(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     if frames.dim is None:
         raise ValueError("no feature_dim line")
     arrays = {}
-    for lang, gtable in gtables.items():
+    blocks = _blocks([frames.count(lang) for lang in gtables], frames.dim)
+    for (lang, gtable), block in zip(gtables.items(), blocks):  # filled one by one
         if len(gtable) != senones[lang]:
             raise ValueError(f"{lang}: {senones[lang]} senones, gtable {len(gtable)}")
-        utterances, labels, features = frames.columns(lang)
+        utterances, labels = frames.columns(lang, block)
         arrays.update({
-            f"features_{lang}": features.reshape(len(labels), frames.dim), f"labels_{lang}": labels,
+            f"features_{lang}": block, f"labels_{lang}": labels,
             f"utterances_{lang}": utterances, f"gtable_{lang}": np.array(gtable),
         })
     return meta, arrays
+
+
+def _blocks(sizes: list[int], width: int) -> list[np.ndarray]:
+    """Consecutive row blocks of ``sizes`` rows each of one new array of
+    ``width`` columns, for a corpus's languages' frames to be written into."""
+    return np.split(np.empty((sum(sizes), width)), np.cumsum(sizes[:-1], dtype=np.intp))
 
 
 def _parse_chunk(numbers: list[int], rows: list[str], dim: int) -> tuple[np.ndarray, ...]:
@@ -622,12 +672,18 @@ class _FrameChunks:
         while len(self.chunks) > keep:
             self._parse_next()
 
-    def columns(self, lang: str) -> tuple[np.ndarray, ...]:
-        """A drained language's utterance ids, labels and flat features."""
+    def count(self, lang: str) -> int:
+        """A drained language's number of frames."""
+        return sum(len(piece[1]) for piece in self.parsed.get(lang, ()))
+
+    def columns(self, lang: str, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A drained language's utterance ids and labels; its features are
+        written into ``features``, an array of :meth:`count` rows."""
         pieces = self.parsed.pop(lang, [])
+        np.concatenate([np.empty(0), *(piece[2] for piece in pieces)], out=features.reshape(-1))
         return tuple(
-            np.concatenate([np.empty(0, dtype), *(piece[i] for piece in pieces)])
-            for i, dtype in enumerate((np.int64, np.int64, np.float64))
+            np.concatenate([np.empty(0, np.int64), *(piece[i] for piece in pieces)])
+            for i in (0, 1)
         )
 
     def _submit(self, job: tuple) -> Future | None:

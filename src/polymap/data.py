@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,45 +59,43 @@ class FrameSet:
     """Column-oriented batch of frames from a single language.
 
     Labels and utterance ids are arrays of their own.  The feature rows are
-    read from one or more feature arrays: ``parts`` lists ``(array, rows)``
-    pairs in frame order, where ``rows`` indexes the array's rows, or is
-    None for all of them.  ``FrameSet(language, features, labels,
-    utterance_ids)`` holds one whole array; :meth:`view` reads rows of
-    arrays held elsewhere, such as a corpus's, without copying them.
-    Training and scoring read the rows through ``parts``.
+    rows of one 2-d float64 ``array``: all of them, in order, where ``rows``
+    is None, else the rows ``rows`` indexes.  ``FrameSet(language, features,
+    labels, utterance_ids)`` holds one whole array; :meth:`view` reads rows
+    of an array held elsewhere, such as a corpus's, without copying them.
+    Training and scoring read the rows through ``array`` and ``rows``.
     """
 
     def __init__(
         self, language: str, features: np.ndarray, labels: np.ndarray, utterance_ids: np.ndarray
     ) -> None:
-        self._set(language, [(np.asarray(features, dtype=np.float64), None)], labels, utterance_ids)
+        self._set(language, np.asarray(features, dtype=np.float64), None, labels, utterance_ids)
 
     @classmethod
     def view(
-        cls, language: str, parts: Sequence[tuple[np.ndarray, np.ndarray | None]],
+        cls, language: str, array: np.ndarray, rows: np.ndarray | None,
         labels: np.ndarray, utterance_ids: np.ndarray,
     ) -> FrameSet:
-        """The frames whose features are, in order, the rows ``rows`` of each
-        ``(array, rows)`` of ``parts`` (all rows where ``rows`` is None)."""
+        """The frames whose features are the rows ``rows`` of ``array`` (all
+        of its rows where ``rows`` is None)."""
         fs = cls.__new__(cls)
-        fs._set(language, parts, labels, utterance_ids)
+        fs._set(language, array, rows, labels, utterance_ids)
         return fs
 
-    def _set(self, language: str, parts, labels: np.ndarray, utterance_ids: np.ndarray) -> None:
+    def _set(self, language: str, array: np.ndarray, rows, labels, utterance_ids) -> None:
         self.language = language
-        self.parts = [(a, None if rows is None else np.asarray(rows, np.intp)) for a, rows in parts]
+        self.array = array
+        self.rows = None if rows is None else np.asarray(rows, np.intp)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.utterance_ids = np.asarray(utterance_ids, dtype=np.int64)
-        if not self.parts:
-            raise ShapeError("a frame set needs at least one feature array")
-        for a, rows in self.parts:
-            if a.ndim != 2 or a.dtype != np.float64 or a.shape[1] != self.feature_dim:
-                raise ShapeError(f"features must be 2-d float64 of one width, got shape {a.shape}")
-            if rows is not None and (
-                rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < len(a)
-            ):
-                raise ShapeError(f"feature rows must be a 1-d index into {len(a)} rows")
-        n = sum(len(a if rows is None else rows) for a, rows in self.parts)
+        if array.ndim != 2 or array.dtype != np.float64:
+            raise ShapeError(f"features must be 2-d float64, got shape {array.shape}")
+        if self.rows is not None and (
+            self.rows.ndim != 1
+            or self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < len(array)
+        ):
+            raise ShapeError(f"feature rows must be a 1-d index into {len(array)} rows")
+        n = len(array if self.rows is None else self.rows)
         if self.labels.shape != (n,) or self.utterance_ids.shape != (n,):
             raise ShapeError("features, labels and utterance_ids must have matching lengths")
 
@@ -107,39 +104,39 @@ class FrameSet:
 
     @property
     def feature_dim(self) -> int:
-        return int(self.parts[0][0].shape[1])
+        return int(self.array.shape[1])
 
     @property
     def features(self) -> np.ndarray:
         """The feature rows as one array: the array itself for a whole-array
         set, else a copy."""
-        return self.feature_rows(slice(0, len(self)))
+        return self.array if self.rows is None else self.feature_rows(slice(0, len(self)))
 
     def feature_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """The features of the frames ``rows.start:rows.stop``: the rows of a
         whole array as they are, else a copy, written into the first rows of
         ``out`` if it is given."""
-        pieces, start = [], 0
-        for a, index in self.parts:
-            stop = start + len(a if index is None else index)
-            lo, hi = max(rows.start, start) - start, min(rows.stop, stop) - start
-            if lo < hi:
-                pieces.append((a, index, lo, hi))
-            start = stop
-        if len(pieces) == 1 and pieces[0][1] is None:
-            a, _, lo, hi = pieces[0]
-            return a if hi - lo == len(a) else a[lo:hi]
-        size = sum(hi - lo for *_, lo, hi in pieces)
-        copy = np.empty((size, self.feature_dim)) if out is None else out[:size]
-        at = 0
-        for a, index, lo, hi in pieces:
-            if index is None:
-                copy[at : at + hi - lo] = a[lo:hi]
-            else:
-                a.take(index[lo:hi], axis=0, out=copy[at : at + hi - lo], mode="clip")
-            at += hi - lo
-        return copy
+        if self.rows is None:
+            return self.array[rows]
+        index = self.rows[rows]
+        copy = np.empty((index.size, self.feature_dim)) if out is None else out[: index.size]
+        # Every index is in range; mode "clip" only skips take's output copy.
+        return self.array.take(index, axis=0, out=copy, mode="clip")
 
     def relabeled(self, language: str, labels: np.ndarray) -> FrameSet:
         """These frames' features and utterance ids, of ``language``, with ``labels``."""
-        return FrameSet.view(language, self.parts, labels, self.utterance_ids)
+        return FrameSet.view(language, self.array, self.rows, labels, self.utterance_ids)
+
+
+def joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(pieces)``, or, where the pieces are one array or
+    consecutive row blocks of one array that they make up whole, that
+    array itself: no copy."""
+    whole = pieces[0] if len(pieces) == 1 or pieces[0].base is None else pieces[0].base
+    stops = np.cumsum([0] + [len(piece) for piece in pieces]).tolist()
+    if isinstance(whole, np.ndarray) and len(whole) == stops[-1] and all(
+        piece.__array_interface__ == whole[start:stop].__array_interface__
+        for piece, start, stop in zip(pieces, stops, stops[1:])
+    ):
+        return whole
+    return np.concatenate(pieces)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from ._schema import checked, decoded, is_kind
-from .data import FrameSet
+from .data import FrameSet, joined
 from .errors import (
     ConfigError,
     EmptyDataError,
@@ -390,34 +390,15 @@ def _target_array(
     return targets
 
 
-def _take_rows(parts: list, starts: list[int], rows: np.ndarray, out: np.ndarray) -> None:
-    """Write the feature rows ``rows`` into ``out``.  Rows ``0..n-1`` are the
-    rows ``index`` of each ``(array, index)`` of ``parts`` in turn; part ``p``
-    begins at row ``starts[p]``.  Each part's rows are taken from its array
-    with one ``take``; with several parts, ``rows`` are grouped by part
-    first, and each part's go to their places in ``out``."""
-    if len(parts) == 1:
-        array, index = parts[0]
-        array.take(index.take(rows), axis=0, out=out, mode="clip")
-        return
-    sorter = rows.argsort()
-    grouped = rows.take(sorter)
-    cuts = grouped.searchsorted(starts).tolist() + [rows.size]
-    for (array, index), start, lo, hi in zip(parts, starts, cuts, cuts[1:]):
-        if lo < hi:
-            grouped[lo:hi] -= start
-            out[sorter[lo:hi]] = array.take(index.take(grouped[lo:hi]), axis=0)
-
-
 def _sgd(
-    weights: list, biases: list, bounds: list[int], parts: list, targets: np.ndarray,
-    cfg: TrainConfig,
+    weights: list, biases: list, bounds: list[int], array: np.ndarray, index: np.ndarray,
+    targets: np.ndarray, cfg: TrainConfig,
 ) -> Iterator[tuple[int, float, float, np.ndarray]]:
     """Mini-batch SGD on the summed loss of :func:`_backprop`; the one
     driver of :func:`_plan`, :func:`_target_slots` and :func:`_backprop`.
 
-    The training rows are those of :func:`_take_rows` over ``parts``, with
-    a row of ``targets`` each.  The arrays in ``weights`` and ``biases`` are
+    The training rows are the rows ``index`` of ``array``, with a row of
+    ``targets`` each.  The arrays in ``weights`` and ``biases`` are
     replaced by views of one contiguous parameter buffer, which is trained
     in place: each step writes the gradient into a buffer of the same
     layout and updates all parameters with two operations over the flat
@@ -445,7 +426,6 @@ def _sgd(
         for size in {min(batch, n), n % batch or batch}
     }
     block = max(batch, _STEP_ROWS // batch * batch)
-    starts = np.cumsum([0] + [len(index) for _, index in parts[:-1]]).tolist()
     xs = np.empty((min(block, n), weights[0].shape[1]))
     losses = np.empty((min(block, n), targets.shape[1]))
     batch_values = batch * targets.shape[1]
@@ -459,7 +439,8 @@ def _sgd(
             for first in range(0, n, block):
                 rows = order[first : first + block]
                 x = xs[: rows.size]
-                _take_rows(parts, starts, rows, x)
+                # Every index is in range; mode "clip" only skips take's output copy.
+                array.take(index.take(rows), axis=0, out=x, mode="clip")
                 hot, masks = _target_slots(targets.take(rows, axis=0), plans[min(batch, n)], batch)
                 for start in range(0, rows.size, batch):
                     size = min(batch, rows.size - start)
@@ -493,9 +474,10 @@ def _train(
     targets of :func:`_target_array`; the trained network and its
     :class:`EpochStats` per epoch.
 
-    Each set is checked against its language's head.  The sets' feature
-    rows are read where they are: each ``(array, rows)`` of their
-    ``parts``, in head order, is one part of :func:`_sgd`'s rows.
+    Each set is checked against its language's head.  Sets that read one
+    array, as every view of a corpus does, are trained where they are: the
+    training rows are their indexes, in head order, into that array.  Sets
+    of separate arrays are joined into one first.
     """
     sizes = dict(net.heads)
     unknown = [lang for lang in frames_by_language if lang not in sizes]
@@ -516,16 +498,20 @@ def _train(
         if len(fs) and (fs.labels.min() < 0 or fs.labels.max() >= sizes[lang]):
             raise LabelRangeError(f"{lang} labels must lie in 0..{sizes[lang] - 1}")
 
-    parts = [
-        (array, np.arange(len(array)) if rows is None else rows)
-        for fs in sets for array, rows in fs.parts
-    ]
+    arrays = {id(fs.array): fs.array for fs in sets if len(fs)}
+    if len(arrays) == 1:  # views of one array, such as a corpus's, read in place
+        (array,) = arrays.values()
+        index = joined([fs.rows if fs.rows is not None else np.arange(len(fs))
+                        for fs in sets if len(fs)])
+    else:  # sets of several arrays, joined once unless they are blocks of one
+        array = joined([fs.features for fs in sets])
+        index = np.arange(len(array))
     heads = [net.head_index(lang) for lang in present]
     targets = _target_array(net, [(m, fs.labels) for m, fs in zip(heads, sets)], map_set)
     weights, biases = list(net.weights), list(net.biases)
     history = []
     for epoch, lr, mean_loss, frame_losses in _sgd(
-        weights, biases, net.bounds, parts, targets, cfg
+        weights, biases, net.bounds, array, index, targets, cfg
     ):
         per_language, stop = {}, 0
         for lang, fs in zip(present, sets):

@@ -232,8 +232,10 @@ def reference_sgd(
 def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
     """A text corpus's metadata record and arrays, every line split and
     converted as it is read.  The ``feature_dim`` line, and each language's
-    ``language`` and ``gtable`` lines, may appear once.  A malformed line
-    raises ``ValueError`` naming its number."""
+    ``language`` and ``gtable`` lines, may appear once; ``feature_dim`` takes
+    one integer >= 1 and a ``language`` line is ``language <name> senones
+    <n> phones <m>``.  A malformed line raises ``ValueError`` naming its
+    number."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     columns: dict[str, dict[str, array]] = {}
@@ -263,8 +265,12 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
                     column["labels"].append(int(parts[3]))
                     column["features"].extend(map(float, parts[4:]))
                 elif key == "feature_dim":
+                    if int(lang) < 1 or len(parts) > 2:
+                        raise ValueError("feature_dim takes one integer >= 1")
                     dim = meta["feature_dim"] = int(lang)
                 elif key == "language":
+                    if len(parts) != 6 or parts[2:5:2] != ["senones", "phones"]:
+                        raise ValueError("the form is 'language <name> senones <n> phones <m>'")
                     meta["languages"].append(lang)
                     senones[lang], meta["num_phones"][lang] = int(parts[3]), int(parts[5])
                     columns[lang] = {n: array("d" if n == "features" else "q") for n in _ARRAYS}

@@ -357,6 +357,63 @@ class TestPooling:
             assert (peak <= bound) == fits, (pool, peak, bound)
 
 
+def assert_blocks_of_one_array(corpus):
+    """Each language's frames are the next rows of ``corpus.features``."""
+    stops = np.cumsum([0] + [len(corpus.frames[lang]) for lang in corpus.languages])
+    assert len(corpus.features) == stops[-1]
+    for lang, start, stop in zip(corpus.languages, stops, stops[1:]):
+        block = corpus.frames[lang].features
+        assert block.__array_interface__ == corpus.features[start:stop].__array_interface__
+
+
+class TestOneArray:
+    @pytest.mark.parametrize("read", [None, ".npz", ".txt"], ids=["split", "npz", "text"])
+    def test_every_set_reads_the_corpus_array(self, tmp_path, read):
+        spec = pm.SynthSpec(**{**SMALL, "num_languages": 3, "shared_phone_fraction": 1.0}, seed=4)
+        generated = pm.generate_synthetic(spec)
+        assert_blocks_of_one_array(generated)
+        corpus = pm.split_corpus(generated, {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=5)
+        assert corpus.features is generated.features  # a replaced corpus copies nothing
+        if read is not None:
+            pm.save_corpus(corpus, tmp_path / f"corpus{read}")
+            corpus = pm.load_corpus(tmp_path / f"corpus{read}")
+        assert_blocks_of_one_array(corpus)
+        mapper = pm.init_network([5, 8], [("lang0", 8)], seed=6)
+        maps = [truth_map(corpus, "senone", source, "lang0") for source in ("lang1", "lang2")]
+        sets = [
+            *corpus.gather(["lang2", "lang0"], "train"), corpus.subset("lang1", "test"),
+            pm.pool_and_relabel(corpus, "dev", "lang0", maps, mapper),
+        ]
+        for fs in sets:
+            assert fs.array is corpus.features and fs.rows is not None
+
+    def test_a_corpus_of_separate_arrays_is_joined_once(self):
+        rng = np.random.default_rng(7)
+        frames = {
+            lang: pm.FrameSet(lang, rng.normal(size=(n, 3)), rng.integers(0, 4, n), np.arange(n))
+            for lang, n in (("a", 20), ("b", 0), ("c", 30))
+        }
+        corpus = pm.MultiCorpus(
+            languages=["c", "a", "b"], feature_dim=3, frames=frames,
+            g_tables={lang: pm.SenoneToPhoneTable(lang, np.arange(4) // 2) for lang in frames},
+        )
+        assert_blocks_of_one_array(corpus)
+        for lang, fs in frames.items():
+            assert corpus.frames[lang].features.tobytes() == fs.features.tobytes()
+            assert not np.shares_memory(corpus.features, fs.features)
+        split = pm.split_corpus(corpus, {"train": 0.5, "dev": 0.5, "test": 0.0}, seed=8)
+        assert split.features is corpus.features
+        assert dataclasses.replace(split, provenance={"seed": 8}).features is corpus.features
+
+    def test_loading_an_npz_corpus_holds_its_features_once(self, tmp_path):
+        corpus = pm.generate_synthetic(pm.SynthSpec(feature_dim=40, frames_per_senone=100, seed=9))
+        pm.save_corpus(corpus, tmp_path / "corpus.npz")
+        block = max(fs.features.nbytes for fs in corpus.frames.values())
+        loaded, peak = traced_peak(pm.load_corpus, tmp_path / "corpus.npz")
+        assert peak <= corpus.features.nbytes + block, (peak, corpus.features.nbytes, block)
+        assert loaded.features.tobytes() == corpus.features.tobytes()
+
+
 class TestGather:
     @pytest.mark.parametrize("split", corpus_module.SPLIT_NAMES)
     @pytest.mark.parametrize("languages", [["b", "c", "a"], ["c", "b", "a"], ["c", "a", "b"]])
@@ -381,9 +438,9 @@ class TestGather:
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
         for lang, fs in zip(languages, sets):  # views: the features stay in the corpus
-            ((array, rows),) = fs.parts
-            assert np.shares_memory(array, corpus.frames[lang].features)
-            assert not np.shares_memory(fs.features, array)
+            assert fs.array is corpus.features
+            assert np.shares_memory(fs.array, corpus.frames[lang].features)
+            assert not np.shares_memory(fs.features, fs.array)
 
     def test_unknown_language_or_split(self):
         corpus = pm.split_corpus(tiny_corpus(), {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=0)
@@ -455,7 +512,7 @@ class TestViews:
     def test_a_view_of_rows_outside_its_array_is_refused(self, rows):
         # scoring and training take a view's rows with mode "clip", which never raises
         with pytest.raises(ShapeError, match="1-d index into 5 rows"):
-            pm.FrameSet.view("a", [(np.zeros((5, 2)), np.array(rows))], [0, 0], [0, 0])
+            pm.FrameSet.view("a", np.zeros((5, 2)), np.array(rows), [0, 0], [0, 0])
 
     @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
     @pytest.mark.parametrize("kind", ["senone", "phone"])
@@ -464,9 +521,12 @@ class TestViews:
         corpus = without_train(corpus, "lang2") if empty else corpus
         pooled = pm.pool_and_relabel(corpus, "train", "lang0", maps[kind], mapper)
         assert len(pooled) == (800 if empty else 1200)
-        for (array, rows), lang in zip(pooled.parts, ("lang1", "lang2", "lang0")):
-            assert array is corpus.frames[lang].features
-            assert len(rows) == (0 if empty and lang == "lang2" else 400)
+        assert pooled.array is corpus.features
+        # the index runs over lang1's block, then lang2's, then lang0's
+        blocks = np.cumsum([len(corpus.frames[lang]) for lang in corpus.languages])
+        owners = [corpus.languages[b] for b in np.searchsorted(blocks, pooled.rows, side="right")]
+        counts = [0 if empty and lang == "lang2" else 400 for lang in ("lang1", "lang2", "lang0")]
+        assert owners == ["lang1"] * counts[0] + ["lang2"] * counts[1] + ["lang0"] * counts[2]
         assert not np.shares_memory(pooled.features, corpus.frames["lang0"].features)
         reference = reference_pool_and_relabel(corpus, "train", "lang0", maps[kind], mapper)
         assert pooled.features.tobytes() == reference.features.tobytes()
@@ -541,11 +601,12 @@ NPZ_META = {
 }
 
 
-def npz_corpus(**changes):
-    """(suffix, arrays) of that corpus, its metadata changed by ``changes``."""
+def npz_corpus(width=20, **changes):
+    """(suffix, arrays) of that corpus, its metadata changed by ``changes``
+    and its frames ``width`` values wide."""
     arrays = {"meta": np.array(json.dumps({**NPZ_META, **changes}))}
     for lang in NPZ_META["languages"]:
-        arrays.update({f"features_{lang}": np.zeros((1, 20)), f"labels_{lang}": np.zeros(1, int),
+        arrays.update({f"features_{lang}": np.zeros((1, width)), f"labels_{lang}": np.zeros(1, int),
                        f"utterances_{lang}": np.zeros(1, int), f"gtable_{lang}": np.arange(4)})
     return ".npz", arrays
 
@@ -591,6 +652,25 @@ MALFORMED = {
     "fractional truth entry": npz_corpus(senone_truth=[["lang0", "lang1", 3.7, 0]]),
     "split ids strings": npz_corpus(splits={"lang0": {"train": ["0"]}, "lang1": {"train": ["0"]}}),
     "languages a string": npz_corpus(languages="lang0"),
+    "zero feature_dim": (".txt", HEAD.replace("feature_dim 2", "feature_dim 0")),
+    "feature_dim of two values": (".txt", HEAD.replace("feature_dim 2", "feature_dim 2 3")),
+    "negative feature_dim, no frames": (".txt", HEAD.replace("feature_dim 2", "feature_dim -2")),
+    "language line of another key": (".txt", HEAD.replace("phones 1", "phonez 1")),
+    "language line with a trailing key": (".txt", HEAD.replace("phones 1", "phones 1 extra 7")),
+    "zero feature_dim in npz metadata": npz_corpus(width=0, feature_dim=0),
+    "split of an utterance the text does not hold": (
+        ".txt", HEAD + "".join(f"frame a {u} 1 0.5 -0.5\n" for u in range(3))
+        + "split a train 0 1 2 99\n"),
+    "split of an utterance the npz does not hold": npz_corpus(
+        splits={"lang0": {"train": [0, 99]}, "lang1": {"train": [0]}}),
+}
+# The malformed header lines of HEAD, and the error each raises.
+HEADER_LINES = {
+    "feature_dim 0": "feature_dim takes one integer >= 1",
+    "feature_dim 2 3": "feature_dim takes one integer >= 1",
+    "feature_dim -2": "feature_dim takes one integer >= 1",
+    "language a senones 2 phonez 1": "the form is 'language <name> senones <n> phones <m>'",
+    "language a senones 2 phones 1 extra 7": "the form is 'language <name> senones <n> phones <m>'",
 }
 
 
@@ -755,6 +835,31 @@ class TestCorpusFiles:
         assert str(path) in str(info.value)
         if suffix == ".txt" and content is not None:
             assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("line", list(HEADER_LINES))
+    def test_a_header_line_out_of_form_names_its_line(self, tmp_path, line):
+        path = tmp_path / "corpus.txt"
+        lines = HEAD.splitlines()
+        number = 2 if line.startswith("feature_dim") else 3
+        lines[number - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        key = line.split()[0]
+        assert str(info.value) == f"cannot read {path}: line {number} ({key}): {HEADER_LINES[line]}"
+
+    @pytest.mark.parametrize("suffix", [".txt", ".npz"])
+    def test_a_split_of_an_unknown_utterance_is_refused(self, tmp_path, suffix):
+        corpus = tiny_corpus(n_utts=5)
+        corpus.splits = {"a": {"train": [0, 1, 2, 99, 7]}}  # written as given, not checked
+        path = tmp_path / f"corpus{suffix}"
+        pm.save_corpus(corpus, path)
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        error = "a splits name utterance 99, which a does not have"
+        assert str(info.value) == f"cannot read {path}: {error}"
+        with pytest.raises(FractionError, match="utterance 99"):
+            dataclasses.replace(corpus)
 
     @given(position=st.integers(0, 10**6), delete_line=st.booleans())
     @settings(max_examples=150, deadline=None)

@@ -694,6 +694,16 @@ class TestCli:
         err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
         assert err == f"ArtifactError: cannot read {corpus}: is a directory"
 
+    @pytest.mark.parametrize("line", ["feature_dim 0", "language lang0 senones 2 phonez 1"])
+    def test_a_corpus_header_line_out_of_form_fails_cleanly(self, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus.txt"
+        head = ["polymap-corpus 1", "feature_dim 2", "language lang0 senones 2 phones 1"]
+        head[1 if line.startswith("feature_dim") else 2] = line
+        corpus.write_text("\n".join(head) + "\n")
+        path = write_config(tmp_path, tiny_config(tmp_path, corpus={"path": str(corpus)}))
+        err = self.one_error_line(capsys, ["train-baseline", "--config", str(path)])
+        assert err.startswith(f"ArtifactError: cannot read {corpus}: line {head.index(line) + 1} ")
+
     @pytest.mark.parametrize("content", [
         pytest.param("{bad", id="bad JSON"),
         pytest.param("[1]", id="not an object"),

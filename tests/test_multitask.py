@@ -527,8 +527,7 @@ class TestTrainInPlace:
         net, frames, map_set = TestTrainMultihead.two_languages()
         sets, features = laid_out(frames, layout)
         for fs in sets.values():  # whole-array sets whose arrays are slices of one buffer
-            ((array, rows),) = fs.parts
-            assert rows is None and np.shares_memory(array, features)
+            assert fs.rows is None and np.shares_memory(fs.array, features)
         cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=3)
         for maps in (None, map_set):
             want = pm.train_multihead(net, frames, cfg, maps)

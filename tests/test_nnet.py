@@ -1,8 +1,12 @@
 import copy
 import dataclasses
+import gc
 import json
 import math
+import sys
+import warnings
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,7 +348,7 @@ class TestFusedStep:
         fused = [
             (loss, frame_losses.copy())
             for _, _, loss, frame_losses in _sgd(
-                weights, biases, bounds, [(x, np.arange(n))], targets, cfg
+                weights, biases, bounds, x, np.arange(n), targets, cfg
             )
         ]
         ref_weights = [w.copy() for w in net.weights]
@@ -587,6 +591,21 @@ class TestModelFileDamage:
         path.write_bytes(bytes(data))
         with pytest.raises(PolymapError):
             pm.load_network(path)
+
+    def test_archive_whose_directory_does_not_parse_leaves_no_file_open(self, tmp_path):
+        # np.load opened such a file itself and left it open
+        path = tmp_path / "model.npz"
+        pm.save_network(pm.init_network([3, 4], [("toy", 3)], seed=1), path)
+        data = bytearray(path.read_bytes())
+        data[data.index(zipfile.stringCentralDir) + 3] ^= 1
+        path.write_bytes(bytes(data))
+        unraisable = []
+        with warnings.catch_warnings(), mock.patch.object(sys, "unraisablehook", unraisable.append):
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ArtifactError, match="central directory"):
+                pm.load_network(path)
+            gc.collect()
+        assert unraisable == []
 
 
 class TestFinetune:
