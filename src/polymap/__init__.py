@@ -38,16 +38,10 @@ from .mapping import (
     save_map_set,
     senone_map,
 )
-from .multitask import (
-    MT_RECIPE,
-    forward_head,
-    load_multihead,
-    prune,
-    save_multihead,
-    train_multihead,
-)
+from .multitask import forward_head, load_multihead, save_multihead, train_multihead
 from .nnet import (
     FINETUNE_RECIPE,
+    MT_RECIPE,
     EpochStats,
     Network,
     TrainConfig,
@@ -57,6 +51,7 @@ from .nnet import (
     load_network,
     lr_at_epoch,
     predict_batch,
+    prune,
     save_network,
     train,
 )

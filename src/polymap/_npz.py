@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ArtifactError
 
 _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
-# Bytes of a member read at a time by read_into.
-_READ_BYTES = 1 << 16
+# Bytes of a member read at a time by read_into, or written at a time by write_npz.
+_CHUNK_BYTES = 1 << 16
 
 
 @contextmanager
@@ -41,16 +41,25 @@ def open_artifact(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 
 def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an uncompressed ``.npz`` archive, streaming each
+    member in; a plain C-contiguous array's bytes go uncopied."""
     with open_artifact(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
-            # Streamed straight into the archive, not built in memory first.
             # Like writestr, give a member too large for a plain zip header
             # zip64 extensions.
             large = array.nbytes * 1.05 > zipfile.ZIP64_LIMIT
             with zf.open(info, "w", force_zip64=large) as dest:
-                np.lib.format.write_array(dest, array, allow_pickle=False)
+                if not (array.flags.c_contiguous and array.dtype.kind in "biufcSU"):
+                    np.lib.format.write_array(dest, array, allow_pickle=False)
+                    continue
+                # numpy writes a plain dtype's header in version 1.0
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(dest, header)
+                data = memoryview(array.reshape(-1).view(np.uint8))
+                for at in range(0, len(data), _CHUNK_BYTES):
+                    dest.write(data[at : at + _CHUNK_BYTES])
 
 
 @contextmanager
@@ -97,6 +106,6 @@ def read_into(data: np.lib.npyio.NpzFile, name: str, out: np.ndarray) -> None:
         if read_header(f) != (out.shape, False, out.dtype):
             raise ValueError(f"member {name} is not a {out.dtype} array of shape {out.shape}")
         view = out.reshape(-1).view(np.uint8)
-        chunks = range(0, len(view), _READ_BYTES)
-        if sum(f.readinto(view[at : at + _READ_BYTES]) for at in chunks) < len(view) or f.read(1):
+        chunks = range(0, len(view), _CHUNK_BYTES)
+        if sum(f.readinto(view[at : at + _CHUNK_BYTES]) for at in chunks) < len(view) or f.read(1):
             raise ValueError(f"member {name} does not hold {len(view)} bytes of values")

@@ -72,15 +72,10 @@ from .mapping import (
     senone_map,
     write_map_lines,
 )
-from .multitask import (
-    MT_RECIPE,
-    load_multihead,
-    prune,
-    save_multihead,
-    train_multihead,
-)
+from .multitask import load_multihead, save_multihead, train_multihead
 from .nnet import (
     FINETUNE_RECIPE,
+    MT_RECIPE,
     EpochStats,
     Network,
     TrainConfig,
@@ -88,6 +83,7 @@ from .nnet import (
     init_network,
     load_network,
     predict_batch,
+    prune,
     save_network,
     train,
 )

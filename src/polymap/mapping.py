@@ -359,6 +359,12 @@ class MapSet:
 
     maps: dict[tuple[str, str], LabelMap]
 
+    def __post_init__(self) -> None:
+        for key, label_map in self.maps.items():
+            pair = label_map.source_inventory.task_id, label_map.target_inventory.task_id
+            if key != pair:
+                raise InventoryError(f"map set key {key!r} holds a map of the languages {pair!r}")
+
     def get(self, source: str, target: str) -> LabelMap:
         try:
             return self.maps[(source, target)]

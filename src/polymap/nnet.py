@@ -3,13 +3,18 @@
 Hidden layers use ReLU.  The output layer stacks one softmax head per
 language: head ``l`` owns output rows ``bounds[l]:bounds[l + 1]`` and
 classifies into that language's label inventory.  A plain classifier is
-the one-head case; a multitask network (:mod:`polymap.multitask`) shares
-its hidden stack between several heads.  One type, kernel, SGD loop and
-model record serve both.  Weights are initialized from a seeded uniform
-distribution scaled by 1/sqrt(fan-in) with zero biases, so the layer
-sizes and a seed fully determine the starting point and training is
-reproducible end to end.  Cross-entropy is evaluated in log-sum-exp form
-so it stays finite for extreme logits.
+the one-head case; a multitask network shares its hidden stack between
+several heads, and :func:`prune` keeps the stack plus one head.  One
+type, kernel, SGD loop and model record serve both.  Weights are
+initialized from a seeded uniform distribution scaled by 1/sqrt(fan-in)
+with zero biases, so the layer sizes and a seed fully determine the
+starting point and training is reproducible end to end.  Cross-entropy
+is evaluated in log-sum-exp form so it stays finite for extreme logits.
+
+A frame's loss is summed over the heads: its own head takes its label,
+and given a map set every other head takes the label mapped into its
+language (senone-mapped training); without one, the other heads take no
+loss and exactly zero gradient from the frame (the masked loss).
 
 Training packs every weight and bias into one contiguous buffer, so a
 trained network's arrays are views of that buffer.  Each SGD step writes
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -65,20 +71,32 @@ _STEP_ROWS = 256
 class Network:
     """A dense classifier: ReLU hidden layers, one softmax head per language.
 
-    ``weights[k]`` has shape ``(layer_dims[k+1], layer_dims[k])`` and
-    ``biases[k]`` has length ``layer_dims[k+1]``.  ``heads`` lists each
-    head's ``(language, size)`` in output-row order; the sizes add up to
-    the output width.  Instances are treated as immutable once trained;
-    :func:`train` returns a new network.
+    ``weights[k]`` is a float64 array of shape ``(n_out, n_in)``, where
+    ``n_in`` is the previous weight's ``n_out``, and ``biases[k]`` a float64
+    vector of length ``n_out``; :attr:`layer_dims` reads the sizes off the
+    weights.  ``heads`` lists each head's ``(language, size)`` in output-row
+    order; the sizes add up to the output width.  Arrays or heads that do
+    not fit raise :class:`InvalidArchitectureError`.  Instances are treated
+    as immutable once trained; :func:`train` returns a new network.
     """
 
-    layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     heads: list[tuple[str, int]]
     seed: int = 0
 
     def __post_init__(self) -> None:
+        weights, biases = self.weights, self.biases
+        if not (isinstance(weights, list) and isinstance(biases, list) and weights and all(
+                isinstance(a, np.ndarray) and a.dtype == np.float64 for a in weights + biases)):
+            raise InvalidArchitectureError("need non-empty lists of float64 weight and bias arrays")
+        fits = len(weights) == len(biases) and all(
+            w.ndim == 2 and w.size and b.shape == w.shape[:1] for w, b in zip(weights, biases))
+        if not (fits and all(v.shape[1] == w.shape[0] for w, v in zip(weights, weights[1:]))):
+            raise InvalidArchitectureError(
+                f"weights of shapes {[w.shape for w in weights]} and biases of shapes "
+                f"{[b.shape for b in biases]} do not chain into layers of size >= 1"
+            )
         _check_heads(self.heads)
         if sum(size for _, size in self.heads) != self.output_dim:
             raise InvalidArchitectureError(
@@ -86,12 +104,17 @@ class Network:
             )
 
     @property
+    def layer_dims(self) -> list[int]:
+        """The input width, then each layer's output width."""
+        return [self.input_dim, *(w.shape[0] for w in self.weights)]
+
+    @property
     def input_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.weights[0].shape[1]
 
     @property
     def output_dim(self) -> int:
-        return self.layer_dims[-1]
+        return self.weights[-1].shape[0]
 
     @property
     def bounds(self) -> list[int]:
@@ -131,16 +154,26 @@ class TrainConfig:
     halve_every_epoch: bool = True
 
     def __post_init__(self) -> None:
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # A bool is no number here; numpy's numbers are stored as Python's, which JSON takes.
+        kinds = {"initial_lr": (numbers.Real, "a number"), "halve_every_epoch": (bool, "a bool")}
+        for name, value in vars(self).items():
+            kind, text = kinds.get(name, (numbers.Integral, "an int"))
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"{name} must be {text}, got {value!r}")
+            if kind is not bool:
+                plain = int if isinstance(value, numbers.Integral) else float
+                object.__setattr__(self, name, plain(value))
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("shuffle_seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 # The fine-tuning recipe: a hundredth of the baseline's rate, held for 5 epochs.
 FINETUNE_RECIPE = TrainConfig(initial_lr=0.0008, epochs=5, halve_every_epoch=False)
+# The multi-head recipe's schedule: a tenth of the baseline's rate, batches of 4.
+MT_RECIPE = TrainConfig(initial_lr=0.008, batch_size=4)
 
 
 @dataclass(frozen=True)
@@ -159,8 +192,6 @@ def init_network(trunk_dims: list[int], heads: list[tuple[str, int]], seed: int 
     width first) and every head; a head's size is its language's label count."""
     _check_heads(heads)
     dims = [*(int(d) for d in trunk_dims), sum(size for _, size in heads)]
-    if len(dims) < 2:
-        raise InvalidArchitectureError(f"need at least input and output layers, got {dims}")
     if any(d < 1 for d in dims):
         raise InvalidArchitectureError(f"all layer dims must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
@@ -169,7 +200,7 @@ def init_network(trunk_dims: list[int], heads: list[tuple[str, int]], seed: int 
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases, list(heads), int(seed))
+    return Network(weights, biases, list(heads), int(seed))
 
 
 def _score_blocks(n: int) -> list[slice]:
@@ -521,7 +552,7 @@ def _train(
                 total = np.add.accumulate(frame_losses[rows].sum(axis=1))[-1]
                 per_language[lang] = float(total / len(fs))
         history.append(EpochStats(epoch, lr, mean_loss, per_language))
-    return Network(list(net.layer_dims), weights, biases, list(net.heads), net.seed), history
+    return Network(weights, biases, list(net.heads), net.seed), history
 
 
 def train(net: Network, frames: FrameSet, cfg: TrainConfig) -> tuple[Network, list[EpochStats]]:
@@ -545,16 +576,28 @@ def finetune(
     return train(net, frames, cfg)
 
 
+def prune(net: Network, language: str) -> Network:
+    """Keep the shared stack plus one language's head as a one-head network.
+
+    The result holds copies of the shared layers and of the head's rows
+    ``bounds[i]:bounds[i + 1]`` of the output layer.  A head's outputs are
+    defined as those of its pruned network, so the two match bit for bit.
+    """
+    idx = net.head_index(language)
+    lo, hi = net.bounds[idx : idx + 2]
+    return Network(
+        [w.copy() for w in net.weights[:-1]] + [net.weights[-1][lo:hi].copy()],
+        [b.copy() for b in net.biases[:-1]] + [net.biases[-1][lo:hi].copy()],
+        [net.heads[idx]],
+        net.seed,
+    )
+
+
 def save_network(net: Network, path: str | Path) -> None:
-    """Write a self-describing model file; loading reproduces forward
-    outputs bit for bit."""
-    _write_model(net, path)
-
-
-def _write_model(net: Network, path: str | Path) -> None:
-    """Write the one model record: a JSON ``meta`` (format, version, a fixed
-    ``"relu"`` activation marker, the seed and the heads), ``layer_dims``
-    and ``weight_k``/``bias_k``."""
+    """Write the one model record of a network of any number of heads: a
+    JSON ``meta`` (format, version, a fixed ``"relu"`` activation marker, the
+    seed and the heads), ``layer_dims`` and ``weight_k``/``bias_k``.
+    Loading reproduces forward outputs bit for bit."""
     meta = {
         "format": _MODEL_FORMAT, "version": _MODEL_VERSION, "activation": "relu",
         "seed": net.seed, "heads": net.heads,
@@ -569,11 +612,12 @@ def _write_model(net: Network, path: str | Path) -> None:
     write_npz(path, arrays)
 
 
-def _read_model(path: str | Path) -> Network:
-    """The network of a model file, whose metadata is a :data:`_MODEL_FORMAT`
-    record of activation ``"relu"`` (the one the scorers apply), an int
-    ``seed`` and ``heads``, and whose arrays fit its layer sizes and heads;
-    :class:`ShapeError` naming the file otherwise."""
+def load_network(path: str | Path) -> Network:
+    """The network :func:`save_network` wrote to ``path``: a
+    :data:`_MODEL_FORMAT` record of activation ``"relu"`` (the one the
+    scorers apply), an int ``seed`` and ``heads``, whose arrays make a
+    network of its ``layer_dims``; :class:`ShapeError` naming the file
+    otherwise."""
     arrays = read_npz(path)
     if "meta" not in arrays:
         raise ShapeError(f"{path} is not a model file (missing metadata)")
@@ -591,18 +635,10 @@ def _read_model(path: str | Path) -> Network:
         biases = [arrays[f"bias_{k}"] for k in range(len(dims) - 1)]
     except KeyError as exc:
         raise ShapeError(f"{path} lacks the model array {exc}") from exc
-    fits = [
-        w.shape == (n_out, n_in) and b.shape == (n_out,) and w.dtype == b.dtype == np.float64
-        for w, b, n_in, n_out in zip(weights, biases, dims, dims[1:])
-    ]
-    if len(dims) < 2 or min(dims) < 1 or not all(fits):
-        raise ShapeError(f"{path} holds model arrays that do not fit its layer_dims {dims}")
     try:
-        return Network(dims, weights, biases, [tuple(h) for h in meta["heads"]], meta["seed"])
+        net = Network(weights, biases, [tuple(h) for h in meta["heads"]], meta["seed"])
     except InvalidArchitectureError as exc:
-        raise ShapeError(f"{path} holds heads that do not fit its network: {exc}") from exc
-
-
-def load_network(path: str | Path) -> Network:
-    """The network :func:`save_network` wrote to ``path``."""
-    return _read_model(path)
+        raise ShapeError(f"{path} holds no network of its layer_dims {dims}: {exc}") from exc
+    if net.layer_dims != dims:
+        raise ShapeError(f"{path} holds model arrays that do not fit its layer_dims {dims}")
+    return net

@@ -1108,6 +1108,13 @@ class TestNpzWriter:
             assert loaded[name].dtype == np.asarray(array).dtype
             np.testing.assert_array_equal(loaded[name], array)
 
+    def test_member_bytes_are_not_copied(self, tmp_path):
+        # numpy's write_array hands a stream each piece of up to 16 MiB as a copy
+        features = np.random.default_rng(2).normal(size=(475_000,))
+        peak = traced_peak(write_npz, tmp_path / "big.npz", {"features": features})[1]
+        assert peak < features.nbytes / 16
+        np.testing.assert_array_equal(read_npz(tmp_path / "big.npz")["features"], features)
+
     def test_member_is_not_built_in_memory(self, tmp_path):
         features = np.random.default_rng(1).normal(size=(110_000, 10))
         tracemalloc.start()

@@ -185,8 +185,7 @@ class TestConfig:
 class TestFrameErrorRate:
     def fixed_net(self, log_probs):
         return pm.Network(
-            [1, len(log_probs)], [np.zeros((len(log_probs), 1))], [np.log(log_probs)],
-            [("x", len(log_probs))],
+            [np.zeros((len(log_probs), 1))], [np.log(log_probs)], [("x", len(log_probs))],
         )
 
     def test_all_correct(self):

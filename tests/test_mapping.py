@@ -28,7 +28,7 @@ TGT = pm.LabelInventory("tgt", 3, "senone")
 
 def identity_logit_net(dim):
     """Single-layer net whose prediction is the argmax input coordinate."""
-    return pm.Network([dim, dim], [np.eye(dim)], [np.zeros(dim)], [("tgt", dim)])
+    return pm.Network([np.eye(dim)], [np.zeros(dim)], [("tgt", dim)])
 
 
 def oracle_senone_table(labels, preds, n_source, n_target):
@@ -350,7 +350,7 @@ class TestRealign:
     def test_picks_best_senone_within_phone(self):
         # Bias-only posteriors [.1,.4,.3,.2]; phone 0 holds senones {1,2} of
         # the target, so every frame mapped to phone 0 must get senone 1.
-        net = pm.Network([1, 4], [np.zeros((4, 1))], [np.log([0.1, 0.4, 0.3, 0.2])], [("tgt", 4)])
+        net = pm.Network([np.zeros((4, 1))], [np.log([0.1, 0.4, 0.3, 0.2])], [("tgt", 4)])
         g_src = pm.SenoneToPhoneTable("src", [0])
         g_tgt = pm.SenoneToPhoneTable("tgt", [1, 0, 0, 1])
         pmap = pm.LabelMap(
@@ -363,7 +363,7 @@ class TestRealign:
 
     def test_classifier_of_another_language(self):
         net, frames, pmap, g_src, g_tgt = recipe_realignment(10, seed=1)
-        other = pm.Network(net.layer_dims, net.weights, net.biases, [("src", 36)])
+        other = pm.Network(net.weights, net.biases, [("src", 36)])
         with pytest.raises(InventoryError, match=r"\['src'\], not of 'tgt'"):
             pm.realign_with_phone_map(other, frames, pmap, g_src, g_tgt)
 
@@ -483,6 +483,12 @@ class TestAllPairs:
         ms = pm.MapSet({})
         with pytest.raises(IncompleteMapSetError):
             ms.get("a", "b")
+
+    def test_key_of_other_languages_than_its_map_is_refused(self):
+        invs = {lang: pm.LabelInventory(lang, 3) for lang in ("lang0", "lang1", "lang2")}
+        stray = pm.LabelMap(invs["lang2"], invs["lang0"], [0, 1, 2], "manual")
+        with pytest.raises(InventoryError, match=r"\('lang1', 'lang0'\).*\('lang2', 'lang0'\)"):
+            pm.MapSet({("lang1", "lang0"): stray})
 
     def test_mismatched_inputs(self):
         nets, frames, invs = self.make_world(["a", "b"])

@@ -101,7 +101,7 @@ class TestInit:
     def test_argument_types_checked(self, heads, monkeypatch):
         net = pm.init_network([3, 4], [("a", 2)])
         with pytest.raises(InvalidArchitectureError):
-            pm.Network(net.layer_dims, net.weights, net.biases, heads)
+            pm.Network(net.weights, net.biases, heads)
 
         def no_network(*args):
             raise AssertionError("init_network drew weights for unchecked arguments")
@@ -113,7 +113,6 @@ class TestInit:
     def test_single_head_equals_plain_network(self):
         mt = pm.init_network([4, 8, 6], [("only", 5)], seed=3)
         net = pm.Network(
-            [4, 8, 6, 5],
             [w.copy() for w in mt.weights],
             [b.copy() for b in mt.biases],
             [("only", 5)],
@@ -561,6 +560,10 @@ class TestPrune:
         cfg = replace(pm.MT_RECIPE, epochs=2, shuffle_seed=21)
         trained, _ = pm.train_multihead(net, frames, cfg)
         return trained
+
+    def test_prune_and_recipe_are_nnet_objects(self):
+        assert pm.multitask.prune is pm.nnet.prune
+        assert pm.multitask.MT_RECIPE is pm.nnet.MT_RECIPE
 
     def test_outputs_bit_identical(self):
         trained = self.make_trained()

@@ -32,10 +32,8 @@ from target_oracles import head_gradients, reference_forward_batch, reference_sg
 
 def bias_only_net(log_probs):
     """Single-layer net whose posterior is fixed regardless of the input."""
-    dims = [1, len(log_probs)]
     net = pm.Network(
-        dims, [np.zeros((len(log_probs), 1))], [np.asarray(log_probs, float)],
-        [("toy", len(log_probs))],
+        [np.zeros((len(log_probs), 1))], [np.asarray(log_probs, float)], [("toy", len(log_probs))],
     )
     return net
 
@@ -65,16 +63,71 @@ class TestInit:
             pm.init_network(dims[:-1], [("toy", d) for d in dims[-1:]], seed=0)
 
 
+def weight_chain(net):
+    """The sizes a network's weights chain through: its input width, then
+    each layer's output width."""
+    return [net.weights[0].shape[1], *(w.shape[0] for w in net.weights)]
+
+
+class TestNetworkArrays:
+    """A network is its arrays: its layer sizes are read off its weights, and
+    arrays that make no network are refused when it is built."""
+
+    @pytest.mark.parametrize("weights,biases", [
+        ([np.zeros((4, 2)), np.zeros((3, 5))], [np.zeros(4), np.zeros(3)]),
+        ([np.zeros((3, 2))], [np.zeros(4)]),
+        ([np.zeros((3, 2))], [np.zeros((3, 1))]),
+        ([np.zeros((3, 2))], [np.zeros(3, dtype=np.float32)]),
+        ([np.zeros((3, 2), dtype=np.int64)], [np.zeros(3)]),
+        ([np.zeros((3, 2))], [np.zeros(3), np.zeros(3)]),
+        ([np.zeros(3)], [np.zeros(3)]),
+        ([np.zeros((0, 2)), np.zeros((3, 0))], [np.zeros(0), np.zeros(3)]),
+        ([[[0.0, 0.0]] * 3], [np.zeros(3)]),
+        ([], []),
+    ], ids=[
+        "weights-do-not-chain", "bias-length", "bias-2d", "bias-float32", "weight-int",
+        "bias-without-weight", "weight-1d", "layer-of-size-zero", "weight-not-array", "no-layer",
+    ])
+    def test_arrays_that_make_no_network_are_refused(self, weights, biases):
+        with pytest.raises(InvalidArchitectureError):
+            pm.Network(weights, biases, [("toy", 3)])
+
+    def test_every_builder_reads_its_sizes_off_its_weights(self, tmp_path):
+        frames, cfg = blob_frames(0, n=40), pm.TrainConfig(epochs=1)
+        net = pm.init_network([3, 5], [("toy", 2)], seed=0)
+        mt = pm.init_network([3, 5, 4], [("toy", 2), ("other", 4)], seed=1)
+        pm.save_network(net, tmp_path / "net.npz")
+        pm.save_multihead(mt, tmp_path / "mt.npz")
+        built = {
+            "init_network": net,
+            "train": pm.train(net, frames, cfg)[0],
+            "finetune": pm.finetune(net, frames, cfg)[0],
+            "train_multihead": pm.train_multihead(mt, {"toy": frames}, cfg)[0],
+            "prune": pm.prune(mt, "other"),
+            "load_network": pm.load_network(tmp_path / "net.npz"),
+            "load_multihead": pm.load_multihead(tmp_path / "mt.npz"),
+        }
+        for name, built_net in built.items():
+            assert built_net.layer_dims == weight_chain(built_net), name
+        assert [built[name].layer_dims for name in ("train_multihead", "prune")] == [
+            [3, 5, 4, 6], [3, 5, 4, 4],
+        ]
+
+    def test_layer_dims_cannot_be_set(self):
+        net = pm.init_network([3, 5], [("toy", 2)], seed=0)
+        with pytest.raises(AttributeError):
+            net.layer_dims = [3, 5, 3]
+
+
 class TestForward:
     def test_zero_net_uniform(self):
-        net = pm.Network([2, 3], [np.zeros((3, 2))], [np.zeros(3)], [("toy", 3)])
+        net = pm.Network([np.zeros((3, 2))], [np.zeros(3)], [("toy", 3)])
         probs = pm.forward_batch(net, np.array([[5.0, -3.0]]))[0]
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_hand_computed_two_layer(self):
         # x=[1,2]: z1=[1.5,-1.5] -> relu [1.5,0]; z2=[1.5,1.0]; softmax by hand.
         net = pm.Network(
-            [2, 2, 2],
             [np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 1.0], [0.5, -1.0]])],
             [np.array([0.5, 0.5]), np.array([0.0, 0.25])],
             [("toy", 2)],
@@ -209,6 +262,38 @@ class TestSchedule:
         cfg = pm.TrainConfig(initial_lr=initial_lr, epochs=1024)
         rates = [pm.lr_at_epoch(cfg, e) for e in range(1024)]
         assert rates == [initial_lr / 2.0**e for e in range(1024)]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", "2"), ("batch_size", 2.5),
+        ("batch_size", np.float64(4)), ("shuffle_seed", -3), ("shuffle_seed", 1.0),
+        ("shuffle_seed", False), ("initial_lr", True), ("initial_lr", "0.1"),
+        ("initial_lr", math.inf), ("initial_lr", math.nan), ("halve_every_epoch", 1),
+        ("halve_every_epoch", "yes"),
+    ])
+    def test_value_of_another_type_or_range_is_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            pm.TrainConfig(**{field: value})
+
+    def test_numpy_ints_train_and_hash_as_ints(self):
+        net = pm.init_network([3, 5], [("toy", 2)], seed=0)
+        ints = pm.TrainConfig(initial_lr=1, epochs=2, batch_size=8, shuffle_seed=3)
+        numpy_ints = pm.TrainConfig(
+            initial_lr=np.int64(1), epochs=np.int64(2), batch_size=np.int32(8),
+            shuffle_seed=np.uint8(3),
+        )
+        # config_hash dumps the schedule as JSON, which takes no numpy number
+        as_json = json.dumps(dataclasses.asdict(numpy_ints))
+        assert as_json == json.dumps(dataclasses.asdict(ints))
+        assert json.dumps(dataclasses.asdict(pm.TrainConfig(initial_lr=np.float32(0.5)))) == (
+            json.dumps(dataclasses.asdict(pm.TrainConfig(initial_lr=0.5)))
+        )
+        frames = blob_frames(2, n=40)
+        want, got = pm.train(net, frames, ints), pm.train(net, frames, numpy_ints)
+        assert got[1] == want[1]
+        for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
+            assert a.tobytes() == b.tobytes()
 
 
 def blob_frames(seed, n=400, spread=0.4):
