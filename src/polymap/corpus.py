@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 from array import array
@@ -125,13 +126,15 @@ class MultiCorpus:
     :func:`split_corpus` runs).  ``phone_truth`` / ``senone_truth`` hold the
     generator's cross-language answer key, if any.  ``provenance`` records
     what the corpus was made from (``synth`` stamps it; text files drop it).
-    Construction checks one frame set and table per language, ``feature_dim``
-    (at least 1) values per frame, labels in the senone range, an answer key
-    between two of the languages in their phone or senone ranges, and
-    disjoint splits of utterances the language has.  ``features`` holds every
-    language's frames as consecutive row blocks, in ``languages`` order, and
-    ``frames[lang]`` is a whole-array set over its block: sets that are such
-    blocks already stay in place, and sets of separate arrays are joined.
+    Construction checks one frame set and table per language, names that
+    can name a file (not empty, ``.`` or ``..``, no path separator),
+    ``feature_dim`` (at least 1) values per frame, labels in the senone
+    range, an answer key between two of the languages in their phone or
+    senone ranges, and disjoint splits of utterances the language has.
+    ``features`` holds every language's frames as consecutive row blocks,
+    in ``languages`` order, and ``frames[lang]`` is a whole-array set over
+    its block: sets that are such blocks already stay in place, and sets of
+    separate arrays are joined.
     """
 
     languages: list[str]
@@ -148,6 +151,9 @@ class MultiCorpus:
         langs = set(self.languages)
         if len(langs) != len(self.languages) or not langs == set(self.frames) == set(self.g_tables):
             raise InventoryError(f"languages {self.languages} need one frame set and table each")
+        for lang in map(str, self.languages):  # stages name files after their languages
+            if lang in ("", ".", "..") or set(lang) & {"/", os.sep, os.altsep}:
+                raise InventoryError(f"language name {lang!r} cannot name a file")
         if self.feature_dim < 1:
             raise ShapeError(f"feature_dim must be >= 1, got {self.feature_dim}")
         for lang in self.languages:
@@ -205,9 +211,9 @@ class MultiCorpus:
 
     def gather(self, languages: Sequence[str], split: str) -> list[FrameSet]:
         """Each of ``languages``' ``split`` frames, in frame order, in
-        ``languages`` order.  Each set is a :meth:`~polymap.data.FrameSet.view`
-        of :attr:`features`: it holds its own labels and utterance ids and an
-        index of its rows, offset to the start of its language's block."""
+        ``languages`` order.  Each set reads :attr:`features` in place: it
+        holds its own labels and utterance ids and an index of its rows,
+        offset to the start of its language's block."""
         if split not in SPLIT_NAMES:
             raise FractionError(f"unknown split {split!r}")
         starts = dict(zip(self.languages, self._starts()))
@@ -224,7 +230,7 @@ class MultiCorpus:
         index = np.concatenate([np.empty(0, np.intp), *pieces])  # one index; a slice per set
         cuts = np.cumsum([len(rows) for rows in pieces[:-1]], dtype=np.intp)
         return [
-            FrameSet.view(lang, self.features, rows, labels, utterance_ids)
+            FrameSet(lang, self.features, labels, utterance_ids, rows)
             for (lang, labels, utterance_ids), rows in zip(columns, np.split(index, cuts))
         ]
 
@@ -370,10 +376,9 @@ def pool_and_relabel(
             pieces[i] = realign_with_phone_map(mapper, pieces[i], label_map, *g_tables)
         else:
             pieces[i] = apply_map(pieces[i], label_map)
-    return FrameSet.view(
-        target, corpus.features, joined([fs.rows for fs in pieces]),
-        np.concatenate([fs.labels for fs in pieces]),
-        np.concatenate([fs.utterance_ids for fs in pieces]),
+    return FrameSet(
+        target, corpus.features, np.concatenate([fs.labels for fs in pieces]),
+        np.concatenate([fs.utterance_ids for fs in pieces]), joined([fs.rows for fs in pieces]),
     )
 
 
@@ -579,8 +584,9 @@ def _parse_chunk(numbers: list[int], rows: list[str], dim: int) -> tuple[np.ndar
     line of the wrong width fails.  It rejects some values ``float`` takes
     (``1_0``), never the reverse, and rounds the same way; numpy 1.x reads
     ``1.5`` into an integer field as 1, with only a ``DeprecationWarning``.
-    A chunk it rejects or warns on is re-read line by line with ``int`` and
-    ``float``, which raises ``ValueError`` naming the first bad line."""
+    A chunk it rejects or warns on, or that holds a value that is not
+    finite, is re-read line by line with ``int`` and ``float``, which raises
+    ``ValueError`` naming the first bad line."""
     # n values take at least 2n - 1 characters: no dtype wider than the line
     if 0 < dim <= len(rows[0]) // 2:
         fields = [("utterance", np.int64), ("label", np.int64)]
@@ -593,7 +599,8 @@ def _parse_chunk(numbers: list[int], rows: list[str], dim: int) -> tuple[np.ndar
             table = None
         if table is not None and len(table) == len(rows):
             features = table.view(np.float64).reshape(len(rows), dim + 2)[:, 2:]
-            return table["utterance"], table["label"], features.ravel()
+            if np.isfinite(features).all():
+                return table["utterance"], table["label"], features.ravel()
     utterances, labels, features = array("q"), array("q"), array("d")
     for number, values in zip(numbers, rows):
         parts = values.split()
@@ -603,6 +610,8 @@ def _parse_chunk(numbers: list[int], rows: list[str], dim: int) -> tuple[np.ndar
             utterances.append(int(parts[0]))
             labels.append(int(parts[1]))
             features.extend(map(float, parts[2:]))
+            if not all(map(math.isfinite, features[-dim:])):
+                raise ValueError("frame values must be finite")
         except (IndexError, OverflowError, ValueError) as exc:
             raise ValueError(f"line {number} (frame): {exc}") from exc
     return np.array(utterances), np.array(labels), np.array(features)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,47 +55,37 @@ class SenoneToPhoneTable:
         return int(self.table.size)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class FrameSet:
     """Column-oriented batch of frames from a single language.
 
-    Labels and utterance ids are arrays of their own.  The feature rows are
-    rows of one 2-d float64 ``array``: all of them, in order, where ``rows``
-    is None, else the rows ``rows`` indexes.  ``FrameSet(language, features,
-    labels, utterance_ids)`` holds one whole array; :meth:`view` reads rows
-    of an array held elsewhere, such as a corpus's, without copying them.
-    Training and scoring read the rows through ``array`` and ``rows``.
+    Labels and utterance ids are int64 arrays of their own.  The feature
+    rows are all rows of one 2-d float64 ``array``, in order, or, given an
+    ``intp`` index ``rows``, the rows it holds, so a set reads an array held
+    elsewhere, such as a corpus's, in place.  Construction converts each
+    field to its type, keeping an array that has it, and checks the shapes.
     """
 
-    def __init__(
-        self, language: str, features: np.ndarray, labels: np.ndarray, utterance_ids: np.ndarray
-    ) -> None:
-        self._set(language, np.asarray(features, dtype=np.float64), None, labels, utterance_ids)
+    language: str
+    array: np.ndarray
+    labels: np.ndarray
+    utterance_ids: np.ndarray
+    rows: np.ndarray | None = None
 
-    @classmethod
-    def view(
-        cls, language: str, array: np.ndarray, rows: np.ndarray | None,
-        labels: np.ndarray, utterance_ids: np.ndarray,
-    ) -> FrameSet:
-        """The frames whose features are the rows ``rows`` of ``array`` (all
-        of its rows where ``rows`` is None)."""
-        fs = cls.__new__(cls)
-        fs._set(language, array, rows, labels, utterance_ids)
-        return fs
-
-    def _set(self, language: str, array: np.ndarray, rows, labels, utterance_ids) -> None:
-        self.language = language
-        self.array = array
-        self.rows = None if rows is None else np.asarray(rows, np.intp)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.utterance_ids = np.asarray(utterance_ids, dtype=np.int64)
-        if array.ndim != 2 or array.dtype != np.float64:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "array", np.asarray(self.array, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "utterance_ids", np.asarray(self.utterance_ids, dtype=np.int64))
+        if self.rows is not None:
+            object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
+        array, rows = self.array, self.rows
+        if array.ndim != 2:
             raise ShapeError(f"features must be 2-d float64, got shape {array.shape}")
-        if self.rows is not None and (
-            self.rows.ndim != 1
-            or self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < len(array)
+        if rows is not None and (
+            rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < len(array)
         ):
             raise ShapeError(f"feature rows must be a 1-d index into {len(array)} rows")
-        n = len(array if self.rows is None else self.rows)
+        n = len(array if rows is None else rows)
         if self.labels.shape != (n,) or self.utterance_ids.shape != (n,):
             raise ShapeError("features, labels and utterance_ids must have matching lengths")
 
@@ -125,7 +115,7 @@ class FrameSet:
 
     def relabeled(self, language: str, labels: np.ndarray) -> FrameSet:
         """These frames' features and utterance ids, of ``language``, with ``labels``."""
-        return FrameSet.view(language, self.array, self.rows, labels, self.utterance_ids)
+        return replace(self, language=language, labels=labels)
 
 
 def joined(pieces: list[np.ndarray]) -> np.ndarray:

@@ -26,9 +26,9 @@ rows, finding each target's logit, masking the heads that take no loss)
 is done once per block of up to 256 rows, not once per batch, and the
 kernel writes every activation, error and gradient into arrays made once
 per training call.  Training and scoring read feature rows where they
-are: a frame set that is a view of a corpus's arrays
-(:meth:`~polymap.data.FrameSet.view`) gives each block's rows by index,
-so no copy of a split's features is made.
+are: a frame set that reads rows of a corpus's array (a
+:class:`~polymap.data.FrameSet` with ``rows``) gives each block's rows by
+index, so no copy of a split's features is made.
 """
 
 from __future__ import annotations
@@ -450,11 +450,11 @@ def _sgd(
     grad, grad_views = _flatten(views)
     grads_w, grads_b = grad_views[: len(weights)], grad_views[len(weights) :]
     rng = np.random.default_rng(cfg.shuffle_seed)
-    n, batch = targets.shape[0], cfg.batch_size
+    n, batch = len(targets), min(cfg.batch_size, len(targets))  # a larger batch is the set
     # One plan for the full batches and one for a shorter last batch.
     plans = {
         size: _plan(weights, biases, grads_w, grads_b, bounds, size)
-        for size in {min(batch, n), n % batch or batch}
+        for size in {batch, n % batch or batch}
     }
     block = max(batch, _STEP_ROWS // batch * batch)
     xs = np.empty((min(block, n), weights[0].shape[1]))
@@ -472,7 +472,7 @@ def _sgd(
                 x = xs[: rows.size]
                 # Every index is in range; mode "clip" only skips take's output copy.
                 array.take(index.take(rows), axis=0, out=x, mode="clip")
-                hot, masks = _target_slots(targets.take(rows, axis=0), plans[min(batch, n)], batch)
+                hot, masks = _target_slots(targets.take(rows, axis=0), plans[batch], batch)
                 for start in range(0, rows.size, batch):
                     size = min(batch, rows.size - start)
                     step = slice(start, start + size)

@@ -30,6 +30,7 @@ the same network in less memory, as :func:`traced_peak` measures it.
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 import zipfile
 from array import array
@@ -233,9 +234,9 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
     """A text corpus's metadata record and arrays, every line split and
     converted as it is read.  The ``feature_dim`` line, and each language's
     ``language`` and ``gtable`` lines, may appear once; ``feature_dim`` takes
-    one integer >= 1 and a ``language`` line is ``language <name> senones
-    <n> phones <m>``.  A malformed line raises ``ValueError`` naming its
-    number."""
+    one integer >= 1, a ``language`` line is ``language <name> senones
+    <n> phones <m>`` and frame values are finite.  A malformed line raises
+    ``ValueError`` naming its number."""
     meta: dict = dict(languages=[], num_phones={}, splits={}, phone_truth=[], senone_truth=[])
     senones: dict[str, int] = {}
     columns: dict[str, dict[str, array]] = {}
@@ -263,7 +264,10 @@ def reference_read_text(path) -> tuple[dict, dict[str, np.ndarray]]:
                     column = columns[lang]
                     column["utterances"].append(int(parts[2]))
                     column["labels"].append(int(parts[3]))
-                    column["features"].extend(map(float, parts[4:]))
+                    values = [float(value) for value in parts[4:]]
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError("frame values must be finite")
+                    column["features"].extend(values)
                 elif key == "feature_dim":
                     if int(lang) < 1 or len(parts) > 2:
                         raise ValueError("feature_dim takes one integer >= 1")

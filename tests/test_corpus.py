@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -512,7 +513,33 @@ class TestViews:
     def test_a_view_of_rows_outside_its_array_is_refused(self, rows):
         # scoring and training take a view's rows with mode "clip", which never raises
         with pytest.raises(ShapeError, match="1-d index into 5 rows"):
-            pm.FrameSet.view("a", np.zeros((5, 2)), np.array(rows), [0, 0], [0, 0])
+            pm.FrameSet("a", np.zeros((5, 2)), [0, 0], [0, 0], np.array(rows))
+
+    @pytest.mark.parametrize("field", ["language", "array", "labels", "utterance_ids", "rows"])
+    def test_a_frame_set_is_frozen(self, field):
+        fs = pm.FrameSet("a", np.zeros((3, 2)), [0, 1, 0], [0, 0, 1], [2, 0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fs, field, getattr(fs, field))
+
+    @pytest.mark.parametrize("rows", [None, [2, 0]], ids=["whole array", "rows"])
+    @pytest.mark.parametrize("features", [np.arange(6).reshape(3, 2), [[0, 1], [2, 3], [4, 5]]],
+                             ids=["int array", "list"])
+    def test_features_of_any_number_type_become_float64(self, features, rows):
+        n = 3 if rows is None else 2
+        fs = pm.FrameSet("a", features, np.zeros(n, np.int32), range(n), rows)
+        assert fs.array.dtype == np.float64 and fs.array.tolist() == np.asarray(features).tolist()
+        assert (fs.labels.dtype, fs.utterance_ids.dtype) == (np.int64, np.int64)
+        want = np.asarray(features, np.float64)[rows if rows else slice(None)]
+        assert fs.features.tobytes() == want.tobytes()
+
+    def test_a_float64_array_and_index_are_held_as_they_are(self):
+        base, rows = np.zeros((5, 2)), np.array([4, 1], np.intp)
+        fs = pm.FrameSet("a", base, [0, 1], [0, 0], rows)
+        assert fs.array is base and fs.rows is rows
+        relabeled = fs.relabeled("b", [1, 1])
+        assert relabeled.array is base and relabeled.rows is rows
+        assert (relabeled.language, relabeled.labels.tolist()) == ("b", [1, 1])
+        assert fs.labels.tolist() == [0, 1]
 
     @pytest.mark.parametrize("empty", [False, True], ids=["three languages", "lang2 empty"])
     @pytest.mark.parametrize("kind", ["senone", "phone"])
@@ -781,6 +808,23 @@ CHUNK_ORDER = {
 }
 
 
+def corpus_file_with_language(path, name):
+    """A small split corpus written to ``path`` (binary for an ``.npz``
+    suffix, else text), its language lang1 renamed ``name`` in every record."""
+    corpus = pm.split_corpus(
+        pm.generate_synthetic(pm.SynthSpec(**SMALL, seed=8)),
+        {"train": 0.6, "dev": 0.2, "test": 0.2}, seed=1,
+    )
+    pm.save_corpus(corpus, path)
+    if path.suffix == ".npz":
+        arrays = read_npz(path)
+        meta = str(arrays.pop("meta")[()]).replace('"lang1"', json.dumps(name))
+        renamed = {key.replace("_lang1", f"_{name}"): value for key, value in arrays.items()}
+        write_npz(path, {"meta": np.array(meta), **renamed})
+    else:
+        path.write_text(re.sub(r"\blang1\b", lambda _: name, path.read_text()))
+
+
 class TestCorpusFiles:
     @pytest.mark.parametrize("suffix", [".npz", ".txt"])
     def test_round_trip(self, tmp_path, suffix):
@@ -835,6 +879,25 @@ class TestCorpusFiles:
         assert str(path) in str(info.value)
         if suffix == ".txt" and content is not None:
             assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("suffix, name", [
+        *itertools.product([".txt", ".npz"], ["..", ".", "../../evil", "x/y"]),
+        (".npz", ""),  # a text line has no empty field
+    ])
+    def test_a_language_name_that_cannot_name_a_file_is_refused(self, tmp_path, suffix, name):
+        # stages name map, model and log files after languages
+        path = tmp_path / f"corpus{suffix}"
+        corpus_file_with_language(path, name)
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        assert str(info.value) == f"cannot read {path}: language name {name!r} cannot name a file"
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/b", "a\\b"])
+    def test_a_corpus_refuses_a_language_name_that_cannot_name_a_file(self, name):
+        with mock.patch.object(corpus_module.os, "altsep", "\\"):
+            with pytest.raises(InventoryError, match="cannot name a file"):
+                tiny_corpus(langs=(name, "b"))
+        assert tiny_corpus(langs=("a.b", "..b")).languages == ["a.b", "..b"]
 
     @pytest.mark.parametrize("line", list(HEADER_LINES))
     def test_a_header_line_out_of_form_names_its_line(self, tmp_path, line):
@@ -934,6 +997,40 @@ class TestCorpusFiles:
         path = tmp_path / "corpus.txt"
         path.write_text(CORPUS_HEAD + f"frame a {values}\n")
         assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e400"])
+    def test_a_frame_value_that_is_not_finite_names_its_line(self, tmp_path, value):
+        path = tmp_path / "corpus.txt"
+        lines = frame_lines("ab", 3)
+        lines[3] = lines[3].rsplit(" ", 1)[0] + f" {value}"
+        path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in lines))
+        with pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        assert str(info.value) == f"cannot read {path}: line 10 (frame): frame values must be finite"
+        with chunked(lines=2, cpus=1):
+            assert_reads_like_oracle(path)
+
+    def test_a_pool_worker_refuses_a_value_that_is_not_finite(self, tmp_path):
+        # three and a half chunks of 2,048 lines; the bad line is in the third
+        path = tmp_path / "corpus.txt"
+        lines = frame_lines("ab", 3584)
+        lines[5000] = lines[5000].rsplit(" ", 1)[0] + " nan"
+        path.write_text(CORPUS_HEAD + "".join(line + "\n" for line in lines))
+        futures = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        with chunked(lines=2048, cpus=2), mock.patch.object(
+            concurrent.futures, "ProcessPoolExecutor", CountedPool
+        ), pytest.raises(ArtifactError) as info:
+            pm.load_corpus(path)
+        error = "line 5007 (frame): frame values must be finite"
+        assert str(info.value) == f"cannot read {path}: {error}"
+        raised = [str(f.exception()) for f in futures if not f.cancelled() and f.exception()]
+        assert raised == [error]
 
     def test_chunk_on_which_loadtxt_warns_is_read_line_by_line(self, tmp_path):
         # numpy 1.x reads "1.5" into an integer field as 1, with a DeprecationWarning

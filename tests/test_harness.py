@@ -497,6 +497,21 @@ class TestCli:
         assert cli.main(["experiment", "--config", str(path)]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["senone-map", "mtdnn-mapped"])
+    def test_a_language_named_as_a_path_fails_before_any_file(self, tmp_path, capsys, method):
+        # the map, model and log files of a stage are named after its languages
+        corpus_path = tmp_path / "corpus.txt"
+        pm.save_corpus(pm.generate_synthetic(pm.SynthSpec(**TINY_SYNTH, seed=5)), corpus_path)
+        corpus_path.write_text(re.sub(r"\blang1\b", "../../evil", corpus_path.read_text()))
+        raw = tiny_config(tmp_path, method=method, sources=["../../evil"],
+                          corpus={"path": str(corpus_path)}, output_dir=str(tmp_path / "a/b/run"))
+        path = write_config(tmp_path, raw)
+        assert cli.main(["experiment", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"ArtifactError: cannot read {corpus_path}: "
+                       "language name '../../evil' cannot name a file\n")
+        assert {p for p in tmp_path.rglob("*") if not p.is_dir()} == {corpus_path, path}
+
     def test_validate_map(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path))
         cli.main(["synth", "--config", str(path)])

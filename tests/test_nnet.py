@@ -355,6 +355,27 @@ class TestTrain:
             [h.mean_loss for h in hist], rel=1e-12
         )
 
+    @pytest.mark.parametrize("batch_size", [2**63, 10**30])
+    @pytest.mark.parametrize("heads", [1, 2], ids=["train", "train_multihead"])
+    def test_a_batch_beyond_int64_trains_as_the_whole_set(self, heads, batch_size):
+        # such a batch size once overflowed numpy's int64 in the target slots
+        sets = {"toy": blob_frames(12)}
+        if heads == 2:
+            other = blob_frames(13, n=90)
+            sets["other"] = pm.FrameSet("other", other.features, other.labels, np.arange(90))
+        net = pm.init_network([3, 8], [(lang, 2) for lang in sets], seed=3)
+
+        def trained(size):
+            cfg = pm.TrainConfig(epochs=3, batch_size=size, shuffle_seed=4)
+            return pm.train(net, sets["toy"], cfg) if heads == 1 else pm.train_multihead(net, sets, cfg)
+
+        (got, got_hist), (want, want_hist) = trained(batch_size), trained(
+            sum(map(len, sets.values())) + 1
+        )
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert got_hist == want_hist
+
     def test_label_out_of_range(self):
         frames = pm.FrameSet("toy", np.zeros((3, 2)), np.array([0, 1, 5]), np.arange(3))
         with pytest.raises(LabelRangeError):
